@@ -2,14 +2,13 @@
 
 __version__ = "0.1.0"
 
-from .params import SecurityLevel, ParameterSet, builtin_params, address_counts
+from .params import SecurityLevel, ParameterSet, builtin_params
 from .sampler import FieldVector, mask_bytes, rej_samp, rej_samp_prg
 
 __all__ = [
     "SecurityLevel",
     "ParameterSet",
     "builtin_params",
-    "address_counts",
     "FieldVector",
     "mask_bytes",
     "rej_samp",

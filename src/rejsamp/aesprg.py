@@ -1,9 +1,10 @@
 """AES-128 block cipher and the CTR keystream used as the sampler's PRG.
 
-The cipher is functional only (the cycle model lives in hwsim) and is built
-from the four named round transformations so the timed model reuses the
-same per-round functions. No hardcoded lookup tables: the S-box, xtime
-table and round constants are derived from the field arithmetic at import.
+The cipher is functional only: it is built from the four named round
+transformations and has no notion of cycles. The hwsim wrapper calls
+expand_key and encrypt_block_expanded once per block and adds the timing
+around them. No hardcoded lookup tables: the S-box, xtime table and round
+constants are derived from the field arithmetic at import.
 
 Counter block layout (16 bytes): 8-byte fixed nonce, then a 64-bit counter
 formed as 2-byte iv followed by a 6-byte big-endian running block index.

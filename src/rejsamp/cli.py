@@ -17,8 +17,8 @@ import json
 import sys
 
 from . import aesprg, fom, hwsim, kat
-from .params import address_counts, builtin_params, level_from_number
-from .sampler import FieldVector, rej_samp_prg, rejection_stats
+from .params import builtin_params, level_from_number
+from .sampler import FieldVector, rej_samp, rej_samp_prg, rejection_stats
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -66,7 +66,7 @@ def _cmd_params(args) -> int:
     for n in levels:
         p = builtin_params(level_from_number(n))
         d = p.to_dict()
-        d["tau_addrs"], d["out_addrs"] = address_counts(p)
+        d["tau_addrs"], d["out_addrs"] = p.tau_addrs, p.out_addrs
         d["required_mem_words"] = p.required_mem_words
         out[p.sec_level.value] = d
     text = json.dumps(out if len(levels) > 1 else out[next(iter(out))],
@@ -82,7 +82,7 @@ def _cmd_params(args) -> int:
 def _cmd_sample(args) -> int:
     p = builtin_params(level_from_number(args.level))
     raw = aesprg.keystream(args.seed, args.iv, p.tau)
-    vec = rej_samp_prg(args.seed, args.iv, p)
+    vec = rej_samp(raw, p.tau, p.n_prime, p.q)
     stats = rejection_stats(raw, p.tau, p.n_prime, p.q)
     print(f"elements: {len(vec)} (q={p.q})")
     print(f"stream bytes: {stats.tau}, masked to q: {stats.masked_to_q} "
@@ -97,19 +97,17 @@ def _cmd_sample(args) -> int:
 def _cmd_simulate(args) -> int:
     if args.program:
         with open(args.program) as f:
-            words = hwsim.parse_program(f.read())
-        level = hwsim.decode(next(
-            w for w in words
-            if hwsim.decode(w).op != hwsim.Opcode.NOP)).security_level()
+            program = [hwsim.decode(w) for w in hwsim.parse_program(f.read())]
+        level = hwsim.validate_program(program)
     else:
         if args.level is None:
             print("simulate: --level is required without --program",
                   file=sys.stderr)
             return EXIT_USAGE
         level = level_from_number(args.level)
-        words = hwsim.default_program(level)
+        program = hwsim.default_program(level)
     p = builtin_params(level)
-    result = hwsim.run_program(words, args.seed, args.iv,
+    result = hwsim.run_program(program, args.seed, args.iv,
                                mem_depth=args.mem_depth, freq_hz=args.freq)
     sys.stdout.write(json.dumps(result.report.to_json_dict()) + "\n")
     if args.trace:
@@ -158,9 +156,12 @@ def _cmd_fom(args) -> int:
             doc = json.load(f)
     else:
         doc = fom.REFERENCE_INPUTS
-    if not isinstance(doc, dict) or "platforms" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("platforms"), list):
         raise ValueError('metrics file must be an object with a "platforms" '
                          'list')
+    for field in ("scale_to_nm", "lut_area_um2"):
+        if doc.get(field) is not None:
+            fom.check_number(field, doc[field])
     metrics = [fom.metrics_from_dict(e) for e in doc["platforms"]]
     report = fom.fom_report(metrics,
                             scale_to_nm=doc.get("scale_to_nm"),

@@ -171,16 +171,28 @@ REFERENCE_INPUTS = {
 }
 
 
+def check_number(field: str, value) -> None:
+    """Raise ValueError unless value is a finite JSON number."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ValueError(f"{field} must be a finite number, got {value!r}")
+
+
 def metrics_from_dict(entry: dict) -> PlatformMetrics:
+    if not isinstance(entry, dict):
+        raise ValueError(f"platform entry must be an object: {entry!r}")
     try:
         kind = PlatformKind(entry["kind"])
     except (KeyError, ValueError):
         raise ValueError(f"platform entry needs kind ASIC or FPGA: {entry!r}")
-    known = {"name", "kind", "area_um2", "luts", "cpd_ns", "power_mw",
-             "power_listed_w", "tech_nm"}
-    extra = set(entry) - known
+    numeric = {"area_um2", "luts", "cpd_ns", "power_mw", "power_listed_w",
+               "tech_nm"}
+    extra = set(entry) - numeric - {"name", "kind"}
     if extra:
         raise ValueError(f"unknown metric field(s) {sorted(extra)}")
+    for field in sorted(numeric & set(entry)):
+        if entry[field] is not None:
+            check_number(field, entry[field])
     try:
         return PlatformMetrics(
             kind=kind,

@@ -1,25 +1,21 @@
 """Cycle-level simulator of the sampling coprocessor."""
 
-from .core import (AesCtrWrapper, CycleReport, ProgramResult, RejSampFsm,
-                   RejSampUnit, TimingConfig, WrapperFsm, block_count,
-                   rejsamp_cycle_count, run_program, run_rejsamp_unit,
-                   run_wrapper, unpack_result, wrapper_cycle_count)
+from .core import (AesCtrWrapper, CycleReport, ProgramResult, RejSampUnit,
+                   TimingConfig, run_program, validate_program)
 from .errors import (CapacityError, HwSimError, InvalidInstructionError,
                      PreconditionFault, ProgramError, SimulationFault,
                      UnsupportedLevelError)
 from .isa import (Instruction, Opcode, assemble, decode, default_program,
                   encode, format_program, parse_program)
-from .memory import Access, MemoryModel
+from .memory import MemoryModel
 
 __all__ = [
-    "AesCtrWrapper", "CycleReport", "ProgramResult", "RejSampFsm",
-    "RejSampUnit", "TimingConfig", "WrapperFsm", "block_count",
-    "rejsamp_cycle_count", "run_program", "run_rejsamp_unit", "run_wrapper",
-    "unpack_result", "wrapper_cycle_count",
+    "AesCtrWrapper", "CycleReport", "ProgramResult", "RejSampUnit",
+    "TimingConfig", "run_program", "validate_program",
     "CapacityError", "HwSimError", "InvalidInstructionError",
     "PreconditionFault", "ProgramError", "SimulationFault",
     "UnsupportedLevelError",
     "Instruction", "Opcode", "assemble", "decode", "default_program",
     "encode", "format_program", "parse_program",
-    "Access", "MemoryModel",
+    "MemoryModel",
 ]

@@ -29,8 +29,8 @@ overwrites the consumed stream head.  The largest region ever live is the
 keystream, so the required depth is exactly ceil(tau/8).
 """
 
+import math
 from dataclasses import dataclass
-from enum import Enum
 
 from .. import aesprg
 from ..packing import words_from_bytes, bytes_from_words
@@ -62,26 +62,6 @@ class TimingConfig:
                 raise ValueError(f"{name} must be non-negative")
 
 
-class WrapperFsm(Enum):
-    IDLE = "idle"
-    FILL = "fill"
-    ENCRYPT = "encrypt"
-    WRITE_HI = "write_hi"
-    WRITE_LO = "write_lo"
-    DONE = "done"
-
-
-class RejSampFsm(Enum):
-    IDLE = "idle"
-    LOAD = "load"
-    MASK = "mask"
-    VALIDATE = "validate"
-    COLLECT = "collect"
-    WRITE_OUT = "write_out"
-    ZERO_FILL = "zero_fill"
-    DONE = "done"
-
-
 @dataclass(frozen=True)
 class CycleReport:
     """Per-unit and total cycle counts with the derived wall-clock latency.
@@ -90,16 +70,18 @@ class CycleReport:
     drain appear in the trace but are host/control work outside the
     measured window.
     """
-    total_cycles: int
     wrapper_cycles: int
     rejsamp_cycles: int
     freq_hz: float
 
     def __post_init__(self):
-        if self.wrapper_cycles + self.rejsamp_cycles != self.total_cycles:
-            raise ValueError("cycle decomposition must add up")
-        if self.freq_hz <= 0:
-            raise ValueError("frequency must be positive")
+        if not 0 < self.freq_hz < math.inf:
+            raise ValueError(f"frequency must be positive and finite, got "
+                             f"{self.freq_hz}")
+
+    @property
+    def total_cycles(self) -> int:
+        return self.wrapper_cycles + self.rejsamp_cycles
 
     @property
     def latency_seconds(self) -> float:
@@ -119,36 +101,22 @@ def block_count(p: ParameterSet) -> int:
     return -(-p.tau // GROUP_BYTES)
 
 
-def wrapper_cycle_count(p: ParameterSet, cfg: TimingConfig) -> int:
-    per_block = cfg.aes_latency + cfg.writeback_cycles + cfg.per_block_overhead
-    return cfg.wrapper_setup_cycles + block_count(p) * per_block
-
-
-def rejsamp_cycle_count(p: ParameterSet, cfg: TimingConfig) -> int:
-    return (cfg.rejsamp_setup_cycles + 3 * block_count(p) + p.tau
-            + p.out_addrs)
-
-
 class AesCtrWrapper:
     """Block-serial CTR wrapper around the pipelined cipher core.
 
-    B1 holds the seed, B2 the cipher output; each block's B2 is drained
-    as two 64-bit words on consecutive cycles starting aes_latency cycles
-    after issue.  Stream bytes past tau are zeroed in the final word.
+    Each block's cipher output (B2) is drained as two 64-bit words on
+    consecutive cycles starting aes_latency cycles after issue.  Stream
+    bytes past tau are zeroed in the final word.
     """
 
     def __init__(self, cfg: TimingConfig, nonce: bytes = aesprg.DEFAULT_NONCE):
         self.cfg = cfg
         self.nonce = nonce
-        self.fsm = WrapperFsm.IDLE
-        self.b1 = b""
-        self.b2 = b""
-        self.block_index = 0
-        self.pipeline: list[int] = []  # block indices in flight
 
     def run(self, seed: bytes, iv: bytes, p: ParameterSet, mem: MemoryModel,
             start_cycle: int = 0, events: list | None = None) -> int:
-        """Generate and store the keystream; returns cycles consumed."""
+        """Generate and store the keystream; returns the cycles the block
+        schedule spans from start_cycle."""
         if mem.depth < p.tau_addrs:
             raise CapacityError(
                 f"memory depth {mem.depth} cannot hold the {p.tau_addrs}-word "
@@ -157,33 +125,26 @@ class AesCtrWrapper:
         aesprg.check_key(seed)
         aesprg.check_iv(iv)
         cfg = self.cfg
-        self.fsm = WrapperFsm.FILL
-        self.b1 = bytes(seed)
         round_keys = aesprg.expand_key(seed)
         per_block = cfg.aes_latency + cfg.writeback_cycles + cfg.per_block_overhead
         issue0 = start_cycle + cfg.wrapper_setup_cycles
-        for b in range(block_count(p)):
-            self.fsm = WrapperFsm.ENCRYPT
-            self.block_index = b
-            self.pipeline = [b]
+        blocks = block_count(p)
+        for b in range(blocks):
             issue = issue0 + b * per_block
             if events is not None:
                 events.append((issue, "wrapper", "issue", b, None))
-            self.b2 = aesprg.encrypt_block_expanded(
+            b2 = aesprg.encrypt_block_expanded(
                 round_keys, aesprg.ctr_block(self.nonce, iv, b))
             for half in (0, 1):
                 addr = 2 * b + half
                 n_valid = min(BYTES_PER_WORD, p.tau - addr * BYTES_PER_WORD)
                 if n_valid <= 0:
                     continue  # final block only partially inside the stream
-                chunk = self.b2[8 * half:8 * half + n_valid]
+                chunk = b2[8 * half:8 * half + n_valid]
                 word = int.from_bytes(chunk.ljust(BYTES_PER_WORD, b"\x00"), "big")
-                self.fsm = WrapperFsm.WRITE_HI if half == 0 else WrapperFsm.WRITE_LO
                 mem.write(addr, word, cycle=issue + cfg.aes_latency + half,
                           port="A", unit="wrapper")
-            self.pipeline = []
-        self.fsm = WrapperFsm.DONE
-        return wrapper_cycle_count(p, self.cfg)
+        return issue0 + blocks * per_block - start_cycle
 
 
 class RejSampUnit:
@@ -199,15 +160,11 @@ class RejSampUnit:
 
     def __init__(self, cfg: TimingConfig):
         self.cfg = cfg
-        self.fsm = RejSampFsm.IDLE
-        self.shift_reg = b""
-        self.b2_out = 0
-        self.valid_count = 0
-        self.k_ptr = 0
 
     def run(self, p: ParameterSet, mem: MemoryModel, start_cycle: int = 0,
             events: list | None = None) -> int:
-        """Sample the stored keystream into packed output words in place."""
+        """Sample the stored keystream into packed output words in place;
+        returns the cycles the schedule spans from start_cycle."""
         missing = [a for a in range(p.tau_addrs) if a not in mem.written]
         if missing:
             raise PreconditionFault(
@@ -219,32 +176,24 @@ class RejSampUnit:
         head: list[int] = []          # masked values of the first n' positions
         tail_valid: list[int] = []    # valid spares, in stream order
         tail_next = 0
-        self.k_ptr = p.n_prime
         for g in range(block_count(p)):
-            self.fsm = RejSampFsm.LOAD
             group = bytearray()
-            for half in (0, 1):
+            for half in (0, 1):      # refill: two word reads
                 addr = 2 * g + half
                 if addr < p.tau_addrs:
                     word = mem.read(addr, cycle=cycle + half, port="B",
                                     unit="rejsamp")
                     group += word.to_bytes(BYTES_PER_WORD, "big")
-            cycle += 2
-            self.fsm = RejSampFsm.MASK
-            self.shift_reg = bytes(group)
             masked = [b & q for b in group]
-            self.fsm = RejSampFsm.VALIDATE
-            cycle += 1
-            self.fsm = RejSampFsm.COLLECT
+            cycle += 3               # two refill cycles + one validate cycle
             in_group = min(GROUP_BYTES, p.tau - g * GROUP_BYTES)
-            for i in range(in_group):
+            for i in range(in_group):    # collect: one cycle per byte
                 pos = g * GROUP_BYTES + i
                 if pos < p.n_prime:
                     head.append(masked[i])
                 elif masked[i] != q:
                     tail_valid.append(masked[i])
             cycle += in_group
-            self.k_ptr = g * GROUP_BYTES + in_group
         out = []
         for v in head:
             if v != q:
@@ -253,58 +202,13 @@ class RejSampUnit:
                 out.append(tail_valid[tail_next])
                 tail_next += 1
             else:
-                self.fsm = RejSampFsm.ZERO_FILL
                 out.append(0)
-        self.fsm = RejSampFsm.WRITE_OUT
         for w, word in enumerate(words_from_bytes(bytes(out))):
-            self.b2_out = word
-            self.valid_count = min(8, len(out) - w * BYTES_PER_WORD)
             mem.write(w, word, cycle=cycle, port="A", unit="rejsamp")
             cycle += 1
         if events is not None:
             events.append((cycle - 1, "rejsamp", "done", None, None))
-        self.fsm = RejSampFsm.DONE
-        return rejsamp_cycle_count(p, self.cfg)
-
-
-def _next_free_cycle(mem: MemoryModel) -> int:
-    """First cycle after all logged activity, so a fresh unit activation
-    observes every earlier write."""
-    return max((a.cycle for a in mem.log), default=-1) + 1
-
-
-def run_wrapper(seed: bytes, iv: bytes, p: ParameterSet,
-                cfg: TimingConfig | None = None,
-                mem: MemoryModel | None = None,
-                nonce: bytes = aesprg.DEFAULT_NONCE,
-                start_cycle: int | None = None) -> tuple[MemoryModel, int]:
-    """Run the AES-CTR wrapper alone; returns (memory, cycles)."""
-    cfg = cfg or TimingConfig()
-    if mem is None:
-        mem = MemoryModel(DEFAULT_DEPTH)
-    if start_cycle is None:
-        start_cycle = _next_free_cycle(mem)
-    cycles = AesCtrWrapper(cfg, nonce).run(seed, iv, p, mem, start_cycle)
-    return mem, cycles
-
-
-def run_rejsamp_unit(p: ParameterSet, cfg: TimingConfig | None = None,
-                     mem: MemoryModel | None = None,
-                     start_cycle: int | None = None) -> tuple[MemoryModel, int]:
-    """Run the sampling unit alone over an already-populated keystream."""
-    cfg = cfg or TimingConfig()
-    if mem is None:
-        raise PreconditionFault("no memory with a populated keystream region")
-    if start_cycle is None:
-        start_cycle = _next_free_cycle(mem)
-    cycles = RejSampUnit(cfg).run(p, mem, start_cycle)
-    return mem, cycles
-
-
-def unpack_result(mem: MemoryModel, p: ParameterSet, base: int = 0) -> FieldVector:
-    """Untimed unpack of the output region into a FieldVector."""
-    words = mem.peek_range(base, p.out_addrs)
-    return FieldVector(tuple(bytes_from_words(words, p.n_prime)), p.q)
+        return cycle - start_cycle
 
 
 @dataclass(frozen=True)
@@ -323,7 +227,8 @@ class ProgramResult:
         return rows
 
 
-def _validate_program(program: list[Instruction]) -> SecurityLevel:
+def validate_program(program: list[Instruction]) -> SecurityLevel:
+    """Check a decoded program against the ISA rules; returns its level."""
     if not program:
         raise ProgramError("empty program")
     active = [ins for ins in program if ins.op != Opcode.NOP]
@@ -373,7 +278,7 @@ def run_program(instructions, seed: bytes, iv: bytes,
     report, the sampled vector, and the memory with its access log."""
     cfg = cfg or TimingConfig()
     program = [decode(w) if isinstance(w, int) else w for w in instructions]
-    level = _validate_program(program)
+    level = validate_program(program)
     p = builtin_params(level)
     if mem_depth < p.required_mem_words:
         raise CapacityError(
@@ -426,10 +331,9 @@ def run_program(instructions, seed: bytes, iv: bytes,
                               unit="host") for w in range(p.out_addrs)]
             cycle += p.out_addrs
             vector = FieldVector(tuple(bytes_from_words(words, p.n_prime)), p.q)
-    assert vector is not None  # guaranteed by _validate_program
+    assert vector is not None  # guaranteed by validate_program
 
     report = CycleReport(
-        total_cycles=wrapper_cycles + rejsamp_cycles,
         wrapper_cycles=wrapper_cycles,
         rejsamp_cycles=rejsamp_cycles,
         freq_hz=freq_hz,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import aesprg
 from .params import builtin_params, level_from_number
-from .sampler import rej_samp_prg
+from .sampler import rej_samp, rej_samp_prg
 
 
 class KatError(ValueError):
@@ -134,7 +134,7 @@ def generate_kat(key: bytes, iv: bytes, level: int, count: int = 1,
     for i in range(count):
         case_iv = ((iv0 + i) % (1 << 16)).to_bytes(2, "big")
         ks = aesprg.keystream(key, case_iv, p.tau, nonce)
-        fv = rej_samp_prg(key, case_iv, p, nonce)
+        fv = rej_samp(ks, p.tau, p.n_prime, p.q)
         lines.append(f"key={key.hex()} iv={case_iv.hex()} n={p.tau} "
                      f"out={ks.hex()}")
         lines.append(f"key={key.hex()} iv={case_iv.hex()} level={level} "

@@ -103,11 +103,6 @@ def builtin_params(level: SecurityLevel) -> ParameterSet:
     )
 
 
-def address_counts(p: ParameterSet) -> tuple[int, int]:
-    """(keystream words, output words) under 8-bytes-per-address packing."""
-    return p.tau_addrs, p.out_addrs
-
-
 def level_from_number(n: int) -> SecurityLevel:
     """Map the CLI's 1/3/5 spelling onto SecurityLevel."""
     try:

@@ -142,3 +142,22 @@ def keystream_oracle(key, iv, n_bytes, nonce=b"\x00" * 8):
         out += aes128_encrypt_oracle(key, nonce + iv + idx.to_bytes(6, "big"))
         idx += 1
     return bytes(out[:n_bytes])
+
+
+# ---------------------------------------------------------------------------
+# Closed-form cycle counts of the two timed units, written from the timing
+# model's definition.  cfg is read by attribute only (any object with the
+# five TimingConfig fields).
+
+
+def wrapper_cycles_oracle(tau, cfg):
+    """setup + blocks * (latency + writeback + overhead), blocks = ceil(tau/16)."""
+    blocks = -(-tau // 16)
+    per_block = cfg.aes_latency + cfg.writeback_cycles + cfg.per_block_overhead
+    return cfg.wrapper_setup_cycles + blocks * per_block
+
+
+def rejsamp_cycles_oracle(tau, n_prime, cfg):
+    """setup + 3 cycles per 16-byte group + tau collects + ceil(n'/8) writes."""
+    blocks = -(-tau // 16)
+    return cfg.rejsamp_setup_cycles + 3 * blocks + tau + -(-n_prime // 8)

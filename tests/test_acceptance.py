@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 from rejsamp import aesprg, fom, hwsim
-from rejsamp.params import SecurityLevel, address_counts, builtin_params
+from rejsamp.params import SecurityLevel, builtin_params
 from rejsamp.sampler import rej_samp, rej_samp_prg
-from oracles import aes128_decrypt_oracle, rej_samp_naive
+from oracles import (aes128_decrypt_oracle, rejsamp_cycles_oracle,
+                     rej_samp_naive, wrapper_cycles_oracle)
 
 SL1 = builtin_params(SecurityLevel.SL1)
 
@@ -86,7 +87,8 @@ def test_c05_packing_address_counts():
     want = {SecurityLevel.SL1: (365, 351), SecurityLevel.SL3: (766, 741),
             SecurityLevel.SL5: (1378, 1339)}
     for level, pair in want.items():
-        assert address_counts(builtin_params(level)) == pair
+        p = builtin_params(level)
+        assert (p.tau_addrs, p.out_addrs) == pair
     _report(5, "address counts (365,351)/(766,741)/(1378,1339)")
 
 
@@ -110,6 +112,9 @@ def test_c06_reference_cycle_counts_and_identity():
         for level in (SecurityLevel.SL1, SecurityLevel.SL3):
             rr = hwsim.run_program(hwsim.default_program(level), seed,
                                    b"\x00\x01", cfg=cfg).report
+            p = builtin_params(level)
+            assert rr.wrapper_cycles == wrapper_cycles_oracle(p.tau, cfg)
+            assert rr.rejsamp_cycles == rejsamp_cycles_oracle(p.tau, p.n_prime, cfg)
             assert rr.wrapper_cycles + rr.rejsamp_cycles == rr.total_cycles
     _report(6, "cycle counts 8525 = 4632 + 3893 and decomposition identity")
 

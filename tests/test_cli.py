@@ -113,6 +113,24 @@ def test_simulate_reserved_level_program_exit3(tmp_path, capsys):
                    "--iv", "0001") == 3
 
 
+@pytest.mark.parametrize("text", ["", "0000000\n0000000\n"],
+                         ids=["empty", "all-nop"])
+def test_simulate_program_without_work_exit2(text, tmp_path, capsys):
+    prog = tmp_path / "prog.hex"
+    prog.write_text(text)
+    assert run_cli("simulate", "--program", str(prog), "--seed", SEED_HEX,
+                   "--iv", "0001") == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("freq", ["nan", "inf", "0"])
+def test_simulate_bad_freq_exit2(freq, capsys):
+    assert run_cli("simulate", "--level", "1", "--seed", SEED_HEX,
+                   "--iv", "0001", "--freq", freq) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
 def test_simulate_missing_level_usage(capsys):
     assert run_cli("simulate", "--seed", SEED_HEX, "--iv", "0001") == 2
 
@@ -195,6 +213,25 @@ def test_fom_schema_violation_exit2(tmp_path, capsys):
     assert run_cli("fom", str(path)) == 2
     path.write_text("not json")
     assert run_cli("fom", str(path)) == 2
+
+
+FPGA = {"kind": "FPGA", "luts": 10, "cpd_ns": 1.0, "power_mw": 1.0,
+        "tech_nm": 28}
+
+
+@pytest.mark.parametrize("doc", [
+    {"platforms": [5]},
+    {"platforms": [dict(FPGA, cpd_ns="x")]},
+    {"platforms": [FPGA], "scale_to_nm": "x"},
+    {"platforms": 5},
+], ids=["entry-not-an-object", "non-numeric-field", "non-numeric-scale",
+        "platforms-not-a-list"])
+def test_fom_malformed_entry_exit2(doc, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("fom", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_kat_generate_matches_module(tmp_path):

@@ -12,7 +12,8 @@ from rejsamp.hwsim import (CapacityError, Instruction, InvalidInstructionError,
 from rejsamp.packing import bytes_from_words, words_from_bytes
 from rejsamp.params import SecurityLevel, builtin_params
 from rejsamp.sampler import rej_samp, rej_samp_prg
-from oracles import keystream_oracle
+from oracles import (keystream_oracle, rejsamp_cycles_oracle,
+                     wrapper_cycles_oracle)
 
 SEED = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
 IV = b"\x00\x01"
@@ -137,8 +138,19 @@ def test_address_and_word_validation():
 # AES-CTR wrapper
 
 
+def _keystream_mem(seed=SEED, iv=IV):
+    """Memory holding the SL1 keystream, and the wrapper's cycle count."""
+    mem = MemoryModel(1024)
+    cycles = hwsim.AesCtrWrapper(TimingConfig()).run(seed, iv, SL1, mem)
+    return mem, cycles
+
+
+def _output_bytes(mem):
+    return bytes_from_words(mem.peek_range(0, SL1.out_addrs), SL1.n_prime)
+
+
 def test_wrapper_cycles_and_writes():
-    mem, cycles = hwsim.run_wrapper(SEED, IV, SL1)
+    mem, cycles = _keystream_mem()
     assert cycles == 4632
     writes = [a for a in mem.log if a.kind == "W"]
     assert len(writes) == 365
@@ -146,7 +158,7 @@ def test_wrapper_cycles_and_writes():
 
 
 def test_wrapper_memory_matches_keystream():
-    mem, _ = hwsim.run_wrapper(SEED, IV, SL1)
+    mem, _ = _keystream_mem()
     words = mem.peek_range(0, SL1.tau_addrs)
     assert bytes_from_words(words, SL1.tau) == aesprg.keystream(SEED, IV, SL1.tau)
     # final word zero-padded past tau
@@ -178,7 +190,7 @@ def test_pipeline_latency_from_log():
 
 def test_wrapper_capacity_error():
     with pytest.raises(CapacityError) as ei:
-        hwsim.run_wrapper(SEED, IV, SL1, mem=MemoryModel(364))
+        hwsim.AesCtrWrapper(TimingConfig()).run(SEED, IV, SL1, MemoryModel(364))
     assert ei.value.required_words == 365
 
 
@@ -187,33 +199,33 @@ def test_wrapper_capacity_error():
 
 
 def test_rejsamp_unit_cycles_and_oracle():
-    mem, _ = hwsim.run_wrapper(SEED, IV, SL1)
+    mem, start = _keystream_mem()
     raw = bytes_from_words(mem.peek_range(0, SL1.tau_addrs), SL1.tau)
-    mem, cycles = hwsim.run_rejsamp_unit(SL1, mem=mem)
+    cycles = hwsim.RejSampUnit(TimingConfig()).run(SL1, mem, start_cycle=start)
     assert cycles == 3893
     out_writes = [a for a in mem.log if a.unit == "rejsamp" and a.kind == "W"]
     assert len(out_writes) == 351
-    got = hwsim.unpack_result(mem, SL1)
-    assert got.elems == rej_samp(raw, SL1.tau, SL1.n_prime, SL1.q).elems
+    assert _output_bytes(mem) == rej_samp(raw, SL1.tau, SL1.n_prime, SL1.q).to_bytes()
 
 
 @pytest.mark.parametrize("case", range(10))
 def test_rejsamp_unit_matches_golden_random_seeds(case):
     rng = random.Random(1000 + case)
     seed, iv = rng.randbytes(16), rng.randbytes(2)
-    mem, _ = hwsim.run_wrapper(seed, iv, SL1)
-    mem, _ = hwsim.run_rejsamp_unit(SL1, mem=mem)
-    assert hwsim.unpack_result(mem, SL1).elems == rej_samp_prg(seed, iv, SL1).elems
+    mem, start = _keystream_mem(seed, iv)
+    hwsim.RejSampUnit(TimingConfig()).run(SL1, mem, start_cycle=start)
+    assert _output_bytes(mem) == rej_samp_prg(seed, iv, SL1).to_bytes()
 
 
 def test_rejsamp_unit_precondition_fault():
+    unit = hwsim.RejSampUnit(TimingConfig())
     with pytest.raises(PreconditionFault, match="underfilled"):
-        hwsim.run_rejsamp_unit(SL1, mem=MemoryModel(1024))
+        unit.run(SL1, MemoryModel(1024))
     mem = MemoryModel(1024)
     for a in range(SL1.tau_addrs - 1):  # one word short
         mem.write(a, 0, cycle=a)
     with pytest.raises(PreconditionFault, match="364"):
-        hwsim.run_rejsamp_unit(SL1, mem=mem)
+        unit.run(SL1, mem, start_cycle=SL1.tau_addrs)
 
 
 def test_rejsamp_unit_zero_fill_path():
@@ -222,8 +234,8 @@ def test_rejsamp_unit_zero_fill_path():
     stream = b"\xff" * SL1.tau
     for a, w in enumerate(words_from_bytes(stream)):
         mem.write(a, w, cycle=a)
-    mem, _ = hwsim.run_rejsamp_unit(SL1, mem=mem)
-    assert set(hwsim.unpack_result(mem, SL1).elems) == {0}
+    hwsim.RejSampUnit(TimingConfig()).run(SL1, mem, start_cycle=SL1.tau_addrs)
+    assert set(_output_bytes(mem)) == {0}
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +260,23 @@ def test_run_program_reference_cycles():
 @pytest.mark.parametrize("level", [SecurityLevel.SL1, SecurityLevel.SL3])
 def test_cycle_decomposition_identity(cfg, level):
     res = hwsim.run_program(hwsim.default_program(level), SEED, IV, cfg=cfg)
-    r = res.report
-    assert r.wrapper_cycles + r.rejsamp_cycles == r.total_cycles
-    assert r.wrapper_cycles == hwsim.wrapper_cycle_count(builtin_params(level), cfg)
-    assert r.rejsamp_cycles == hwsim.rejsamp_cycle_count(builtin_params(level), cfg)
+    r, p = res.report, builtin_params(level)
+    assert r.wrapper_cycles == wrapper_cycles_oracle(p.tau, cfg)
+    assert r.rejsamp_cycles == rejsamp_cycles_oracle(p.tau, p.n_prime, cfg)
+    assert r.total_cycles == r.wrapper_cycles + r.rejsamp_cycles
+
+
+@pytest.mark.parametrize("level", [SecurityLevel.SL1, SecurityLevel.SL3])
+def test_schedule_ignores_seed(level):
+    # the paper's cycle counts are data-independent: only the data column
+    # of the trace may change with the seed
+    rng = random.Random(7)
+    prog = hwsim.default_program(level)
+    schedules = set()
+    for _ in range(4):
+        res = hwsim.run_program(prog, rng.randbytes(16), rng.randbytes(2))
+        schedules.add(tuple(row[:4] for row in res.trace_rows()))
+    assert len(schedules) == 1
 
 
 def test_run_program_determinism():
@@ -389,9 +414,11 @@ def test_timing_config_validation():
 
 
 def test_cycle_report_identity_enforced():
-    with pytest.raises(ValueError):
+    r = hwsim.CycleReport(wrapper_cycles=5, rejsamp_cycles=4, freq_hz=1e6)
+    assert r.total_cycles == 9 == r.to_json_dict()["total_cycles"]
+    with pytest.raises(TypeError):  # the total is derived, never stored
         hwsim.CycleReport(total_cycles=10, wrapper_cycles=5, rejsamp_cycles=4,
                           freq_hz=1e6)
-    with pytest.raises(ValueError):
-        hwsim.CycleReport(total_cycles=9, wrapper_cycles=5, rejsamp_cycles=4,
-                          freq_hz=0)
+    for freq in (0, -1e6, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            hwsim.CycleReport(wrapper_cycles=5, rejsamp_cycles=4, freq_hz=freq)

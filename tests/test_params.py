@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from rejsamp.params import (ParameterSet, SecurityLevel, address_counts,
-                            builtin_params, is_mersenne, level_from_number)
+from rejsamp.params import (ParameterSet, SecurityLevel, builtin_params,
+                            is_mersenne, level_from_number)
 
 PUBLISHED = {
     SecurityLevel.SL1: dict(q=127, l=3, V=52, M=18, v=156, m=54,
@@ -30,7 +30,8 @@ def test_builtin_matches_published_values(level):
 
 @pytest.mark.parametrize("level", list(SecurityLevel))
 def test_address_counts(level):
-    assert address_counts(builtin_params(level)) == ADDR_PAIRS[level]
+    p = builtin_params(level)
+    assert (p.tau_addrs, p.out_addrs) == ADDR_PAIRS[level]
 
 
 @pytest.mark.parametrize("level", list(SecurityLevel))
