@@ -1,9 +1,12 @@
 """AES-128 block cipher and the CTR keystream used as the sampler's PRG.
 
-The cipher is functional only: it is built from the four named round
-transformations and has no notion of cycles. The hwsim wrapper calls
-expand_key and encrypt_block_expanded once per block and adds the timing
-around them. No hardcoded lookup tables: the S-box, xtime table and round
+The cipher is functional only and has no notion of cycles. It is the
+32-bit T-table formulation of FIPS-197 (Daemen & Rijmen, The Design of
+Rijndael, 4.2): each of rounds 1..9 computes every output column as four
+table lookups, one per state byte, XORed with the round-key word, and the
+final round applies the S-box alone. The hwsim wrapper calls expand_key
+and encrypt_block_expanded once per block and adds the timing around them.
+No hardcoded lookup tables: the S-box, the T-tables and the round
 constants are derived from the field arithmetic at import.
 
 Counter block layout (16 bytes): 8-byte fixed nonce, then a 64-bit counter
@@ -11,6 +14,8 @@ formed as 2-byte iv followed by a 6-byte big-endian running block index.
 The nonce defaults to zero and both nonce and iv are parameters, which is
 the compatibility point if another layout convention is ever needed.
 """
+
+import struct
 
 KEY_BYTES = 16
 IV_BYTES = 2
@@ -20,6 +25,7 @@ DEFAULT_NONCE = b"\x00" * NONCE_BYTES
 
 _BLOCK_INDEX_BYTES = 6
 _MAX_BLOCKS = 1 << (8 * _BLOCK_INDEX_BYTES)
+_WORDS = struct.Struct(">4I")
 
 
 def _build_tables():
@@ -39,65 +45,58 @@ def _build_tables():
         for k in range(5):
             s ^= ((b << k) | (b >> (8 - k))) & 0xFF
         sbox[a] = s
+    # Te0[a]: MixColumns of the column (S[a], 0, 0, 0), i.e. (2s, s, s, 3s);
+    # Te1..Te3 are its byte rotations, the images of S[a] in rows 1..3
+    te = [[xtime[s] << 24 | s << 16 | s << 8 | xtime[s] ^ s for s in sbox]]
+    for _ in range(3):
+        te.append([t >> 8 | (t & 0xFF) << 24 for t in te[-1]])
     rcon = [1]
     for _ in range(9):
         rcon.append(xtime[rcon[-1]])
-    return xtime, sbox, rcon
+    return sbox, te, rcon
 
 
-_XTIME, SBOX, _RCON = _build_tables()
-
-# out[i] = state[_SHIFT[i]] with the state held column-major (index r + 4c)
-_SHIFT = tuple((i % 4) + 4 * ((i // 4 + i % 4) % 4) for i in range(16))
+SBOX, _TE, _RCON = _build_tables()
 
 
-def sub_bytes(state):
-    sb = SBOX
-    return [sb[b] for b in state]
-
-
-def shift_rows(state):
-    return [state[i] for i in _SHIFT]
-
-
-def mix_columns(state):
-    xt = _XTIME
-    out = []
-    for c in (0, 4, 8, 12):
-        a0, a1, a2, a3 = state[c], state[c + 1], state[c + 2], state[c + 3]
-        t = a0 ^ a1 ^ a2 ^ a3
-        out += (
-            a0 ^ t ^ xt[a0 ^ a1],
-            a1 ^ t ^ xt[a1 ^ a2],
-            a2 ^ t ^ xt[a2 ^ a3],
-            a3 ^ t ^ xt[a3 ^ a0],
-        )
-    return out
-
-
-def add_round_key(state, round_key):
-    return [a ^ b for a, b in zip(state, round_key)]
-
-
-def expand_key(key: bytes) -> list[list[int]]:
-    """AES-128 key schedule: 11 round keys of 16 bytes each."""
+def expand_key(key: bytes) -> list[int]:
+    """AES-128 key schedule: the 44 FIPS-197 words w[0..43], big-endian
+    32-bit ints; round r uses w[4r:4r+4]."""
     check_key(key)
-    w = [list(key[4 * i:4 * i + 4]) for i in range(4)]
+    w = list(_WORDS.unpack(key))
     for i in range(4, 44):
         t = w[i - 1]
         if i % 4 == 0:
-            t = [SBOX[t[1]] ^ _RCON[i // 4 - 1], SBOX[t[2]], SBOX[t[3]], SBOX[t[0]]]
-        w.append([a ^ b for a, b in zip(w[i - 4], t)])
-    return [w[4 * r] + w[4 * r + 1] + w[4 * r + 2] + w[4 * r + 3] for r in range(11)]
+            # SubWord(RotWord(t)) xor Rcon
+            t = (SBOX[t >> 16 & 255] << 24 ^ SBOX[t >> 8 & 255] << 16
+                 ^ SBOX[t & 255] << 8 ^ SBOX[t >> 24] ^ _RCON[i // 4 - 1] << 24)
+        w.append(w[i - 4] ^ t)
+    return w
 
 
-def encrypt_block_expanded(round_keys: list[list[int]], block: bytes) -> bytes:
+def encrypt_block_expanded(w: list[int], block: bytes) -> bytes:
     """One AES-128 encryption with a precomputed key schedule."""
-    s = add_round_key(block, round_keys[0])
-    for rnd in range(1, 10):
-        s = add_round_key(mix_columns(shift_rows(sub_bytes(s))), round_keys[rnd])
-    s = add_round_key(shift_rows(sub_bytes(s)), round_keys[10])
-    return bytes(s)
+    te0, te1, te2, te3 = _TE
+    a, b, c, d = _WORDS.unpack(block)
+    a, b, c, d = a ^ w[0], b ^ w[1], c ^ w[2], d ^ w[3]
+    for r in range(4, 40, 4):
+        k0, k1, k2, k3 = w[r:r + 4]
+        a, b, c, d = (
+            te0[a >> 24] ^ te1[b >> 16 & 255] ^ te2[c >> 8 & 255] ^ te3[d & 255] ^ k0,
+            te0[b >> 24] ^ te1[c >> 16 & 255] ^ te2[d >> 8 & 255] ^ te3[a & 255] ^ k1,
+            te0[c >> 24] ^ te1[d >> 16 & 255] ^ te2[a >> 8 & 255] ^ te3[b & 255] ^ k2,
+            te0[d >> 24] ^ te1[a >> 16 & 255] ^ te2[b >> 8 & 255] ^ te3[c & 255] ^ k3)
+    sb = SBOX
+    # final round: S-box and ShiftRows only; the shifted bytes are disjoint
+    return _WORDS.pack(
+        sb[a >> 24] << 24 ^ sb[b >> 16 & 255] << 16
+        ^ sb[c >> 8 & 255] << 8 ^ sb[d & 255] ^ w[40],
+        sb[b >> 24] << 24 ^ sb[c >> 16 & 255] << 16
+        ^ sb[d >> 8 & 255] << 8 ^ sb[a & 255] ^ w[41],
+        sb[c >> 24] << 24 ^ sb[d >> 16 & 255] << 16
+        ^ sb[a >> 8 & 255] << 8 ^ sb[b & 255] ^ w[42],
+        sb[d >> 24] << 24 ^ sb[a >> 16 & 255] << 16
+        ^ sb[b >> 8 & 255] << 8 ^ sb[c & 255] ^ w[43])
 
 
 def aes128_encrypt_block(key: bytes, block: bytes) -> bytes:
@@ -139,8 +138,8 @@ def keystream(key: bytes, iv: bytes, n_bytes: int, nonce: bytes = DEFAULT_NONCE)
     check_iv(iv)
     if n_bytes <= 0:
         raise ValueError("empty keystream request")
-    rks = expand_key(key)
+    w = expand_key(key)
     out = bytearray()
     for index in range(-(-n_bytes // BLOCK_BYTES)):
-        out += encrypt_block_expanded(rks, ctr_block(nonce, iv, index))
+        out += encrypt_block_expanded(w, ctr_block(nonce, iv, index))
     return bytes(out[:n_bytes])

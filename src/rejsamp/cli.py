@@ -2,10 +2,11 @@
 
 Subcommands: sample, simulate, kat generate|verify, fom, params.
 
-Exit codes are a stable contract: 0 success, 2 usage or malformed input,
-3 unsupported security level, 4 memory capacity, 5 self-check or KAT
-mismatch. Every command is deterministic given its full flag set; the
-seed is always an explicit argument.
+Exit codes are a stable contract: 0 success, 2 usage, malformed input or
+a file that cannot be read or written, 3 unsupported security level,
+4 memory capacity, 5 self-check or KAT mismatch. Every command is
+deterministic given its full flag set; the seed is always an explicit
+argument.
 
 Binary vector artifacts use the packed 64-bit-word convention (element 0
 in the most significant byte of word 0, words serialized big-endian), so
@@ -153,7 +154,10 @@ def _cmd_kat(args) -> int:
 def _cmd_fom(args) -> int:
     if args.metrics:
         with open(args.metrics) as f:
-            doc = json.load(f)
+            try:
+                doc = json.load(f)
+            except RecursionError:
+                raise ValueError("metrics file is nested too deeply") from None
     else:
         doc = fom.REFERENCE_INPUTS
     if not isinstance(doc, dict) or not isinstance(doc.get("platforms"), list):
@@ -187,8 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
                "element 0 in the most significant byte, words serialized "
                "big-endian: the file holds the elements in order, "
                "zero-padded to a multiple of 8 bytes. Exit codes: 0 ok, "
-               "2 usage/malformed input, 3 unsupported level, 4 memory "
-               "capacity, 5 self-check or KAT mismatch.")
+               "2 usage/malformed input/unusable file, 3 unsupported "
+               "level, 4 memory capacity, 5 self-check or KAT mismatch.")
     sub = ap.add_subparsers(dest="command", required=True)
 
     pp = sub.add_parser("params", help="emit parameter sets as JSON")
@@ -255,12 +259,9 @@ def main(argv=None) -> int:
     except hwsim.CapacityError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (kat.KatError, ValueError, json.JSONDecodeError) as e:
+    except (kat.KatError, ValueError, json.JSONDecodeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

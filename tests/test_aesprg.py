@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rejsamp import aesprg
+from rejsamp.params import SecurityLevel, builtin_params
 from oracles import aes128_decrypt_oracle, aes128_encrypt_oracle, keystream_oracle
 
 KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
@@ -29,8 +30,10 @@ def test_encrypt_deterministic():
 
 
 def test_final_round_key_frozen():
-    # last round key of the FIPS key schedule
-    assert bytes(aesprg.expand_key(KEY)[10]).hex() == "13111d7fe3944a17f307a78b4d2b30c5"
+    # last round key of the FIPS key schedule: words w[40..43]
+    w = aesprg.expand_key(KEY)
+    assert b"".join(x.to_bytes(4, "big") for x in w[40:44]).hex() == \
+        "13111d7fe3944a17f307a78b4d2b30c5"
 
 
 def test_bad_lengths_rejected():
@@ -94,6 +97,21 @@ def test_block_consumption_count(monkeypatch):
 
 def test_matches_independent_ctr_oracle():
     assert aesprg.keystream(KEY, b"\xbe\xef", 333) == keystream_oracle(KEY, b"\xbe\xef", 333)
+
+
+def test_sl5_keystream_matches_independent_ctr_oracle():
+    # 689 blocks: the counter's low byte carries from 255 into 256
+    tau = builtin_params(SecurityLevel.SL5).tau
+    assert -(-tau // 16) == 689
+    assert aesprg.keystream(KEY, b"\x5a\xa5", tau) == keystream_oracle(KEY, b"\x5a\xa5", tau)
+
+
+@settings(max_examples=200, deadline=None)
+@given(key=st.binary(min_size=16, max_size=16),
+       block=st.binary(min_size=16, max_size=16))
+def test_cipher_matches_independent_oracle(key, block):
+    w = aesprg.expand_key(key)
+    assert aesprg.encrypt_block_expanded(w, block) == aes128_encrypt_oracle(key, block)
 
 
 def test_nonce_changes_stream_and_is_honoured():

@@ -234,6 +234,37 @@ def test_fom_malformed_entry_exit2(doc, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["kat", "verify", "{missing}"],
+    ["kat", "verify", "{dir}"],
+    ["fom", "{missing}"],
+    ["fom", "{dir}"],
+    ["fom", "--out", "{missing}/r.json"],
+    ["simulate", "--seed", SEED_HEX, "--iv", "0001", "--program", "{missing}"],
+    ["simulate", "--seed", SEED_HEX, "--iv", "0001", "--program", "{dir}"],
+    ["simulate", "--level", "1", "--seed", SEED_HEX, "--iv", "0001",
+     "--trace", "{missing}/t.csv"],
+    ["simulate", "--level", "1", "--seed", SEED_HEX, "--iv", "0001",
+     "--out", "{dir}"],
+], ids=["kat-missing", "kat-dir", "fom-missing", "fom-dir", "fom-out-unwritable",
+        "program-missing", "program-dir", "trace-unwritable", "out-is-dir"])
+def test_unusable_file_exit2(argv, tmp_path, capsys):
+    paths = {"missing": tmp_path / "absent", "dir": tmp_path}
+    assert run_cli(*[a.format(**paths) for a in argv]) == 2
+    # fom's reference inputs print warnings before the error line
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("error: [Errno ")
+    assert not any(line.startswith("error") for line in err[:-1])
+
+
+def test_fom_deeply_nested_metrics_exit2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert run_cli("fom", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_kat_generate_matches_module(tmp_path):
     path = tmp_path / "k.kat"
     run_cli("kat", "generate", "--level", "1", "--seed", SEED_HEX,
