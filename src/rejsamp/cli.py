@@ -110,7 +110,6 @@ def _cmd_simulate(args) -> int:
     p = builtin_params(level)
     result = hwsim.run_program(program, args.seed, args.iv,
                                mem_depth=args.mem_depth, freq_hz=args.freq)
-    sys.stdout.write(json.dumps(result.report.to_json_dict()) + "\n")
     if args.trace:
         with open(args.trace, "w") as f:
             f.write("cycle,unit,event,addr,data\n")
@@ -120,6 +119,8 @@ def _cmd_simulate(args) -> int:
                 f.write(f"{cycle},{unit},{event},{addr_s},{data_s}\n")
     if args.out:
         _write_vector(result.vector, args.out, args.format)
+    # files first: a report on stdout must mean every output was written
+    sys.stdout.write(json.dumps(result.report.to_json_dict()) + "\n")
     if not args.no_self_check:
         golden = rej_samp_prg(args.seed, args.iv, p)
         if result.vector.elems != golden.elems:
@@ -143,6 +144,8 @@ def _cmd_kat(args) -> int:
         return EXIT_OK
     with open(args.path) as f:
         records = kat.parse_kat(f.read())
+    if not records:
+        raise ValueError(f"{args.path} holds no KAT records")
     mismatch = kat.verify_kat(records)
     if mismatch is not None:
         print(mismatch[1], file=sys.stderr)
@@ -259,7 +262,8 @@ def main(argv=None) -> int:
     except hwsim.CapacityError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (kat.KatError, ValueError, json.JSONDecodeError, OSError) as e:
+    except (hwsim.HwSimError, kat.KatError, ValueError, json.JSONDecodeError,
+            OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

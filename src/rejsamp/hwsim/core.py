@@ -30,6 +30,7 @@ keystream, so the required depth is exactly ceil(tau/8).
 """
 
 import math
+import struct
 from dataclasses import dataclass
 
 from .. import aesprg
@@ -42,6 +43,7 @@ from .isa import Instruction, Opcode, decode
 from .memory import DEFAULT_DEPTH, MemoryModel
 
 GROUP_BYTES = 16  # shift-register width: two 64-bit words
+_HALVES = struct.Struct(">QQ")  # one cipher block as its two stream words
 
 
 @dataclass(frozen=True)
@@ -78,6 +80,9 @@ class CycleReport:
         if not 0 < self.freq_hz < math.inf:
             raise ValueError(f"frequency must be positive and finite, got "
                              f"{self.freq_hz}")
+        if not math.isfinite(self.latency_seconds * 1e6):  # latency_us
+            raise ValueError(f"frequency {self.freq_hz} Hz is too low for a "
+                             f"finite latency")
 
     @property
     def total_cycles(self) -> int:
@@ -129,21 +134,23 @@ class AesCtrWrapper:
         per_block = cfg.aes_latency + cfg.writeback_cycles + cfg.per_block_overhead
         issue0 = start_cycle + cfg.wrapper_setup_cycles
         blocks = block_count(p)
+        final = p.tau_addrs - 1
+        pad_bits = 8 * (p.tau_addrs * BYTES_PER_WORD - p.tau)
         for b in range(blocks):
             issue = issue0 + b * per_block
             if events is not None:
                 events.append((issue, "wrapper", "issue", b, None))
             b2 = aesprg.encrypt_block_expanded(
                 round_keys, aesprg.ctr_block(self.nonce, iv, b))
-            for half in (0, 1):
+            ready = issue + cfg.aes_latency
+            for half, word in enumerate(_HALVES.unpack(b2)):
                 addr = 2 * b + half
-                n_valid = min(BYTES_PER_WORD, p.tau - addr * BYTES_PER_WORD)
-                if n_valid <= 0:
-                    continue  # final block only partially inside the stream
-                chunk = b2[8 * half:8 * half + n_valid]
-                word = int.from_bytes(chunk.ljust(BYTES_PER_WORD, b"\x00"), "big")
-                mem.write(addr, word, cycle=issue + cfg.aes_latency + half,
-                          port="A", unit="wrapper")
+                if addr > final:
+                    break  # final block only partially inside the stream
+                if addr == final:
+                    word = word >> pad_bits << pad_bits  # zero past tau
+                mem.write(addr, word, cycle=ready + half, port="A",
+                          unit="wrapper")
         return issue0 + blocks * per_block - start_cycle
 
 
@@ -172,38 +179,31 @@ class RejSampUnit:
                 f"{p.tau_addrs} words never written (first missing "
                 f"address {missing[0]})")
         q = p.q
+        mask = bytes(b & q for b in range(256))
+        rejected = bytes([q])
         cycle = start_cycle + self.cfg.rejsamp_setup_cycles
-        head: list[int] = []          # masked values of the first n' positions
-        tail_valid: list[int] = []    # valid spares, in stream order
-        tail_next = 0
+        out = bytearray()       # masked values of the first n' positions
+        spares = bytearray()    # valid tail values, in stream order
         for g in range(block_count(p)):
-            group = bytearray()
-            for half in (0, 1):      # refill: two word reads
-                addr = 2 * g + half
-                if addr < p.tau_addrs:
-                    word = mem.read(addr, cycle=cycle + half, port="B",
-                                    unit="rejsamp")
-                    group += word.to_bytes(BYTES_PER_WORD, "big")
-            masked = [b & q for b in group]
-            cycle += 3               # two refill cycles + one validate cycle
+            addr = 2 * g         # refill: two word reads
+            group = mem.read(addr, cycle=cycle, port="B",
+                             unit="rejsamp").to_bytes(BYTES_PER_WORD, "big")
+            if addr + 1 < p.tau_addrs:
+                group += mem.read(addr + 1, cycle=cycle + 1, port="B",
+                                  unit="rejsamp").to_bytes(BYTES_PER_WORD, "big")
             in_group = min(GROUP_BYTES, p.tau - g * GROUP_BYTES)
-            for i in range(in_group):    # collect: one cycle per byte
-                pos = g * GROUP_BYTES + i
-                if pos < p.n_prime:
-                    head.append(masked[i])
-                elif masked[i] != q:
-                    tail_valid.append(masked[i])
-            cycle += in_group
-        out = []
-        for v in head:
-            if v != q:
-                out.append(v)
-            elif tail_next < len(tail_valid):
-                out.append(tail_valid[tail_next])
-                tail_next += 1
-            else:
-                out.append(0)
-        for w, word in enumerate(words_from_bytes(bytes(out))):
+            masked = group[:in_group].translate(mask)   # validate
+            split = max(0, p.n_prime - g * GROUP_BYTES)
+            out += masked[:split]                       # collect
+            spares += masked[split:].replace(rejected, b"")
+            cycle += 3 + in_group    # refill, validate, one collect per byte
+        used = 0
+        j = out.find(q)
+        while j >= 0:            # patch rejected head positions in order
+            out[j] = spares[used] if used < len(spares) else 0
+            used += 1
+            j = out.find(q, j + 1)
+        for w, word in enumerate(words_from_bytes(out)):
             mem.write(w, word, cycle=cycle, port="A", unit="rejsamp")
             cycle += 1
         if events is not None:
@@ -220,8 +220,8 @@ class ProgramResult:
 
     def trace_rows(self) -> list[tuple]:
         """Chronological (cycle, unit, event, addr, data) rows."""
-        rows = [(a.cycle, a.unit, "read" if a.kind == "R" else "write",
-                 a.addr, a.data) for a in self.mem.log]
+        rows = [(c, u, "read" if k == "R" else "write", a, d)
+                for c, u, _, k, a, d in self.mem.raw_log]
         rows += [(c, u, e, a, d) for c, u, e, a, d in self.events]
         rows.sort(key=lambda r: (r[0], r[1], r[2]))
         return rows

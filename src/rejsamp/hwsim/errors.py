@@ -17,6 +17,10 @@ class UnsupportedLevelError(HwSimError, ValueError):
     """Security-level field value with no modeled parameter set."""
 
 
+class AddressError(HwSimError, IndexError):
+    """Memory access outside the configured depth."""
+
+
 class CapacityError(HwSimError, RuntimeError):
     """Memory too small for the selected parameter set."""
 

@@ -2,15 +2,17 @@
 
 One read and one write may land in the same cycle (independent ports);
 two same-cycle writes to one address are a simulation fault. A written
-word becomes visible to reads from the following cycle onward.
+word becomes visible to reads from the following cycle onward. Words are
+held sparsely, so a deep memory costs nothing until it is written.
 """
 
 from typing import NamedTuple
 
-from .errors import SimulationFault
+from .errors import AddressError, SimulationFault
 
 DEFAULT_DEPTH = 1024
 WORD_BITS = 64
+_WORD_LIMIT = 1 << WORD_BITS
 
 
 class Access(NamedTuple):
@@ -27,15 +29,19 @@ class MemoryModel:
         if depth <= 0:
             raise ValueError("memory depth must be positive")
         self.depth = depth
-        self.words = [0] * depth
+        self.words: dict[int, int] = {}  # sparse: unwritten words read 0
         self.written: set[int] = set()
-        self.log: list[Access] = []
+        self.raw_log: list[tuple] = []  # plain tuples in Access field order
         self._pending: list[tuple[int, int, int]] = []  # (cycle, addr, word)
         self._write_slots: set[tuple[int, int]] = set()  # (cycle, addr)
 
-    def _check_addr(self, addr: int):
-        if not 0 <= addr < self.depth:
-            raise IndexError(f"address {addr} out of range for depth {self.depth}")
+    @property
+    def log(self) -> tuple[Access, ...]:
+        """Every access so far, oldest first, as Access records."""
+        return tuple(map(Access._make, self.raw_log))
+
+    def _range_error(self, addr: int) -> AddressError:
+        return AddressError(f"address {addr} out of range for depth {self.depth}")
 
     def _commit_before(self, cycle: int):
         still_pending = []
@@ -48,34 +54,35 @@ class MemoryModel:
 
     def write(self, addr: int, word: int, cycle: int, port: str = "A",
               unit: str = "ctrl") -> "MemoryModel":
-        self._check_addr(addr)
-        if not 0 <= word < (1 << WORD_BITS):
+        if not 0 <= addr < self.depth:
+            raise self._range_error(addr)
+        if not 0 <= word < _WORD_LIMIT:
             raise ValueError(f"word {word:#x} does not fit in {WORD_BITS} bits")
-        if (cycle, addr) in self._write_slots:
+        slot = (cycle, addr)
+        if slot in self._write_slots:
             raise SimulationFault(
                 f"write-write conflict at address {addr} in cycle {cycle}")
-        self._write_slots.add((cycle, addr))
+        self._write_slots.add(slot)
         self._pending.append((cycle, addr, word))
         self.written.add(addr)
-        self.log.append(Access(cycle, unit, port, "W", addr, word))
+        self.raw_log.append((cycle, unit, port, "W", addr, word))
         return self
 
     def read(self, addr: int, cycle: int, port: str = "B",
              unit: str = "ctrl") -> int:
-        self._check_addr(addr)
-        self._commit_before(cycle)
-        word = self.words[addr]
-        self.log.append(Access(cycle, unit, port, "R", addr, word))
+        if not 0 <= addr < self.depth:
+            raise self._range_error(addr)
+        if self._pending:
+            self._commit_before(cycle)
+        word = self.words.get(addr, 0)
+        self.raw_log.append((cycle, unit, port, "R", addr, word))
         return word
 
-    def peek(self, addr: int) -> int:
-        """Untimed, unlogged view with all pending writes applied."""
-        self._check_addr(addr)
-        latest = None
-        for wcycle, waddr, word in self._pending:
-            if waddr == addr and (latest is None or wcycle >= latest[0]):
-                latest = (wcycle, word)
-        return latest[1] if latest else self.words[addr]
-
     def peek_range(self, start: int, count: int) -> list[int]:
-        return [self.peek(a) for a in range(start, start + count)]
+        """Untimed, unlogged view with all pending writes applied."""
+        for addr in (start, start + count - 1):
+            if not 0 <= addr < self.depth:
+                raise self._range_error(addr)
+        latest = dict(self.words)
+        latest.update((a, w) for _, a, w in sorted(self._pending))  # by cycle
+        return [latest.get(a, 0) for a in range(start, start + count)]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -82,6 +83,15 @@ def test_simulate_report_and_self_check(capsys, tmp_path):
     assert len(rows) > 700
 
 
+def test_simulate_trace_pinned(tmp_path, capsys):
+    # any drift in the simulated schedule or the access log changes the CSV
+    trace = tmp_path / "trace.csv"
+    assert run_cli("simulate", "--level", "1", "--seed", SEED_HEX,
+                   "--iv", "1234", "--trace", str(trace)) == 0
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == \
+        "601ea6a549877ff789c744770b2dc75c07c7d313650888902f6a30a084700e72"
+
+
 def test_simulate_sl5_capacity_exit(capsys):
     assert run_cli("simulate", "--level", "5", "--seed", SEED_HEX,
                    "--iv", "0001") == 4
@@ -123,10 +133,29 @@ def test_simulate_program_without_work_exit2(text, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("freq", ["nan", "inf", "0"])
+@pytest.mark.parametrize("freq", ["nan", "inf", "0", "1e-300"])
 def test_simulate_bad_freq_exit2(freq, capsys):
     assert run_cli("simulate", "--level", "1", "--seed", SEED_HEX,
                    "--iv", "0001", "--freq", freq) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("ops", [
+    [(0, 0, 0, 1, "LOAD_SEED"), (0, 0, 1, 1, "LOAD_SEED"),
+     (0, 0, 0, 0, "RUN_REJSAMP"), (0, 0, 0, 0, "READ_RESULT")],
+    [(0, 0, 0, 1, "LOAD_SEED"), (0, 0, 1, 1, "LOAD_SEED"),
+     (0, 0, 0, 0, "RUN_FULL"), (0, 674, 0, 0, "READ_RESULT")],
+    [(0, 0, 1022, 1, "LOAD_SEED"), (0, 0, 1023, 1, "LOAD_SEED"),
+     (0, 0, 0, 0, "RUN_FULL"), (0, 0, 0, 0, "READ_RESULT")],
+], ids=["sample-before-keystream", "drain-past-depth", "seed-past-depth"])
+def test_simulate_faulting_program_exit2(ops, tmp_path, capsys):
+    prog = tmp_path / "prog.hex"
+    prog.write_text(hwsim.format_program([
+        hwsim.encode(hwsim.Instruction(sl, r, w, wen, hwsim.Opcode[op]))
+        for sl, r, w, wen, op in ops]))
+    assert run_cli("simulate", "--program", str(prog), "--seed", SEED_HEX,
+                   "--iv", "0001", "--mem-depth", "1023") == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
 
@@ -170,6 +199,17 @@ def test_kat_verify_flipped_digit_names_line(tmp_path, capsys):
     bad.write_text("\n".join(lines) + "\n")
     assert run_cli("kat", "verify", str(bad)) == 5
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["", "# no records\n\n"],
+                         ids=["empty", "comment-only"])
+def test_kat_verify_without_records_exit2(text, tmp_path, capsys):
+    path = tmp_path / "cases.kat"
+    path.write_text(text)
+    assert run_cli("kat", "verify", str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_kat_parse_error_reports_position(tmp_path, capsys):
@@ -251,8 +291,11 @@ def test_fom_malformed_entry_exit2(doc, tmp_path, capsys):
 def test_unusable_file_exit2(argv, tmp_path, capsys):
     paths = {"missing": tmp_path / "absent", "dir": tmp_path}
     assert run_cli(*[a.format(**paths) for a in argv]) == 2
+    captured = capsys.readouterr()
+    # nothing on stdout: a report there would read as a success
+    assert captured.out == ""
     # fom's reference inputs print warnings before the error line
-    err = capsys.readouterr().err.splitlines()
+    err = captured.err.splitlines()
     assert err[-1].startswith("error: [Errno ")
     assert not any(line.startswith("error") for line in err[:-1])
 

@@ -11,7 +11,7 @@ from rejsamp.hwsim import (CapacityError, Instruction, InvalidInstructionError,
                            UnsupportedLevelError)
 from rejsamp.packing import bytes_from_words, words_from_bytes
 from rejsamp.params import SecurityLevel, builtin_params
-from rejsamp.sampler import rej_samp, rej_samp_prg
+from rejsamp.sampler import rej_samp, rej_samp_prg, rejection_stats
 from oracles import (keystream_oracle, rejsamp_cycles_oracle,
                      wrapper_cycles_oracle)
 
@@ -134,14 +134,22 @@ def test_address_and_word_validation():
         mem.write(0, 1 << 64, cycle=0)
 
 
+def test_deep_memory_is_sparse():
+    mem = MemoryModel(10**18)  # nothing is allocated per word
+    mem.write(10**18 - 1, 7, cycle=0)
+    assert mem.read(10**18 - 1, cycle=1) == 7
+    assert mem.read(12345, cycle=1) == 0
+    assert mem.peek_range(10**18 - 2, 2) == [0, 7]
+
+
 # ---------------------------------------------------------------------------
 # AES-CTR wrapper
 
 
-def _keystream_mem(seed=SEED, iv=IV):
-    """Memory holding the SL1 keystream, and the wrapper's cycle count."""
-    mem = MemoryModel(1024)
-    cycles = hwsim.AesCtrWrapper(TimingConfig()).run(seed, iv, SL1, mem)
+def _keystream_mem(seed=SEED, iv=IV, p=SL1):
+    """Memory holding the keystream, and the wrapper's cycle count."""
+    mem = MemoryModel(max(1024, p.required_mem_words))
+    cycles = hwsim.AesCtrWrapper(TimingConfig()).run(seed, iv, p, mem)
     return mem, cycles
 
 
@@ -158,13 +166,18 @@ def test_wrapper_cycles_and_writes():
 
 
 def test_wrapper_memory_matches_keystream():
-    mem, _ = _keystream_mem()
-    words = mem.peek_range(0, SL1.tau_addrs)
-    assert bytes_from_words(words, SL1.tau) == aesprg.keystream(SEED, IV, SL1.tau)
-    # final word zero-padded past tau
-    assert words[-1] & ((1 << 32) - 1) == 0
-    # and against the fully independent CTR oracle
-    assert bytes_from_words(words, SL1.tau) == keystream_oracle(SEED, IV, SL1.tau)
+    # the final word keeps tau mod 8 = 4, 3 and 2 stream bytes
+    for level in SecurityLevel:
+        p = builtin_params(level)
+        mem, _ = _keystream_mem(p=p)
+        words = mem.peek_range(0, p.tau_addrs)
+        stream = bytes_from_words(words, p.tau)
+        assert stream == aesprg.keystream(SEED, IV, p.tau)
+        # final word zero-padded past tau
+        pad_bits = 8 * (8 * p.tau_addrs - p.tau)
+        assert words[-1] & ((1 << pad_bits) - 1) == 0
+    # and the SL5 stream's first tau(SL1) bytes against the independent oracle
+    assert stream[:SL1.tau] == keystream_oracle(SEED, IV, SL1.tau)
 
 
 def test_wrapper_block_count_events():
@@ -236,6 +249,28 @@ def test_rejsamp_unit_zero_fill_path():
         mem.write(a, w, cycle=a)
     hwsim.RejSampUnit(TimingConfig()).run(SL1, mem, start_cycle=SL1.tau_addrs)
     assert set(_output_bytes(mem)) == {0}
+
+
+@pytest.mark.parametrize("density", [0, 0.05, 0.3, 0.9, 1.0])
+@pytest.mark.parametrize("level", list(SecurityLevel), ids=lambda l: l.value)
+def test_rejsamp_unit_matches_golden_adversarial(level, density):
+    # streams dense in bytes that mask to q (0x7F, 0xFF); n' never falls on
+    # a 16-byte group boundary, so each level splits a group
+    p = builtin_params(level)
+    assert p.n_prime % 16 != 0
+    rng = random.Random(f"{level.value}-{density}")
+    for _ in range(8):
+        raw = bytes(rng.choice((0x7F, 0xFF)) if rng.random() < density
+                    else rng.randrange(256) for _ in range(p.tau))
+        mem = MemoryModel(p.tau_addrs)
+        for a, w in enumerate(words_from_bytes(raw)):
+            mem.write(a, w, cycle=0)
+        hwsim.RejSampUnit(TimingConfig()).run(p, mem, start_cycle=1)
+        out = bytes_from_words(mem.peek_range(0, p.out_addrs), p.n_prime)
+        assert out == rej_samp(raw, p.tau, p.n_prime, p.q).to_bytes()
+        # the spare tail runs dry (zero-fill) whenever q-bytes are dense
+        assert (rejection_stats(raw, p.tau, p.n_prime, p.q).zero_filled > 0) \
+            == (density > 0)
 
 
 # ---------------------------------------------------------------------------
