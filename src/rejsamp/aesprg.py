@@ -2,10 +2,11 @@
 
 The cipher is functional only and has no notion of cycles. It is the
 32-bit T-table formulation of FIPS-197 (Daemen & Rijmen, The Design of
-Rijndael, 4.2): each of rounds 1..9 computes every output column as four
-table lookups, one per state byte, XORed with the round-key word, and the
+Rijndael, 4.2). The state is held as 16 bytes; rounds 1..9 compute each
+output column as four table lookups XORed with the round-key word, and
+ShiftRows is just the choice of state bytes fed to those lookups. The
 final round applies the S-box alone. The hwsim wrapper calls expand_key
-and encrypt_block_expanded once per block and adds the timing around them.
+once per run and encrypt_block_expanded once per block.
 No hardcoded lookup tables: the S-box, the T-tables and the round
 constants are derived from the field arithmetic at import.
 
@@ -16,6 +17,7 @@ the compatibility point if another layout convention is ever needed.
 """
 
 import struct
+from collections.abc import Iterator
 
 KEY_BYTES = 16
 IV_BYTES = 2
@@ -78,25 +80,23 @@ def encrypt_block_expanded(w: list[int], block: bytes) -> bytes:
     """One AES-128 encryption with a precomputed key schedule."""
     te0, te1, te2, te3 = _TE
     a, b, c, d = _WORDS.unpack(block)
-    a, b, c, d = a ^ w[0], b ^ w[1], c ^ w[2], d ^ w[3]
+    # the state as 16 bytes, s[4c + r] = row r of column c
+    (s0, s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11, s12, s13, s14,
+     s15) = _WORDS.pack(a ^ w[0], b ^ w[1], c ^ w[2], d ^ w[3])
     for r in range(4, 40, 4):
-        k0, k1, k2, k3 = w[r:r + 4]
-        a, b, c, d = (
-            te0[a >> 24] ^ te1[b >> 16 & 255] ^ te2[c >> 8 & 255] ^ te3[d & 255] ^ k0,
-            te0[b >> 24] ^ te1[c >> 16 & 255] ^ te2[d >> 8 & 255] ^ te3[a & 255] ^ k1,
-            te0[c >> 24] ^ te1[d >> 16 & 255] ^ te2[a >> 8 & 255] ^ te3[b & 255] ^ k2,
-            te0[d >> 24] ^ te1[a >> 16 & 255] ^ te2[b >> 8 & 255] ^ te3[c & 255] ^ k3)
+        (s0, s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11, s12, s13, s14,
+         s15) = _WORDS.pack(
+            te0[s0] ^ te1[s5] ^ te2[s10] ^ te3[s15] ^ w[r],
+            te0[s4] ^ te1[s9] ^ te2[s14] ^ te3[s3] ^ w[r + 1],
+            te0[s8] ^ te1[s13] ^ te2[s2] ^ te3[s7] ^ w[r + 2],
+            te0[s12] ^ te1[s1] ^ te2[s6] ^ te3[s11] ^ w[r + 3])
     sb = SBOX
-    # final round: S-box and ShiftRows only; the shifted bytes are disjoint
+    # final round: S-box and ShiftRows only; the bytes are disjoint
     return _WORDS.pack(
-        sb[a >> 24] << 24 ^ sb[b >> 16 & 255] << 16
-        ^ sb[c >> 8 & 255] << 8 ^ sb[d & 255] ^ w[40],
-        sb[b >> 24] << 24 ^ sb[c >> 16 & 255] << 16
-        ^ sb[d >> 8 & 255] << 8 ^ sb[a & 255] ^ w[41],
-        sb[c >> 24] << 24 ^ sb[d >> 16 & 255] << 16
-        ^ sb[a >> 8 & 255] << 8 ^ sb[b & 255] ^ w[42],
-        sb[d >> 24] << 24 ^ sb[a >> 16 & 255] << 16
-        ^ sb[b >> 8 & 255] << 8 ^ sb[c & 255] ^ w[43])
+        sb[s0] << 24 ^ sb[s5] << 16 ^ sb[s10] << 8 ^ sb[s15] ^ w[40],
+        sb[s4] << 24 ^ sb[s9] << 16 ^ sb[s14] << 8 ^ sb[s3] ^ w[41],
+        sb[s8] << 24 ^ sb[s13] << 16 ^ sb[s2] << 8 ^ sb[s7] ^ w[42],
+        sb[s12] << 24 ^ sb[s1] << 16 ^ sb[s6] << 8 ^ sb[s11] ^ w[43])
 
 
 def aes128_encrypt_block(key: bytes, block: bytes) -> bytes:
@@ -128,6 +128,14 @@ def ctr_block(nonce: bytes, iv: bytes, index: int) -> bytes:
     return nonce + iv + index.to_bytes(_BLOCK_INDEX_BYTES, "big")
 
 
+def ctr_blocks(nonce: bytes, iv: bytes, count: int) -> Iterator[bytes]:
+    """Counter blocks 0..count-1, the same bytes as ctr_block gives for
+    each index; the nonce, the iv and the last index are checked once."""
+    prefix = ctr_block(nonce, iv, max(count - 1, 0))[:NONCE_BYTES + IV_BYTES]
+    for index in range(count):
+        yield prefix + index.to_bytes(_BLOCK_INDEX_BYTES, "big")
+
+
 def keystream(key: bytes, iv: bytes, n_bytes: int, nonce: bytes = DEFAULT_NONCE) -> bytes:
     """First n_bytes of the AES-128-CTR keystream for (key, iv).
 
@@ -135,11 +143,10 @@ def keystream(key: bytes, iv: bytes, n_bytes: int, nonce: bytes = DEFAULT_NONCE)
     the final block are discarded.
     """
     check_key(key)
-    check_iv(iv)
     if n_bytes <= 0:
         raise ValueError("empty keystream request")
     w = expand_key(key)
     out = bytearray()
-    for index in range(-(-n_bytes // BLOCK_BYTES)):
-        out += encrypt_block_expanded(w, ctr_block(nonce, iv, index))
+    for block in ctr_blocks(nonce, iv, -(-n_bytes // BLOCK_BYTES)):
+        out += encrypt_block_expanded(w, block)
     return bytes(out[:n_bytes])

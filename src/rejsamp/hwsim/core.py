@@ -128,7 +128,6 @@ class AesCtrWrapper:
                 f"keystream for {p.sec_level.value}; required depth "
                 f"{p.required_mem_words}", required_words=p.required_mem_words)
         aesprg.check_key(seed)
-        aesprg.check_iv(iv)
         cfg = self.cfg
         round_keys = aesprg.expand_key(seed)
         per_block = cfg.aes_latency + cfg.writeback_cycles + cfg.per_block_overhead
@@ -136,12 +135,11 @@ class AesCtrWrapper:
         blocks = block_count(p)
         final = p.tau_addrs - 1
         pad_bits = 8 * (p.tau_addrs * BYTES_PER_WORD - p.tau)
-        for b in range(blocks):
+        for b, counter in enumerate(aesprg.ctr_blocks(self.nonce, iv, blocks)):
             issue = issue0 + b * per_block
             if events is not None:
                 events.append((issue, "wrapper", "issue", b, None))
-            b2 = aesprg.encrypt_block_expanded(
-                round_keys, aesprg.ctr_block(self.nonce, iv, b))
+            b2 = aesprg.encrypt_block_expanded(round_keys, counter)
             ready = issue + cfg.aes_latency
             for half, word in enumerate(_HALVES.unpack(b2)):
                 addr = 2 * b + half
@@ -172,7 +170,7 @@ class RejSampUnit:
             events: list | None = None) -> int:
         """Sample the stored keystream into packed output words in place;
         returns the cycles the schedule spans from start_cycle."""
-        missing = [a for a in range(p.tau_addrs) if a not in mem.written]
+        missing = mem.unwritten(0, p.tau_addrs)
         if missing:
             raise PreconditionFault(
                 f"keystream region underfilled: {len(missing)} of "

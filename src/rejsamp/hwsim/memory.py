@@ -1,9 +1,10 @@
 """Dual-port 64-bit word memory with a per-cycle access log.
 
 One read and one write may land in the same cycle (independent ports);
-two same-cycle writes to one address are a simulation fault. A written
-word becomes visible to reads from the following cycle onward. Words are
-held sparsely, so a deep memory costs nothing until it is written.
+two same-cycle writes to one address are a simulation fault, and so is a
+write to a cycle before the latest cycle already read. A written word
+becomes visible to reads from the following cycle onward. Words are held
+sparsely, so a deep memory costs nothing until it is written.
 """
 
 from typing import NamedTuple
@@ -30,10 +31,9 @@ class MemoryModel:
             raise ValueError("memory depth must be positive")
         self.depth = depth
         self.words: dict[int, int] = {}  # sparse: unwritten words read 0
-        self.written: set[int] = set()
         self.raw_log: list[tuple] = []  # plain tuples in Access field order
-        self._pending: list[tuple[int, int, int]] = []  # (cycle, addr, word)
-        self._write_slots: set[tuple[int, int]] = set()  # (cycle, addr)
+        self._pending: dict[tuple[int, int], int] = {}  # (cycle, addr) -> word
+        self._read_cycle = float("-inf")  # latest cycle read so far
 
     @property
     def log(self) -> tuple[Access, ...]:
@@ -44,13 +44,9 @@ class MemoryModel:
         return AddressError(f"address {addr} out of range for depth {self.depth}")
 
     def _commit_before(self, cycle: int):
-        still_pending = []
-        for wcycle, addr, word in self._pending:
-            if wcycle < cycle:
-                self.words[addr] = word
-            else:
-                still_pending.append((wcycle, addr, word))
-        self._pending = still_pending
+        pending = self._pending
+        for slot in sorted(s for s in pending if s[0] < cycle):
+            self.words[slot[1]] = pending.pop(slot)
 
     def write(self, addr: int, word: int, cycle: int, port: str = "A",
               unit: str = "ctrl") -> "MemoryModel":
@@ -59,12 +55,13 @@ class MemoryModel:
         if not 0 <= word < _WORD_LIMIT:
             raise ValueError(f"word {word:#x} does not fit in {WORD_BITS} bits")
         slot = (cycle, addr)
-        if slot in self._write_slots:
+        if slot in self._pending:
             raise SimulationFault(
                 f"write-write conflict at address {addr} in cycle {cycle}")
-        self._write_slots.add(slot)
-        self._pending.append((cycle, addr, word))
-        self.written.add(addr)
+        if cycle < self._read_cycle:
+            raise SimulationFault(f"write to cycle {cycle} after cycle "
+                                  f"{self._read_cycle} was read")
+        self._pending[slot] = word
         self.raw_log.append((cycle, unit, port, "W", addr, word))
         return self
 
@@ -72,8 +69,10 @@ class MemoryModel:
              unit: str = "ctrl") -> int:
         if not 0 <= addr < self.depth:
             raise self._range_error(addr)
-        if self._pending:
-            self._commit_before(cycle)
+        if cycle > self._read_cycle:
+            self._read_cycle = cycle
+            if self._pending:
+                self._commit_before(cycle)
         word = self.words.get(addr, 0)
         self.raw_log.append((cycle, unit, port, "R", addr, word))
         return word
@@ -84,5 +83,11 @@ class MemoryModel:
             if not 0 <= addr < self.depth:
                 raise self._range_error(addr)
         latest = dict(self.words)
-        latest.update((a, w) for _, a, w in sorted(self._pending))  # by cycle
+        latest.update((a, w) for (_, a), w in sorted(self._pending.items()))
         return [latest.get(a, 0) for a in range(start, start + count)]
+
+    def unwritten(self, start: int, count: int) -> list[int]:
+        """Addresses in [start, start + count) that no write has targeted."""
+        pending = {a for _, a in self._pending}
+        return [a for a in range(start, start + count)
+                if a not in self.words and a not in pending]

@@ -27,9 +27,10 @@ class FieldVector:
 
     def __post_init__(self):
         object.__setattr__(self, "elems", tuple(self.elems))
-        bad = [e for e in self.elems if not 0 <= e < self.modulus]
-        if bad:
-            raise ValueError(f"{len(bad)} element(s) outside [0, {self.modulus})")
+        elems, m = self.elems, self.modulus
+        if elems and not (0 <= min(elems) and max(elems) < m):
+            bad = sum(1 for e in elems if not 0 <= e < m)
+            raise ValueError(f"{bad} element(s) outside [0, {m})")
 
     def __len__(self):
         return len(self.elems)

@@ -74,6 +74,31 @@ def test_ctr_block_layout():
         aesprg.ctr_block(b"\x11" * 8, b"\xab\xcd", 1 << 48)
 
 
+@pytest.mark.parametrize("n", [0, 1, 256, 257])
+def test_ctr_blocks_match_ctr_block(n):
+    # 257 blocks carry the index from byte 15 into byte 14
+    nonce, iv = b"\x11" * 8, b"\xab\xcd"
+    assert list(aesprg.ctr_blocks(nonce, iv, n)) == \
+        [aesprg.ctr_block(nonce, iv, i) for i in range(n)]
+
+
+def test_ctr_blocks_check_the_last_index():
+    nonce, iv = aesprg.DEFAULT_NONCE, b"\x00\x01"
+    with pytest.raises(ValueError, match="48-bit"):
+        next(aesprg.ctr_blocks(nonce, iv, (1 << 48) + 1))
+    assert next(aesprg.ctr_blocks(nonce, iv, 1 << 48)) == \
+        aesprg.ctr_block(nonce, iv, 0)
+
+
+@pytest.mark.parametrize("nonce, iv", [
+    (b"\x00" * 7, b"\x00\x01"), (b"\x00" * 9, b"\x00\x01"),
+    (aesprg.DEFAULT_NONCE, b"\x01"), (aesprg.DEFAULT_NONCE, b"\x00\x01\x02"),
+], ids=["nonce7", "nonce9", "iv1", "iv3"])
+def test_keystream_rejects_bad_nonce_and_iv(nonce, iv):
+    with pytest.raises(ValueError, match="nonce|iv"):
+        aesprg.keystream(KEY, iv, 32, nonce=nonce)
+
+
 def test_single_block_keystream_is_one_encryption():
     iv = b"\x00\x01"
     want = aesprg.aes128_encrypt_block(KEY, aesprg.ctr_block(aesprg.DEFAULT_NONCE, iv, 0))

@@ -124,6 +124,35 @@ def test_write_write_conflict_faults():
     mem.write(6, 2, cycle=7)
 
 
+def test_write_behind_a_read_faults():
+    mem = MemoryModel(16)
+    mem.write(5, 1, cycle=7)
+    assert mem.read(5, cycle=8) == 1  # commits the cycle-7 write
+    with pytest.raises(SimulationFault,
+                       match="write to cycle 7 after cycle 8 was read"):
+        mem.write(5, 2, cycle=7)
+    mem.write(5, 2, cycle=8)  # the read's own cycle is still open
+    assert mem.read(5, cycle=8) == 1
+    assert mem.read(5, cycle=9) == 2
+
+
+def test_commit_follows_cycle_order():
+    # writes issued out of cycle order: the later cycle wins, as peek_range says
+    mem = MemoryModel(16)
+    mem.write(5, 1, cycle=4)
+    mem.write(5, 2, cycle=3)
+    assert mem.peek_range(5, 1) == [1]
+    assert mem.read(5, cycle=5) == 1
+
+
+def test_unwritten_counts_pending_and_committed_writes():
+    mem = MemoryModel(16)
+    mem.write(1, 0, cycle=0)
+    mem.read(0, cycle=1)  # commits the write to address 1
+    mem.write(3, 0, cycle=1)  # still pending
+    assert mem.unwritten(0, 5) == [0, 2, 4]
+
+
 def test_address_and_word_validation():
     mem = MemoryModel(16)
     with pytest.raises(IndexError):
@@ -199,6 +228,17 @@ def test_pipeline_latency_from_log():
     # B2 drains as two word writes on consecutive cycles
     w0, w1 = sorted(a for a in mem.log if a.kind == "W")[:2]
     assert (w1.cycle - w0.cycle, w1.addr - w0.addr) == (1, 1)
+
+
+@pytest.mark.parametrize("nonce, iv", [
+    (b"\x00" * 7, IV), (b"\x00" * 9, IV),
+    (aesprg.DEFAULT_NONCE, b"\x01"), (aesprg.DEFAULT_NONCE, b"\x00\x01\x02"),
+], ids=["nonce7", "nonce9", "iv1", "iv3"])
+def test_wrapper_rejects_bad_nonce_and_iv(nonce, iv):
+    mem = MemoryModel(1024)
+    with pytest.raises(ValueError, match="nonce|iv"):
+        hwsim.AesCtrWrapper(TimingConfig(), nonce).run(SEED, iv, SL1, mem)
+    assert mem.raw_log == []
 
 
 def test_wrapper_capacity_error():

@@ -123,6 +123,12 @@ def test_field_vector_validates_range():
         FieldVector((-1,), 127)
 
 
+def test_field_vector_error_counts_bad_elements():
+    with pytest.raises(ValueError) as ei:
+        FieldVector((5, 127, 0, -3, 126), 127)
+    assert str(ei.value) == "2 element(s) outside [0, 127)"
+
+
 def test_field_vector_packing_roundtrip():
     elems = tuple(range(20))
     fv = FieldVector(elems, 127)
