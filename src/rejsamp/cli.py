@@ -28,24 +28,22 @@ EXIT_CAPACITY = 4
 EXIT_MISMATCH = 5
 
 
-def _seed_arg(s: str) -> bytes:
-    try:
-        b = bytes.fromhex(s)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{s!r} is not hex")
-    if len(b) != aesprg.KEY_BYTES:
-        raise argparse.ArgumentTypeError("seed must be exactly 32 hex digits")
-    return b
+def _hex_arg(name: str, n_bytes: int):
+    """An argparse type that accepts exactly n_bytes bytes as hex."""
+    def parse(s: str) -> bytes:
+        try:
+            b = bytes.fromhex(s)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{s!r} is not hex")
+        if len(b) != n_bytes:
+            raise argparse.ArgumentTypeError(
+                f"{name} must be exactly {2 * n_bytes} hex digits")
+        return b
+    return parse
 
 
-def _iv_arg(s: str) -> bytes:
-    try:
-        b = bytes.fromhex(s)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{s!r} is not hex")
-    if len(b) != aesprg.IV_BYTES:
-        raise argparse.ArgumentTypeError("iv must be exactly 4 hex digits")
-    return b
+_seed_arg = _hex_arg("seed", aesprg.KEY_BYTES)
+_iv_arg = _hex_arg("iv", aesprg.IV_BYTES)
 
 
 def _write_vector(vec: FieldVector, path: str, fmt: str):

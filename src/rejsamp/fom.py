@@ -133,12 +133,6 @@ def latency(cycles: int, freq_hz: float) -> float:
     return cycles / freq_hz
 
 
-def round_sig(x: float, sig: int = 3) -> float:
-    if x == 0:
-        return 0.0
-    return round(x, -int(math.floor(math.log10(abs(x)))) + sig - 1)
-
-
 def format_sig(x: float, sig: int = 3) -> str:
     return f"{x:.{sig - 1}e}"
 

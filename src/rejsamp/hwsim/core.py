@@ -27,13 +27,17 @@ Memory map (in place): seed words land wherever LOAD_SEED points (words
 [0, ceil(tau/8)) overwrites them; the packed output [0, ceil(n'/8)) then
 overwrites the consumed stream head.  The largest region ever live is the
 keystream, so the required depth is exactly ceil(tau/8).
+
+Trace: the memory's log is the run's one trace.  Reads and writes log
+themselves; the wrapper adds an issue row per block and the sampler a
+done row at its last write.
 """
 
 import math
 import struct
 from dataclasses import dataclass
 
-from .. import aesprg
+from .. import aesprg, fom
 from ..packing import words_from_bytes, bytes_from_words
 from ..params import (BYTES_PER_WORD, ParameterSet, SecurityLevel,
                       builtin_params)
@@ -90,7 +94,7 @@ class CycleReport:
 
     @property
     def latency_seconds(self) -> float:
-        return self.total_cycles / self.freq_hz
+        return fom.latency(self.total_cycles, self.freq_hz)
 
     def to_json_dict(self) -> dict:
         return {
@@ -119,15 +123,14 @@ class AesCtrWrapper:
         self.nonce = nonce
 
     def run(self, seed: bytes, iv: bytes, p: ParameterSet, mem: MemoryModel,
-            start_cycle: int = 0, events: list | None = None) -> int:
-        """Generate and store the keystream; returns the cycles the block
-        schedule spans from start_cycle."""
+            start_cycle: int = 0) -> int:
+        """Generate and store the keystream, logging an issue row per block;
+        returns the cycles the block schedule spans from start_cycle."""
         if mem.depth < p.tau_addrs:
             raise CapacityError(
                 f"memory depth {mem.depth} cannot hold the {p.tau_addrs}-word "
                 f"keystream for {p.sec_level.value}; required depth "
                 f"{p.required_mem_words}", required_words=p.required_mem_words)
-        aesprg.check_key(seed)
         cfg = self.cfg
         round_keys = aesprg.expand_key(seed)
         per_block = cfg.aes_latency + cfg.writeback_cycles + cfg.per_block_overhead
@@ -137,8 +140,7 @@ class AesCtrWrapper:
         pad_bits = 8 * (p.tau_addrs * BYTES_PER_WORD - p.tau)
         for b, counter in enumerate(aesprg.ctr_blocks(self.nonce, iv, blocks)):
             issue = issue0 + b * per_block
-            if events is not None:
-                events.append((issue, "wrapper", "issue", b, None))
+            mem.log.append((issue, "wrapper", "issue", b, None))
             b2 = aesprg.encrypt_block_expanded(round_keys, counter)
             ready = issue + cfg.aes_latency
             for half, word in enumerate(_HALVES.unpack(b2)):
@@ -147,8 +149,7 @@ class AesCtrWrapper:
                     break  # final block only partially inside the stream
                 if addr == final:
                     word = word >> pad_bits << pad_bits  # zero past tau
-                mem.write(addr, word, cycle=ready + half, port="A",
-                          unit="wrapper")
+                mem.write(addr, word, cycle=ready + half, unit="wrapper")
         return issue0 + blocks * per_block - start_cycle
 
 
@@ -166,10 +167,10 @@ class RejSampUnit:
     def __init__(self, cfg: TimingConfig):
         self.cfg = cfg
 
-    def run(self, p: ParameterSet, mem: MemoryModel, start_cycle: int = 0,
-            events: list | None = None) -> int:
-        """Sample the stored keystream into packed output words in place;
-        returns the cycles the schedule spans from start_cycle."""
+    def run(self, p: ParameterSet, mem: MemoryModel, start_cycle: int = 0) -> int:
+        """Sample the stored keystream into packed output words in place,
+        logging a done row at the last write; returns the cycles the
+        schedule spans from start_cycle."""
         missing = mem.unwritten(0, p.tau_addrs)
         if missing:
             raise PreconditionFault(
@@ -184,10 +185,10 @@ class RejSampUnit:
         spares = bytearray()    # valid tail values, in stream order
         for g in range(block_count(p)):
             addr = 2 * g         # refill: two word reads
-            group = mem.read(addr, cycle=cycle, port="B",
+            group = mem.read(addr, cycle=cycle,
                              unit="rejsamp").to_bytes(BYTES_PER_WORD, "big")
             if addr + 1 < p.tau_addrs:
-                group += mem.read(addr + 1, cycle=cycle + 1, port="B",
+                group += mem.read(addr + 1, cycle=cycle + 1,
                                   unit="rejsamp").to_bytes(BYTES_PER_WORD, "big")
             in_group = min(GROUP_BYTES, p.tau - g * GROUP_BYTES)
             masked = group[:in_group].translate(mask)   # validate
@@ -202,10 +203,9 @@ class RejSampUnit:
             used += 1
             j = out.find(q, j + 1)
         for w, word in enumerate(words_from_bytes(out)):
-            mem.write(w, word, cycle=cycle, port="A", unit="rejsamp")
+            mem.write(w, word, cycle=cycle, unit="rejsamp")
             cycle += 1
-        if events is not None:
-            events.append((cycle - 1, "rejsamp", "done", None, None))
+        mem.log.append((cycle - 1, "rejsamp", "done", None, None))
         return cycle - start_cycle
 
 
@@ -214,15 +214,11 @@ class ProgramResult:
     report: CycleReport
     vector: FieldVector
     mem: MemoryModel
-    events: tuple
 
     def trace_rows(self) -> list[tuple]:
-        """Chronological (cycle, unit, event, addr, data) rows."""
-        rows = [(c, u, "read" if k == "R" else "write", a, d)
-                for c, u, _, k, a, d in self.mem.raw_log]
-        rows += [(c, u, e, a, d) for c, u, e, a, d in self.events]
-        rows.sort(key=lambda r: (r[0], r[1], r[2]))
-        return rows
+        """The memory log's (cycle, unit, event, addr, data) rows, in
+        cycle order."""
+        return sorted(self.mem.log, key=lambda r: (r[0], r[1], r[2]))
 
 
 def validate_program(program: list[Instruction]) -> SecurityLevel:
@@ -273,7 +269,7 @@ def run_program(instructions, seed: bytes, iv: bytes,
                 freq_hz: float = 222e6,
                 nonce: bytes = aesprg.DEFAULT_NONCE) -> ProgramResult:
     """Decode and execute an instruction sequence; returns the cycle
-    report, the sampled vector, and the memory with its access log."""
+    report, the sampled vector, and the memory with its trace log."""
     cfg = cfg or TimingConfig()
     program = [decode(w) if isinstance(w, int) else w for w in instructions]
     level = validate_program(program)
@@ -286,7 +282,6 @@ def run_program(instructions, seed: bytes, iv: bytes,
             required_words=p.required_mem_words)
     aesprg.check_key(seed)
     mem = MemoryModel(mem_depth)
-    events: list[tuple] = []
 
     cycle = 0
     wrapper_cycles = 0
@@ -294,38 +289,29 @@ def run_program(instructions, seed: bytes, iv: bytes,
     seed_base = None
     seed_chunks = iter((seed[:8], seed[8:]))
     vector = None
-    for ins in program:
-        if ins.op == Opcode.NOP:
-            continue
+    for ins in program:  # a NOP matches no branch
         if ins.op == Opcode.LOAD_SEED:
             if seed_base is None:
                 seed_base = ins.waddr
             word = int.from_bytes(next(seed_chunks), "big")
-            mem.write(ins.waddr, word, cycle=cycle, port="A", unit="ctrl")
+            mem.write(ins.waddr, word, cycle=cycle, unit="ctrl")
             cycle += 1
-        elif ins.op in (Opcode.RUN_PRG, Opcode.RUN_FULL):
+        if ins.op in (Opcode.RUN_PRG, Opcode.RUN_FULL):
             # B1 staging: the wrapper pulls the seed back out of memory.
             staged = b"".join(
-                mem.read(seed_base + i, cycle=cycle + i, port="B",
+                mem.read(seed_base + i, cycle=cycle + i,
                          unit="wrapper").to_bytes(8, "big")
                 for i in range(2))
-            wrapper = AesCtrWrapper(cfg, nonce)
-            used = wrapper.run(staged, iv, p, mem, start_cycle=cycle,
-                               events=events)
+            used = AesCtrWrapper(cfg, nonce).run(staged, iv, p, mem,
+                                                 start_cycle=cycle)
             wrapper_cycles += used
             cycle += used
-            if ins.op == Opcode.RUN_FULL:
-                used = RejSampUnit(cfg).run(p, mem, start_cycle=cycle,
-                                            events=events)
-                rejsamp_cycles += used
-                cycle += used
-        elif ins.op == Opcode.RUN_REJSAMP:
-            used = RejSampUnit(cfg).run(p, mem, start_cycle=cycle,
-                                        events=events)
+        if ins.op in (Opcode.RUN_REJSAMP, Opcode.RUN_FULL):
+            used = RejSampUnit(cfg).run(p, mem, start_cycle=cycle)
             rejsamp_cycles += used
             cycle += used
-        elif ins.op == Opcode.READ_RESULT:
-            words = [mem.read(ins.raddr + w, cycle=cycle + w, port="B",
+        if ins.op == Opcode.READ_RESULT:
+            words = [mem.read(ins.raddr + w, cycle=cycle + w,
                               unit="host") for w in range(p.out_addrs)]
             cycle += p.out_addrs
             vector = FieldVector(tuple(bytes_from_words(words, p.n_prime)), p.q)
@@ -336,5 +322,4 @@ def run_program(instructions, seed: bytes, iv: bytes,
         rejsamp_cycles=rejsamp_cycles,
         freq_hz=freq_hz,
     )
-    return ProgramResult(report=report, vector=vector, mem=mem,
-                         events=tuple(events))
+    return ProgramResult(report=report, vector=vector, mem=mem)

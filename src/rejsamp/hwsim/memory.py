@@ -1,13 +1,16 @@
-"""Dual-port 64-bit word memory with a per-cycle access log.
+"""Dual-port 64-bit word memory with the run's trace log.
 
-One read and one write may land in the same cycle (independent ports);
-two same-cycle writes to one address are a simulation fault, and so is a
-write to a cycle before the latest cycle already read. A written word
-becomes visible to reads from the following cycle onward. Words are held
-sparsely, so a deep memory costs nothing until it is written.
+Port A writes and port B reads, so one read and one write may land in the
+same cycle; two same-cycle writes to one address are a simulation fault,
+and so is a write to a cycle before the latest cycle already read. A
+written word becomes visible to reads from the following cycle onward.
+Words are held sparsely, so a deep memory costs nothing until it is
+written.
+
+`log` holds trace rows (cycle, unit, event, addr, data) in the order they
+were logged: every read and write, plus the rows the functional units
+append for their own events.
 """
-
-from typing import NamedTuple
 
 from .errors import AddressError, SimulationFault
 
@@ -16,29 +19,15 @@ WORD_BITS = 64
 _WORD_LIMIT = 1 << WORD_BITS
 
 
-class Access(NamedTuple):
-    cycle: int
-    unit: str
-    port: str
-    kind: str  # "R" or "W"
-    addr: int
-    data: int
-
-
 class MemoryModel:
     def __init__(self, depth: int = DEFAULT_DEPTH):
         if depth <= 0:
             raise ValueError("memory depth must be positive")
         self.depth = depth
         self.words: dict[int, int] = {}  # sparse: unwritten words read 0
-        self.raw_log: list[tuple] = []  # plain tuples in Access field order
+        self.log: list[tuple] = []  # (cycle, unit, event, addr, data) rows
         self._pending: dict[tuple[int, int], int] = {}  # (cycle, addr) -> word
         self._read_cycle = float("-inf")  # latest cycle read so far
-
-    @property
-    def log(self) -> tuple[Access, ...]:
-        """Every access so far, oldest first, as Access records."""
-        return tuple(map(Access._make, self.raw_log))
 
     def _range_error(self, addr: int) -> AddressError:
         return AddressError(f"address {addr} out of range for depth {self.depth}")
@@ -48,8 +37,8 @@ class MemoryModel:
         for slot in sorted(s for s in pending if s[0] < cycle):
             self.words[slot[1]] = pending.pop(slot)
 
-    def write(self, addr: int, word: int, cycle: int, port: str = "A",
-              unit: str = "ctrl") -> "MemoryModel":
+    def write(self, addr: int, word: int, cycle: int,
+              unit: str = "ctrl") -> None:
         if not 0 <= addr < self.depth:
             raise self._range_error(addr)
         if not 0 <= word < _WORD_LIMIT:
@@ -62,11 +51,9 @@ class MemoryModel:
             raise SimulationFault(f"write to cycle {cycle} after cycle "
                                   f"{self._read_cycle} was read")
         self._pending[slot] = word
-        self.raw_log.append((cycle, unit, port, "W", addr, word))
-        return self
+        self.log.append((cycle, unit, "write", addr, word))
 
-    def read(self, addr: int, cycle: int, port: str = "B",
-             unit: str = "ctrl") -> int:
+    def read(self, addr: int, cycle: int, unit: str = "ctrl") -> int:
         if not 0 <= addr < self.depth:
             raise self._range_error(addr)
         if cycle > self._read_cycle:
@@ -74,7 +61,7 @@ class MemoryModel:
             if self._pending:
                 self._commit_before(cycle)
         word = self.words.get(addr, 0)
-        self.raw_log.append((cycle, unit, port, "R", addr, word))
+        self.log.append((cycle, unit, "read", addr, word))
         return word
 
     def peek_range(self, start: int, count: int) -> list[int]:

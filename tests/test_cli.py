@@ -92,6 +92,25 @@ def test_simulate_trace_pinned(tmp_path, capsys):
         "601ea6a549877ff789c744770b2dc75c07c7d313650888902f6a30a084700e72"
 
 
+def test_simulate_split_program_trace_pinned(tmp_path, capsys):
+    # separate RUN_PRG and RUN_REJSAMP runs at SL3 with the seed at words 3-4
+    L, op = SecurityLevel.SL3, hwsim.Opcode
+    prog = tmp_path / "prog.hex"
+    prog.write_text(hwsim.format_program([
+        hwsim.assemble(op.LOAD_SEED, L, waddr=3, wen=1),
+        hwsim.assemble(op.LOAD_SEED, L, waddr=4, wen=1),
+        hwsim.assemble(op.NOP, L),
+        hwsim.assemble(op.RUN_PRG, L),
+        hwsim.assemble(op.RUN_REJSAMP, L),
+        hwsim.assemble(op.READ_RESULT, L, raddr=0),
+    ]))
+    trace = tmp_path / "trace.csv"
+    assert run_cli("simulate", "--program", str(prog), "--seed", SEED_HEX,
+                   "--iv", "1234", "--trace", str(trace)) == 0
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == \
+        "a5f969ad22980254b6476609a4d83553856af59bc981ecbbd9615e7e55a06128"
+
+
 def test_simulate_sl5_capacity_exit(capsys):
     assert run_cli("simulate", "--level", "5", "--seed", SEED_HEX,
                    "--iv", "0001") == 4

@@ -1,9 +1,18 @@
+import math
+
 import pytest
 
 from rejsamp import fom
 from rejsamp.fom import (PlatformKind, PlatformMetrics, Quantity, adp,
                          fom_report, latency, metrics_from_dict, pdp,
-                         round_sig, scale_area, scaled_fpga_adp)
+                         scale_area, scaled_fpga_adp)
+
+
+def round_sig(x: float, sig: int = 3) -> float:
+    if x == 0:
+        return 0.0
+    return round(x, -int(math.floor(math.log10(abs(x)))) + sig - 1)
+
 
 ASIC = PlatformMetrics(kind=PlatformKind.ASIC, area_um2=464866.0, cpd_ns=1.77,
                        power_mw=0.129, tech_nm=65, name="ASIC (65 nm)")

@@ -110,9 +110,10 @@ def test_write_not_visible_same_cycle():
 def test_dual_port_same_cycle_write_and_read():
     mem = MemoryModel(16)
     mem.write(7, 3, cycle=1)
-    mem.write(5, 9, cycle=2, port="A")
-    assert mem.read(7, cycle=2, port="B") == 3
-    assert [a.cycle for a in mem.log[-2:]] == [2, 2]
+    mem.write(5, 9, cycle=2)
+    assert mem.read(7, cycle=2) == 3
+    assert [r[:3] for r in mem.log[-2:]] == [(2, "ctrl", "write"),
+                                             (2, "ctrl", "read")]
 
 
 def test_write_write_conflict_faults():
@@ -189,9 +190,9 @@ def _output_bytes(mem):
 def test_wrapper_cycles_and_writes():
     mem, cycles = _keystream_mem()
     assert cycles == 4632
-    writes = [a for a in mem.log if a.kind == "W"]
+    writes = [r for r in mem.log if r[2] == "write"]
     assert len(writes) == 365
-    assert sorted(a.addr for a in writes) == list(range(365))
+    assert sorted(r[3] for r in writes) == list(range(365))
 
 
 def test_wrapper_memory_matches_keystream():
@@ -211,23 +212,21 @@ def test_wrapper_memory_matches_keystream():
 
 def test_wrapper_block_count_events():
     mem = MemoryModel(1024)
-    events = []
-    hwsim.AesCtrWrapper(TimingConfig()).run(SEED, IV, SL1, mem, events=events)
-    issues = [e for e in events if e[2] == "issue"]
+    hwsim.AesCtrWrapper(TimingConfig()).run(SEED, IV, SL1, mem)
+    issues = [r for r in mem.log if r[2] == "issue"]
     assert len(issues) == 183
 
 
 def test_pipeline_latency_from_log():
     mem = MemoryModel(1024)
-    events = []
     cfg = TimingConfig()
-    hwsim.AesCtrWrapper(cfg).run(SEED, IV, SL1, mem, start_cycle=0, events=events)
-    first_issue = min(e[0] for e in events if e[2] == "issue")
-    first_write = min(a.cycle for a in mem.log if a.kind == "W")
+    hwsim.AesCtrWrapper(cfg).run(SEED, IV, SL1, mem, start_cycle=0)
+    first_issue = min(r[0] for r in mem.log if r[2] == "issue")
+    first_write = min(r[0] for r in mem.log if r[2] == "write")
     assert first_write - first_issue == cfg.aes_latency
     # B2 drains as two word writes on consecutive cycles
-    w0, w1 = sorted(a for a in mem.log if a.kind == "W")[:2]
-    assert (w1.cycle - w0.cycle, w1.addr - w0.addr) == (1, 1)
+    w0, w1 = sorted(r for r in mem.log if r[2] == "write")[:2]
+    assert (w1[0] - w0[0], w1[3] - w0[3]) == (1, 1)
 
 
 @pytest.mark.parametrize("nonce, iv", [
@@ -238,7 +237,7 @@ def test_wrapper_rejects_bad_nonce_and_iv(nonce, iv):
     mem = MemoryModel(1024)
     with pytest.raises(ValueError, match="nonce|iv"):
         hwsim.AesCtrWrapper(TimingConfig(), nonce).run(SEED, iv, SL1, mem)
-    assert mem.raw_log == []
+    assert mem.log == []
 
 
 def test_wrapper_capacity_error():
@@ -256,7 +255,7 @@ def test_rejsamp_unit_cycles_and_oracle():
     raw = bytes_from_words(mem.peek_range(0, SL1.tau_addrs), SL1.tau)
     cycles = hwsim.RejSampUnit(TimingConfig()).run(SL1, mem, start_cycle=start)
     assert cycles == 3893
-    out_writes = [a for a in mem.log if a.unit == "rejsamp" and a.kind == "W"]
+    out_writes = [r for r in mem.log if r[1:3] == ("rejsamp", "write")]
     assert len(out_writes) == 351
     assert _output_bytes(mem) == rej_samp(raw, SL1.tau, SL1.n_prime, SL1.q).to_bytes()
 
@@ -360,13 +359,12 @@ def test_run_program_determinism():
     b = hwsim.run_program(prog, SEED, IV)
     assert a.vector.elems == b.vector.elems
     assert a.report == b.report
-    assert a.mem.log == b.mem.log
-    assert a.events == b.events
+    assert a.mem.log == b.mem.log  # the wrapper's issue rows included
 
 
 def test_no_write_write_conflicts_in_full_run():
     res = hwsim.run_program(hwsim.default_program(SecurityLevel.SL1), SEED, IV)
-    writes = [(a.cycle, a.addr) for a in res.mem.log if a.kind == "W"]
+    writes = [(r[0], r[3]) for r in res.mem.log if r[2] == "write"]
     assert len(writes) == len(set(writes))
 
 
@@ -478,7 +476,7 @@ def test_trace_rows_are_chronological():
     rows = res.trace_rows()
     assert [r[0] for r in rows] == sorted(r[0] for r in rows)
     kinds = {r[2] for r in rows}
-    assert {"read", "write", "issue"} <= kinds
+    assert {"read", "write", "issue", "done"} <= kinds
 
 
 def test_timing_config_validation():
