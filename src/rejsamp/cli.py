@@ -83,12 +83,14 @@ def _cmd_sample(args) -> int:
     raw = aesprg.keystream(args.seed, args.iv, p.tau)
     vec = rej_samp(raw, p.tau, p.n_prime, p.q)
     stats = rejection_stats(raw, p.tau, p.n_prime, p.q)
+    if args.out:
+        # file first, as in simulate: a report on stdout means it was written
+        _write_vector(vec, args.out, args.format)
     print(f"elements: {len(vec)} (q={p.q})")
     print(f"stream bytes: {stats.tau}, masked to q: {stats.masked_to_q} "
           f"(rate {stats.rejection_rate:.5f}), replaced from tail: "
           f"{stats.replaced}, zero-filled: {stats.zero_filled}")
     if args.out:
-        _write_vector(vec, args.out, args.format)
         print(f"wrote {args.format} artifact to {args.out}")
     return EXIT_OK
 

@@ -274,6 +274,7 @@ def run_program(instructions, seed: bytes, iv: bytes,
     program = [decode(w) if isinstance(w, int) else w for w in instructions]
     level = validate_program(program)
     p = builtin_params(level)
+    mem = MemoryModel(mem_depth)  # rejects a depth that is not positive
     if mem_depth < p.required_mem_words:
         raise CapacityError(
             f"{level.value} needs {p.required_mem_words} memory words for "
@@ -281,7 +282,6 @@ def run_program(instructions, seed: bytes, iv: bytes,
             f"with depth >= {p.required_mem_words}",
             required_words=p.required_mem_words)
     aesprg.check_key(seed)
-    mem = MemoryModel(mem_depth)
 
     cycle = 0
     wrapper_cycles = 0

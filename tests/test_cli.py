@@ -117,6 +117,15 @@ def test_simulate_sl5_capacity_exit(capsys):
     assert "1378" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("depth", ["0", "-3"])
+def test_simulate_nonpositive_mem_depth_exit2(depth, capsys):
+    assert run_cli("simulate", "--level", "1", "--seed", SEED_HEX,
+                   "--iv", "0001", "--mem-depth", depth) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: memory depth must be positive\n"
+
+
 def test_simulate_sl5_with_mem_depth(capsys):
     assert run_cli("simulate", "--level", "5", "--seed", SEED_HEX,
                    "--iv", "0001", "--mem-depth", "1378") == 0
@@ -305,8 +314,13 @@ def test_fom_malformed_entry_exit2(doc, tmp_path, capsys):
      "--trace", "{missing}/t.csv"],
     ["simulate", "--level", "1", "--seed", SEED_HEX, "--iv", "0001",
      "--out", "{dir}"],
+    ["sample", "--level", "1", "--seed", SEED_HEX, "--iv", "0001",
+     "--out", "{missing}/v.bin"],
+    ["sample", "--level", "1", "--seed", SEED_HEX, "--iv", "0001",
+     "--out", "{dir}"],
 ], ids=["kat-missing", "kat-dir", "fom-missing", "fom-dir", "fom-out-unwritable",
-        "program-missing", "program-dir", "trace-unwritable", "out-is-dir"])
+        "program-missing", "program-dir", "trace-unwritable", "out-is-dir",
+        "sample-out-unwritable", "sample-out-is-dir"])
 def test_unusable_file_exit2(argv, tmp_path, capsys):
     paths = {"missing": tmp_path / "absent", "dir": tmp_path}
     assert run_cli(*[a.format(**paths) for a in argv]) == 2

@@ -1,6 +1,6 @@
 import pytest
 
-from rejsamp import kat
+from rejsamp import aesprg, kat
 from rejsamp.params import SecurityLevel, builtin_params
 from oracles import keystream_oracle, rej_samp_naive
 
@@ -29,10 +29,83 @@ def test_verify_oracle_produced_file():
     assert kat.verify_kat(records) is None
 
 
+@pytest.fixture
+def keystream_calls(monkeypatch):
+    """Records (key, iv, n_bytes) for every aesprg.keystream call."""
+    calls = []
+    real = aesprg.keystream
+
+    def counting(key, iv, n_bytes, *args, **kwargs):
+        calls.append((key, iv, n_bytes))
+        return real(key, iv, n_bytes, *args, **kwargs)
+
+    monkeypatch.setattr(aesprg, "keystream", counting)
+    return calls
+
+
+def _flip_last_digit(line):
+    return line[:-1] + ("0" if line[-1] != "0" else "1")
+
+
+def _interleaved_lines():
+    """Records of two (key, iv) pairs, interleaved, from the oracles only:
+    the first pair has n=16, n=tau+5 and level=1 records."""
+    p = builtin_params(SecurityLevel.SL1)
+    key_a, iv_a = SEED, b"\x00\x07"
+    key_b, iv_b = bytes(range(16, 32)), b"\x00\x07"
+    ks_a = keystream_oracle(key_a, iv_a, p.tau + 5)
+    ks_b = keystream_oracle(key_b, iv_b, p.tau)
+    fv_a = bytes(rej_samp_naive(ks_a[:p.tau], p.tau, p.n_prime, p.q))
+    fv_b = bytes(rej_samp_naive(ks_b, p.tau, p.n_prime, p.q))
+    a = f"key={key_a.hex()} iv={iv_a.hex()}"
+    b = f"key={key_b.hex()} iv={iv_b.hex()}"
+    return [
+        f"{a} n=16 out={ks_a[:16].hex()}",
+        f"{b} level=1 out={fv_b.hex()}",
+        f"{a} n={p.tau + 5} out={ks_a.hex()}",
+        f"{b} n=32 out={ks_b[:32].hex()}",
+        f"{a} level=1 out={fv_a.hex()}",
+    ]
+
+
+def test_verify_expands_each_keystream_once(keystream_calls):
+    records = kat.parse_kat(kat.generate_kat(SEED, b"\x00\x01", 1, count=3))
+    keystream_calls.clear()
+    assert kat.verify_kat(records) is None
+    tau = builtin_params(SecurityLevel.SL1).tau
+    assert [(iv, n) for _, iv, n in keystream_calls] == \
+        [(b"\x00\x01", tau), (b"\x00\x02", tau), (b"\x00\x03", tau)]
+
+
+def test_verify_interleaved_prefix_records(keystream_calls):
+    records = kat.parse_kat("\n".join(_interleaved_lines()) + "\n")
+    assert kat.verify_kat(records) is None
+    tau = builtin_params(SecurityLevel.SL1).tau
+    # one expansion per pair, each to the longest length its records need
+    assert [n for _, _, n in keystream_calls] == [tau + 5, tau]
+
+
+def test_verify_interleaved_first_mismatch_in_file_order():
+    lines = _interleaved_lines()
+    lines[2] = _flip_last_digit(lines[2])
+    lines[3] = _flip_last_digit(lines[3])
+    result = kat.verify_kat(kat.parse_kat("\n".join(lines) + "\n"))
+    assert result is not None and result[0] == 3
+    assert result[1].startswith("keystream mismatch at line 3: ")
+
+
+def test_verify_stops_before_later_keystreams(keystream_calls):
+    lines = _interleaved_lines()
+    lines[0] = _flip_last_digit(lines[0])
+    result = kat.verify_kat(kat.parse_kat("\n".join(lines) + "\n"))
+    assert result is not None and result[0] == 1
+    assert len(keystream_calls) == 1
+
+
 def test_mismatch_reports_line_number():
     text = kat.generate_kat(SEED, b"\x00\x01", 1)
     lines = text.splitlines()
-    lines[1] = lines[1][:-1] + ("0" if lines[1][-1] != "0" else "1")
+    lines[1] = _flip_last_digit(lines[1])
     result = kat.verify_kat(kat.parse_kat("\n".join(lines)))
     assert result is not None and result[0] == 2
 
