@@ -10,10 +10,9 @@ once per run and encrypt_block_expanded once per block.
 No hardcoded lookup tables: the S-box, the T-tables and the round
 constants are derived from the field arithmetic at import.
 
-Counter block layout (16 bytes): 8-byte fixed nonce, then a 64-bit counter
-formed as 2-byte iv followed by a 6-byte big-endian running block index.
-The nonce defaults to zero and both nonce and iv are parameters, which is
-the compatibility point if another layout convention is ever needed.
+Counter block layout (16 bytes), fixed as in the coprocessor, which can
+load only the seed: 8 zero bytes, the 2-byte iv, then the 6-byte
+big-endian running block index. ctr_blocks is the one place that builds it.
 """
 
 import struct
@@ -22,9 +21,8 @@ from collections.abc import Iterator
 KEY_BYTES = 16
 IV_BYTES = 2
 BLOCK_BYTES = 16
-NONCE_BYTES = 8
-DEFAULT_NONCE = b"\x00" * NONCE_BYTES
 
+_ZERO_PREFIX = bytes(8)
 _BLOCK_INDEX_BYTES = 6
 _MAX_BLOCKS = 1 << (8 * _BLOCK_INDEX_BYTES)
 _WORDS = struct.Struct(">4I")
@@ -112,31 +110,19 @@ def check_key(key: bytes) -> bytes:
     return key
 
 
-def check_iv(iv: bytes) -> bytes:
+def ctr_blocks(iv: bytes, count: int) -> Iterator[bytes]:
+    """Counter blocks 0..count-1 for iv; the iv and the last index are
+    checked once, before the first block."""
     if len(iv) != IV_BYTES:
         raise ValueError(f"iv must be {IV_BYTES} bytes, got {len(iv)}")
-    return iv
-
-
-def ctr_block(nonce: bytes, iv: bytes, index: int) -> bytes:
-    """Counter block for one keystream position: nonce || iv || index."""
-    if len(nonce) != NONCE_BYTES:
-        raise ValueError(f"nonce must be {NONCE_BYTES} bytes, got {len(nonce)}")
-    check_iv(iv)
-    if not 0 <= index < _MAX_BLOCKS:
+    if count > _MAX_BLOCKS:
         raise ValueError("block index exceeds the 48-bit counter range")
-    return nonce + iv + index.to_bytes(_BLOCK_INDEX_BYTES, "big")
-
-
-def ctr_blocks(nonce: bytes, iv: bytes, count: int) -> Iterator[bytes]:
-    """Counter blocks 0..count-1, the same bytes as ctr_block gives for
-    each index; the nonce, the iv and the last index are checked once."""
-    prefix = ctr_block(nonce, iv, max(count - 1, 0))[:NONCE_BYTES + IV_BYTES]
+    prefix = _ZERO_PREFIX + iv
     for index in range(count):
         yield prefix + index.to_bytes(_BLOCK_INDEX_BYTES, "big")
 
 
-def keystream(key: bytes, iv: bytes, n_bytes: int, nonce: bytes = DEFAULT_NONCE) -> bytes:
+def keystream(key: bytes, iv: bytes, n_bytes: int) -> bytes:
     """First n_bytes of the AES-128-CTR keystream for (key, iv).
 
     Consumes exactly ceil(n_bytes/16) block encryptions; trailing bytes of
@@ -147,6 +133,6 @@ def keystream(key: bytes, iv: bytes, n_bytes: int, nonce: bytes = DEFAULT_NONCE)
         raise ValueError("empty keystream request")
     w = expand_key(key)
     out = bytearray()
-    for block in ctr_blocks(nonce, iv, -(-n_bytes // BLOCK_BYTES)):
+    for block in ctr_blocks(iv, -(-n_bytes // BLOCK_BYTES)):
         out += encrypt_block_expanded(w, block)
     return bytes(out[:n_bytes])

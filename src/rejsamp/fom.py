@@ -3,8 +3,7 @@ and cycle-count-to-latency conversion.
 
 All hardware measurements (LUTs, silicon area, critical path delay, power,
 operating frequency) are inputs supplied from synthesis reports; nothing
-here claims to derive them. Results carry their unit as data and refuse
-silent cross-unit arithmetic.
+here claims to derive them. Results carry their unit as data.
 """
 
 import math
@@ -18,28 +17,9 @@ MW_S = "mW*s"
 
 @dataclass(frozen=True)
 class Quantity:
-    """A value tagged with its unit; mixing units is a TypeError."""
+    """A value tagged with its unit; reports carry the unit next to it."""
     value: float
     unit: str
-
-    def __add__(self, other):
-        if not isinstance(other, Quantity) or other.unit != self.unit:
-            raise TypeError(f"cannot add {getattr(other, 'unit', type(other))} "
-                            f"to {self.unit}")
-        return Quantity(self.value + other.value, self.unit)
-
-    def __mul__(self, factor):
-        if isinstance(factor, Quantity):
-            raise TypeError("scale Quantities by plain numbers; unit algebra "
-                            "is intentionally not provided")
-        return Quantity(self.value * factor, self.unit)
-
-    __rmul__ = __mul__
-
-    def ratio(self, other: "Quantity") -> float:
-        if other.unit != self.unit:
-            raise TypeError(f"cannot compare {other.unit} with {self.unit}")
-        return self.value / other.value
 
 
 class PlatformKind(Enum):
@@ -237,11 +217,20 @@ def fom_report(metrics: list[PlatformMetrics], scale_to_nm: float | None = None,
     return {"rows": rows, "warnings": warnings}
 
 
+def _csv_field(value) -> str:
+    """value as one RFC 4180 field: quoted, with doubled quotes, only when
+    it holds a comma, a quote or a line break."""
+    text = str(value)  # a metrics file may name a platform with a number
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def report_to_csv(report: dict) -> str:
     header = "platform,kind,cpd_ns,adp,adp_unit,pdp,pdp_unit"
     lines = [header]
     for r in report["rows"]:
-        lines.append(f"{r['platform']},{r['kind']},{r['cpd_ns']},"
+        lines.append(f"{_csv_field(r['platform'])},{r['kind']},{r['cpd_ns']},"
                      f"{r['adp_3sf']},{r['adp_unit']},"
                      f"{r['pdp_3sf']},{r['pdp_unit']}")
     return "\n".join(lines) + "\n"

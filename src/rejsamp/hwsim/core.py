@@ -118,9 +118,8 @@ class AesCtrWrapper:
     bytes past tau are zeroed in the final word.
     """
 
-    def __init__(self, cfg: TimingConfig, nonce: bytes = aesprg.DEFAULT_NONCE):
+    def __init__(self, cfg: TimingConfig):
         self.cfg = cfg
-        self.nonce = nonce
 
     def run(self, seed: bytes, iv: bytes, p: ParameterSet, mem: MemoryModel,
             start_cycle: int = 0) -> int:
@@ -138,7 +137,7 @@ class AesCtrWrapper:
         blocks = block_count(p)
         final = p.tau_addrs - 1
         pad_bits = 8 * (p.tau_addrs * BYTES_PER_WORD - p.tau)
-        for b, counter in enumerate(aesprg.ctr_blocks(self.nonce, iv, blocks)):
+        for b, counter in enumerate(aesprg.ctr_blocks(iv, blocks)):
             issue = issue0 + b * per_block
             mem.log.append((issue, "wrapper", "issue", b, None))
             b2 = aesprg.encrypt_block_expanded(round_keys, counter)
@@ -266,8 +265,7 @@ def validate_program(program: list[Instruction]) -> SecurityLevel:
 def run_program(instructions, seed: bytes, iv: bytes,
                 cfg: TimingConfig | None = None,
                 mem_depth: int = DEFAULT_DEPTH,
-                freq_hz: float = 222e6,
-                nonce: bytes = aesprg.DEFAULT_NONCE) -> ProgramResult:
+                freq_hz: float = 222e6) -> ProgramResult:
     """Decode and execute an instruction sequence; returns the cycle
     report, the sampled vector, and the memory with its trace log."""
     cfg = cfg or TimingConfig()
@@ -302,8 +300,8 @@ def run_program(instructions, seed: bytes, iv: bytes,
                 mem.read(seed_base + i, cycle=cycle + i,
                          unit="wrapper").to_bytes(8, "big")
                 for i in range(2))
-            used = AesCtrWrapper(cfg, nonce).run(staged, iv, p, mem,
-                                                 start_cycle=cycle)
+            used = AesCtrWrapper(cfg).run(staged, iv, p, mem,
+                                          start_cycle=cycle)
             wrapper_cycles += used
             cycle += used
         if ins.op in (Opcode.RUN_REJSAMP, Opcode.RUN_FULL):

@@ -24,6 +24,7 @@ from .errors import InvalidInstructionError, UnsupportedLevelError
 
 INSTRUCTION_BITS = 26
 ADDR_BITS = 10
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
 class Opcode(IntEnum):
@@ -119,11 +120,11 @@ def parse_program(text: str) -> list[int]:
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
-        try:
-            word = int(stripped, 16)
-        except ValueError:
+        # hex digits only: int(_, 16) alone also takes a sign, '_' and '0x'
+        if not set(stripped) <= _HEX_DIGITS:
             raise InvalidInstructionError(
-                f"line {lineno}: {stripped!r} is not a hex instruction word") from None
+                f"line {lineno}: {stripped!r} is not a hex instruction word")
+        word = int(stripped, 16)
         if word >= 1 << INSTRUCTION_BITS:
             raise InvalidInstructionError(
                 f"line {lineno}: {stripped!r} exceeds 26 bits")

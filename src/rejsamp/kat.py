@@ -110,8 +110,7 @@ def _stream_bytes(rec: KatRecord) -> int:
     return builtin_params(level_from_number(rec.level)).tau
 
 
-def verify_kat(records: list[KatRecord],
-               nonce: bytes = aesprg.DEFAULT_NONCE) -> tuple[int, str] | None:
+def verify_kat(records: list[KatRecord]) -> tuple[int, str] | None:
     """Recompute every record; returns (lineno, message) for the first
     mismatch, or None when everything matches.
 
@@ -129,8 +128,7 @@ def verify_kat(records: list[KatRecord],
     for i, rec in enumerate(records):
         group = (rec.key, rec.iv)
         if group not in streams:
-            streams[group] = aesprg.keystream(rec.key, rec.iv, need[group],
-                                              nonce)
+            streams[group] = aesprg.keystream(rec.key, rec.iv, need[group])
         ks = streams[group] if last[group] > i else streams.pop(group)
         if rec.n is not None:
             got = ks[:rec.n].hex()
@@ -146,8 +144,7 @@ def verify_kat(records: list[KatRecord],
     return None
 
 
-def generate_kat(key: bytes, iv: bytes, level: int, count: int = 1,
-                 nonce: bytes = aesprg.DEFAULT_NONCE) -> str:
+def generate_kat(key: bytes, iv: bytes, level: int, count: int = 1) -> str:
     """KAT text for `count` cases: the iv steps by one per case (mod 2^16),
     each case contributing one keystream and one field-vector line."""
     if count < 1:
@@ -157,7 +154,7 @@ def generate_kat(key: bytes, iv: bytes, level: int, count: int = 1,
     lines = []
     for i in range(count):
         case_iv = ((iv0 + i) % (1 << 16)).to_bytes(2, "big")
-        ks = aesprg.keystream(key, case_iv, p.tau, nonce)
+        ks = aesprg.keystream(key, case_iv, p.tau)
         fv = rej_samp(ks, p.tau, p.n_prime, p.q)
         lines.append(f"key={key.hex()} iv={case_iv.hex()} n={p.tau} "
                      f"out={ks.hex()}")

@@ -7,8 +7,6 @@ the original byte stream zero-padded to a multiple of 8.
 
 from .params import BYTES_PER_WORD
 
-WORD_MASK = (1 << 64) - 1
-
 
 def words_from_bytes(data: bytes) -> list[int]:
     """Pack a byte stream into 64-bit words; the last word is zero-padded."""

@@ -95,10 +95,9 @@ def rej_samp(raw: bytes, tau: int, n_prime: int, q: int) -> FieldVector:
     return FieldVector(tuple(out), q)
 
 
-def rej_samp_prg(seed: bytes, iv: bytes, p: ParameterSet,
-                 nonce: bytes = aesprg.DEFAULT_NONCE) -> FieldVector:
+def rej_samp_prg(seed: bytes, iv: bytes, p: ParameterSet) -> FieldVector:
     """Expand (seed, iv) with AES-CTR and rejection-sample the stream."""
-    raw = aesprg.keystream(seed, iv, p.tau, nonce)
+    raw = aesprg.keystream(seed, iv, p.tau)
     return rej_samp(raw, p.tau, p.n_prime, p.q)
 
 

@@ -67,41 +67,31 @@ def test_against_openssl():
         assert aesprg.aes128_encrypt_block(k, b) == enc.update(b) + enc.finalize()
 
 
-def test_ctr_block_layout():
-    blk = aesprg.ctr_block(b"\x11" * 8, b"\xab\xcd", 0x010203040506)
-    assert blk == b"\x11" * 8 + b"\xab\xcd" + bytes([1, 2, 3, 4, 5, 6])
-    with pytest.raises(ValueError):
-        aesprg.ctr_block(b"\x11" * 8, b"\xab\xcd", 1 << 48)
-
-
 @pytest.mark.parametrize("n", [0, 1, 256, 257])
 def test_ctr_blocks_match_ctr_block(n):
-    # 257 blocks carry the index from byte 15 into byte 14
-    nonce, iv = b"\x11" * 8, b"\xab\xcd"
-    assert list(aesprg.ctr_blocks(nonce, iv, n)) == \
-        [aesprg.ctr_block(nonce, iv, i) for i in range(n)]
+    # 8 zero bytes, the iv, the 6-byte big-endian index; 257 blocks carry
+    # the index from byte 15 into byte 14
+    iv = b"\xab\xcd"
+    assert list(aesprg.ctr_blocks(iv, n)) == \
+        [bytes(8) + iv + i.to_bytes(6, "big") for i in range(n)]
 
 
 def test_ctr_blocks_check_the_last_index():
-    nonce, iv = aesprg.DEFAULT_NONCE, b"\x00\x01"
+    iv = b"\x00\x01"
     with pytest.raises(ValueError, match="48-bit"):
-        next(aesprg.ctr_blocks(nonce, iv, (1 << 48) + 1))
-    assert next(aesprg.ctr_blocks(nonce, iv, 1 << 48)) == \
-        aesprg.ctr_block(nonce, iv, 0)
+        next(aesprg.ctr_blocks(iv, (1 << 48) + 1))
+    assert next(aesprg.ctr_blocks(iv, 1 << 48)) == bytes(8) + iv + bytes(6)
 
 
-@pytest.mark.parametrize("nonce, iv", [
-    (b"\x00" * 7, b"\x00\x01"), (b"\x00" * 9, b"\x00\x01"),
-    (aesprg.DEFAULT_NONCE, b"\x01"), (aesprg.DEFAULT_NONCE, b"\x00\x01\x02"),
-], ids=["nonce7", "nonce9", "iv1", "iv3"])
-def test_keystream_rejects_bad_nonce_and_iv(nonce, iv):
-    with pytest.raises(ValueError, match="nonce|iv"):
-        aesprg.keystream(KEY, iv, 32, nonce=nonce)
+@pytest.mark.parametrize("iv", [b"\x01", b"\x00\x01\x02"], ids=["iv1", "iv3"])
+def test_keystream_rejects_bad_nonce_and_iv(iv):
+    with pytest.raises(ValueError, match="iv"):
+        aesprg.keystream(KEY, iv, 32)
 
 
 def test_single_block_keystream_is_one_encryption():
     iv = b"\x00\x01"
-    want = aesprg.aes128_encrypt_block(KEY, aesprg.ctr_block(aesprg.DEFAULT_NONCE, iv, 0))
+    want = aesprg.aes128_encrypt_block(KEY, bytes(8) + iv + bytes(6))
     assert aesprg.keystream(KEY, iv, 16) == want
 
 
@@ -137,13 +127,6 @@ def test_sl5_keystream_matches_independent_ctr_oracle():
 def test_cipher_matches_independent_oracle(key, block):
     w = aesprg.expand_key(key)
     assert aesprg.encrypt_block_expanded(w, block) == aes128_encrypt_oracle(key, block)
-
-
-def test_nonce_changes_stream_and_is_honoured():
-    a = aesprg.keystream(KEY, b"\x00\x01", 32)
-    b = aesprg.keystream(KEY, b"\x00\x01", 32, nonce=b"\x01" * 8)
-    assert a != b
-    assert b == keystream_oracle(KEY, b"\x00\x01", 32, nonce=b"\x01" * 8)
 
 
 @settings(max_examples=60, deadline=None)

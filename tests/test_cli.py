@@ -195,7 +195,7 @@ def test_simulate_missing_level_usage(capsys):
 def test_simulate_self_check_failure_exit5(monkeypatch, capsys):
     from rejsamp.sampler import FieldVector
 
-    def wrong_golden(seed, iv, p, nonce=b"\x00" * 8):
+    def wrong_golden(seed, iv, p):
         return FieldVector((0,) * p.n_prime, p.q)
 
     monkeypatch.setattr(cli, "rej_samp_prg", wrong_golden)

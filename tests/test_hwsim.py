@@ -79,6 +79,10 @@ def test_program_file_roundtrip():
 def test_program_file_errors():
     with pytest.raises(InvalidInstructionError, match="line 1"):
         hwsim.parse_program("xyz\n")
+    # int(_, 16) would take these; a program word is hex digits only
+    for word in ("-1", "+5", "1_0", "0x5"):
+        with pytest.raises(InvalidInstructionError, match="line 2"):
+            hwsim.parse_program(f"0000000\n{word}\n")
     with pytest.raises(InvalidInstructionError, match="26 bits"):
         hwsim.parse_program("4000000\n")
 
@@ -229,14 +233,11 @@ def test_pipeline_latency_from_log():
     assert (w1[0] - w0[0], w1[3] - w0[3]) == (1, 1)
 
 
-@pytest.mark.parametrize("nonce, iv", [
-    (b"\x00" * 7, IV), (b"\x00" * 9, IV),
-    (aesprg.DEFAULT_NONCE, b"\x01"), (aesprg.DEFAULT_NONCE, b"\x00\x01\x02"),
-], ids=["nonce7", "nonce9", "iv1", "iv3"])
-def test_wrapper_rejects_bad_nonce_and_iv(nonce, iv):
+@pytest.mark.parametrize("iv", [b"\x01", b"\x00\x01\x02"], ids=["iv1", "iv3"])
+def test_wrapper_rejects_bad_nonce_and_iv(iv):
     mem = MemoryModel(1024)
-    with pytest.raises(ValueError, match="nonce|iv"):
-        hwsim.AesCtrWrapper(TimingConfig(), nonce).run(SEED, iv, SL1, mem)
+    with pytest.raises(ValueError, match="iv"):
+        hwsim.AesCtrWrapper(TimingConfig()).run(SEED, iv, SL1, mem)
     assert mem.log == []
 
 
