@@ -98,17 +98,14 @@ def _cmd_sample(args) -> int:
 def _cmd_simulate(args) -> int:
     if args.program:
         with open(args.program) as f:
-            program = [hwsim.decode(w) for w in hwsim.parse_program(f.read())]
-        level = hwsim.validate_program(program)
+            words = hwsim.parse_program(f.read())
+    elif args.level is None:
+        print("simulate: --level is required without --program",
+              file=sys.stderr)
+        return EXIT_USAGE
     else:
-        if args.level is None:
-            print("simulate: --level is required without --program",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        level = level_from_number(args.level)
-        program = hwsim.default_program(level)
-    p = builtin_params(level)
-    result = hwsim.run_program(program, args.seed, args.iv,
+        words = hwsim.default_program(level_from_number(args.level))
+    result = hwsim.run_program(words, args.seed, args.iv,
                                mem_depth=args.mem_depth, freq_hz=args.freq)
     if args.trace:
         with open(args.trace, "w") as f:
@@ -122,7 +119,7 @@ def _cmd_simulate(args) -> int:
     # files first: a report on stdout must mean every output was written
     sys.stdout.write(json.dumps(result.report.to_json_dict()) + "\n")
     if not args.no_self_check:
-        golden = rej_samp_prg(args.seed, args.iv, p)
+        golden = rej_samp_prg(args.seed, args.iv, result.params)
         if result.vector.elems != golden.elems:
             print("self-check FAILED: simulator output differs from the "
                   "golden model", file=sys.stderr)
@@ -166,13 +163,18 @@ def _cmd_fom(args) -> int:
     if not isinstance(doc, dict) or not isinstance(doc.get("platforms"), list):
         raise ValueError('metrics file must be an object with a "platforms" '
                          'list')
-    for field in ("scale_to_nm", "lut_area_um2"):
-        if doc.get(field) is not None:
-            fom.check_number(field, doc[field])
+    extra = set(doc) - {"platforms", "scale_to_nm", "lut_area_um2"}
+    if extra:
+        raise ValueError(f"unknown metrics file field(s) {sorted(extra)}")
+    if doc.get("scale_to_nm") is not None:
+        fom.check_number("scale_to_nm", doc["scale_to_nm"])
+    lut_area_um2 = doc.get("lut_area_um2", 1.0)
+    fom.check_number("lut_area_um2", lut_area_um2)
+    if lut_area_um2 <= 0:
+        raise ValueError(f"lut_area_um2 must be positive, got {lut_area_um2!r}")
     metrics = [fom.metrics_from_dict(e) for e in doc["platforms"]]
-    report = fom.fom_report(metrics,
-                            scale_to_nm=doc.get("scale_to_nm"),
-                            lut_area_um2=doc.get("lut_area_um2", 1.0))
+    report = fom.fom_report(metrics, scale_to_nm=doc.get("scale_to_nm"),
+                            lut_area_um2=lut_area_um2)
     for warning in report["warnings"]:
         print(f"warning: {warning}", file=sys.stderr)
     text = (fom.report_to_csv(report) if args.format == "csv"

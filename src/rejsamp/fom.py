@@ -167,6 +167,9 @@ def metrics_from_dict(entry: dict) -> PlatformMetrics:
     for field in sorted(numeric & set(entry)):
         if entry[field] is not None:
             check_number(field, entry[field])
+    if not isinstance(entry.get("name", ""), str):
+        raise ValueError(f"platform name must be a string, got "
+                         f"{entry['name']!r}")
     try:
         return PlatformMetrics(
             kind=kind,
@@ -220,7 +223,7 @@ def fom_report(metrics: list[PlatformMetrics], scale_to_nm: float | None = None,
 def _csv_field(value) -> str:
     """value as one RFC 4180 field: quoted, with doubled quotes, only when
     it holds a comma, a quote or a line break."""
-    text = str(value)  # a metrics file may name a platform with a number
+    text = str(value)  # PlatformMetrics does not type-check its name
     if any(c in text for c in ',"\r\n'):
         return '"' + text.replace('"', '""') + '"'
     return text

@@ -1,7 +1,7 @@
 """Cycle-level simulator of the sampling coprocessor."""
 
 from .core import (AesCtrWrapper, CycleReport, ProgramResult, RejSampUnit,
-                   TimingConfig, run_program, validate_program)
+                   TimingConfig, run_program)
 from .errors import (CapacityError, HwSimError, InvalidInstructionError,
                      PreconditionFault, ProgramError, SimulationFault,
                      UnsupportedLevelError)
@@ -11,7 +11,7 @@ from .memory import MemoryModel
 
 __all__ = [
     "AesCtrWrapper", "CycleReport", "ProgramResult", "RejSampUnit",
-    "TimingConfig", "run_program", "validate_program",
+    "TimingConfig", "run_program",
     "CapacityError", "HwSimError", "InvalidInstructionError",
     "PreconditionFault", "ProgramError", "SimulationFault",
     "UnsupportedLevelError",

@@ -213,6 +213,7 @@ class ProgramResult:
     report: CycleReport
     vector: FieldVector
     mem: MemoryModel
+    params: ParameterSet
 
     def trace_rows(self) -> list[tuple]:
         """The memory log's (cycle, unit, event, addr, data) rows, in
@@ -220,7 +221,7 @@ class ProgramResult:
         return sorted(self.mem.log, key=lambda r: (r[0], r[1], r[2]))
 
 
-def validate_program(program: list[Instruction]) -> SecurityLevel:
+def _validate_program(program: list[Instruction]) -> SecurityLevel:
     """Check a decoded program against the ISA rules; returns its level."""
     if not program:
         raise ProgramError("empty program")
@@ -262,15 +263,16 @@ def validate_program(program: list[Instruction]) -> SecurityLevel:
     return level
 
 
-def run_program(instructions, seed: bytes, iv: bytes,
+def run_program(words: list[int], seed: bytes, iv: bytes,
                 cfg: TimingConfig | None = None,
                 mem_depth: int = DEFAULT_DEPTH,
                 freq_hz: float = 222e6) -> ProgramResult:
-    """Decode and execute an instruction sequence; returns the cycle
-    report, the sampled vector, and the memory with its trace log."""
+    """Decode and execute a sequence of instruction words; returns the
+    cycle report, the sampled vector, the memory with its trace log and
+    the parameter set the program ran."""
     cfg = cfg or TimingConfig()
-    program = [decode(w) if isinstance(w, int) else w for w in instructions]
-    level = validate_program(program)
+    program = [decode(w) for w in words]
+    level = _validate_program(program)
     p = builtin_params(level)
     mem = MemoryModel(mem_depth)  # rejects a depth that is not positive
     if mem_depth < p.required_mem_words:
@@ -309,15 +311,15 @@ def run_program(instructions, seed: bytes, iv: bytes,
             rejsamp_cycles += used
             cycle += used
         if ins.op == Opcode.READ_RESULT:
-            words = [mem.read(ins.raddr + w, cycle=cycle + w,
+            drain = [mem.read(ins.raddr + w, cycle=cycle + w,
                               unit="host") for w in range(p.out_addrs)]
             cycle += p.out_addrs
-            vector = FieldVector(tuple(bytes_from_words(words, p.n_prime)), p.q)
-    assert vector is not None  # guaranteed by validate_program
+            vector = FieldVector(tuple(bytes_from_words(drain, p.n_prime)), p.q)
+    assert vector is not None  # guaranteed by _validate_program
 
     report = CycleReport(
         wrapper_cycles=wrapper_cycles,
         rejsamp_cycles=rejsamp_cycles,
         freq_hz=freq_hz,
     )
-    return ProgramResult(report=report, vector=vector, mem=mem)
+    return ProgramResult(report=report, vector=vector, mem=mem, params=p)

@@ -12,8 +12,9 @@ Field layout, decoded LSB first (bit 0 is the least significant bit):
 Opcodes: 0 NOP, 1 LOAD_SEED, 2 RUN_PRG, 3 RUN_REJSAMP, 4 RUN_FULL,
 5 READ_RESULT; 6 and 7 do not decode.
 
-Program files hold one instruction per line as a 7-hex-digit word (the
-26 bits zero-extended to 28); blank lines and '#' comments are ignored.
+Program files hold one instruction per line as a word of at most 7 hex
+digits (the 26 bits zero-extended to 28); blank lines and '#' comments are
+ignored.
 """
 
 from dataclasses import dataclass
@@ -124,6 +125,9 @@ def parse_program(text: str) -> list[int]:
         if not set(stripped) <= _HEX_DIGITS:
             raise InvalidInstructionError(
                 f"line {lineno}: {stripped!r} is not a hex instruction word")
+        if len(stripped) > 7:
+            raise InvalidInstructionError(
+                f"line {lineno}: {stripped!r} has more than 7 hex digits")
         word = int(stripped, 16)
         if word >= 1 << INSTRUCTION_BITS:
             raise InvalidInstructionError(

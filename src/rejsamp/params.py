@@ -49,11 +49,6 @@ class ParameterSet:
             raise ValueError("tau must be >= n_prime (no spare bytes otherwise)")
 
     @property
-    def mask_bits(self) -> int:
-        """Width of the byte mask: log2(q+1), exact for Mersenne q."""
-        return (self.q + 1).bit_length() - 1
-
-    @property
     def tau_addrs(self) -> int:
         """64-bit words needed to hold the tau-byte keystream."""
         return -(-self.tau // BYTES_PER_WORD)

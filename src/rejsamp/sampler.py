@@ -15,8 +15,7 @@ exhaustion is k == tau (the pseudocode's k = tau+1).
 from dataclasses import dataclass
 
 from . import aesprg
-from .packing import words_from_bytes, bytes_from_words
-from .params import ParameterSet, is_mersenne
+from .params import BYTES_PER_WORD, ParameterSet, is_mersenne
 
 
 @dataclass(frozen=True)
@@ -42,18 +41,12 @@ class FieldVector:
         """One byte per element, in order."""
         return bytes(self.elems)
 
-    def to_packed_words(self) -> list[int]:
-        """8 one-byte elements per 64-bit word, element 0 in the MSB."""
-        return words_from_bytes(self.to_bytes())
-
     def to_packed_bytes(self) -> bytes:
-        """Packed binary artifact: the packed words serialized big-endian."""
-        return b"".join(w.to_bytes(8, "big") for w in self.to_packed_words())
-
-    @classmethod
-    def from_packed_bytes(cls, data: bytes, n_elems: int, modulus: int) -> "FieldVector":
-        words = words_from_bytes(data)
-        return cls(tuple(bytes_from_words(words, n_elems)), modulus)
+        """Packed binary artifact: the elements zero-padded to whole 64-bit
+        words, which is the packed words (element 0 in the MSB of word 0)
+        serialized big-endian."""
+        data = self.to_bytes()
+        return data + bytes(-len(data) % BYTES_PER_WORD)
 
     def to_csv(self) -> str:
         """Decimal CSV for inspection, one element per line."""

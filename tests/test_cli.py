@@ -292,8 +292,14 @@ FPGA = {"kind": "FPGA", "luts": 10, "cpd_ns": 1.0, "power_mw": 1.0,
     {"platforms": [dict(FPGA, cpd_ns="x")]},
     {"platforms": [FPGA], "scale_to_nm": "x"},
     {"platforms": 5},
+    {"platforms": [dict(FPGA, name=[1, 2])]},
+    {"platforms": [dict(FPGA, name=5)]},
+    {"platforms": [FPGA], "scale_to_mn": 65},
+    {"platforms": [FPGA], "scale_to_nm": 65, "lut_area_um2": -2},
+    {"platforms": [FPGA], "scale_to_nm": 65, "lut_area_um2": None},
 ], ids=["entry-not-an-object", "non-numeric-field", "non-numeric-scale",
-        "platforms-not-a-list"])
+        "platforms-not-a-list", "list-name", "number-name",
+        "unknown-top-level-field", "negative-lut-area", "null-lut-area"])
 def test_fom_malformed_entry_exit2(doc, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))

@@ -3,8 +3,12 @@ its public surface grows only by a deliberate edit of the lists below."""
 
 import ast
 import inspect
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import rejsamp
 from rejsamp import aesprg, hwsim
@@ -30,17 +34,28 @@ def test_package_imports_only_itself_and_the_stdlib():
     assert foreign == []
 
 
+@pytest.mark.parametrize("module", ["rejsamp.fom", "rejsamp.params"])
+def test_importing_a_layer_loads_only_that_layer(module):
+    # a fresh interpreter, so that no other test's imports are counted
+    code = (f"import sys, {module}; print(*sorted(m for m in sys.modules "
+            f"if m.split('.')[0] == 'rejsamp'))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["rejsamp", module]
+
+
 def test_public_surface_is_pinned():
-    assert sorted(rejsamp.__all__) == [
-        "FieldVector", "ParameterSet", "SecurityLevel", "builtin_params",
-        "mask_bytes", "rej_samp", "rej_samp_prg"]
+    # the package root only holds its submodules: import the defining module
+    assert [name for name, value in vars(rejsamp).items()
+            if not name.startswith("_") and not inspect.ismodule(value)] == []
     assert sorted(hwsim.__all__) == [
         "AesCtrWrapper", "CapacityError", "CycleReport", "HwSimError",
         "Instruction", "InvalidInstructionError", "MemoryModel", "Opcode",
         "PreconditionFault", "ProgramError", "ProgramResult", "RejSampUnit",
         "SimulationFault", "TimingConfig", "UnsupportedLevelError",
         "assemble", "decode", "default_program", "encode", "format_program",
-        "parse_program", "run_program", "validate_program"]
+        "parse_program", "run_program"]
     # public functions and constants defined in aesprg (not imported into it)
     defined = sorted(
         name for name, value in vars(aesprg).items()

@@ -85,6 +85,10 @@ def test_program_file_errors():
             hwsim.parse_program(f"0000000\n{word}\n")
     with pytest.raises(InvalidInstructionError, match="26 bits"):
         hwsim.parse_program("4000000\n")
+    # a word is at most 7 hex digits, leading zeros included
+    for word in ("00000005", "000000000000000005"):
+        with pytest.raises(InvalidInstructionError, match="line 2"):
+            hwsim.parse_program(f"0000000\n{word}\n")
 
 
 def test_reserved_level_field():
@@ -323,6 +327,7 @@ def test_run_program_reference_cycles():
     assert (r.total_cycles, r.wrapper_cycles, r.rejsamp_cycles) == (8525, 4632, 3893)
     assert r.latency_seconds == pytest.approx(8525 / 222e6)
     assert res.vector.elems == rej_samp_prg(SEED, IV, SL1).elems
+    assert res.params == builtin_params(SecurityLevel.SL1)
 
 
 @pytest.mark.parametrize("cfg", [
@@ -382,6 +387,7 @@ def test_split_prg_then_rejsamp_equals_full():
     b = hwsim.run_program(hwsim.default_program(level), SEED, IV)
     assert a.vector.elems == b.vector.elems
     assert a.report == b.report
+    assert a.params == builtin_params(level)
 
 
 def test_nops_are_free():
@@ -397,6 +403,7 @@ def test_sl3_runs_at_default_depth():
     p3 = builtin_params(SecurityLevel.SL3)
     assert len(res.vector) == 5928
     assert res.vector.elems == rej_samp_prg(SEED, IV, p3).elems
+    assert res.params == p3
 
 
 def test_sl5_capacity_and_enlarged_run():
@@ -408,6 +415,7 @@ def test_sl5_capacity_and_enlarged_run():
     res = hwsim.run_program(prog, SEED, IV, mem_depth=1378)
     p5 = builtin_params(SecurityLevel.SL5)
     assert res.vector.elems == rej_samp_prg(SEED, IV, p5).elems
+    assert res.params == p5
 
 
 def _prog(*ops):

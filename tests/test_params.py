@@ -43,7 +43,6 @@ def test_at_most_one_partial_word(level):
 
 def test_mask_width_for_q127():
     p = builtin_params(SecurityLevel.SL1)
-    assert p.mask_bits == 7
     assert all((b & p.q) <= 127 for b in range(256))
 
 
