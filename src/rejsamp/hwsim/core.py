@@ -5,11 +5,11 @@ additive cycle decomposition of the modeled core (SL-I: 4632 + 3893 =
 8525 with the default calibration):
 
   AES-CTR wrapper   per 16-byte block: issue into the pipelined core,
-                    output ready after aes_latency cycles, drained as two
-                    64-bit word writes, plus per_block_overhead; one-time
-                    wrapper_setup_cycles covers seed staging and FSM
-                    warmup.  cycles = setup + blocks * (latency +
-                    writeback + overhead), blocks = ceil(tau/16).
+                    output ready after aes_latency cycles, drained in 2
+                    cycles as two 64-bit word writes (one per cycle), plus
+                    per_block_overhead; one-time wrapper_setup_cycles
+                    covers seed staging and FSM warmup.  cycles = setup +
+                    blocks * (latency + 2 + overhead), blocks = ceil(tau/16).
 
   RejSamp unit      per 16-byte group: 2 refill-read cycles + 1 parallel
                     validate cycle; 1 collect cycle per stream byte (tau
@@ -52,9 +52,8 @@ _HALVES = struct.Struct(">QQ")  # one cipher block as its two stream words
 
 @dataclass(frozen=True)
 class TimingConfig:
-    """Cycle-cost knobs; defaults calibrated against the reference totals."""
+    """Cycle-cost knobs; the 2-cycle drain of a block is fixed, not a knob."""
     aes_latency: int = 21
-    writeback_cycles: int = 2
     per_block_overhead: int = 2
     wrapper_setup_cycles: int = 57
     rejsamp_setup_cycles: int = 77
@@ -62,8 +61,8 @@ class TimingConfig:
     def __post_init__(self):
         if self.aes_latency < 1:
             raise ValueError("aes_latency must be at least 1 cycle")
-        for name in ("writeback_cycles", "per_block_overhead",
-                     "wrapper_setup_cycles", "rejsamp_setup_cycles"):
+        for name in ("per_block_overhead", "wrapper_setup_cycles",
+                     "rejsamp_setup_cycles"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
@@ -132,7 +131,7 @@ class AesCtrWrapper:
                 f"{p.required_mem_words}", required_words=p.required_mem_words)
         cfg = self.cfg
         round_keys = aesprg.expand_key(seed)
-        per_block = cfg.aes_latency + cfg.writeback_cycles + cfg.per_block_overhead
+        per_block = cfg.aes_latency + 2 + cfg.per_block_overhead  # 2: drain
         issue0 = start_cycle + cfg.wrapper_setup_cycles
         blocks = block_count(p)
         final = p.tau_addrs - 1

@@ -30,7 +30,7 @@ class CapacityError(HwSimError, RuntimeError):
 
 
 class SimulationFault(HwSimError, RuntimeError):
-    """Illegal same-cycle memory access pattern (write-write on one address)."""
+    """Memory access that breaks the one-access-per-port-per-cycle rule."""
 
 
 class PreconditionFault(HwSimError, RuntimeError):

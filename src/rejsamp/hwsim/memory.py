@@ -1,16 +1,18 @@
 """Dual-port 64-bit word memory with the run's trace log.
 
-Port A writes and port B reads, so one read and one write may land in the
-same cycle; two same-cycle writes to one address are a simulation fault,
-and so is a write to a cycle before the latest cycle already read. A
-written word becomes visible to reads from the following cycle onward.
-Words are held sparsely, so a deep memory costs nothing until it is
-written.
+Port A writes and port B reads, each at most once per cycle and in cycle
+order, so one read and one write may share a cycle. A write or read not
+after its port's last cycle is a simulation fault, and so is a write to a
+cycle before the latest cycle already read. A written word becomes visible
+to reads from the following cycle onward. Words are held sparsely, so a
+deep memory costs nothing until it is written.
 
 `log` holds trace rows (cycle, unit, event, addr, data) in the order they
 were logged: every read and write, plus the rows the functional units
 append for their own events.
 """
+
+from collections import deque
 
 from .errors import AddressError, SimulationFault
 
@@ -26,16 +28,12 @@ class MemoryModel:
         self.depth = depth
         self.words: dict[int, int] = {}  # sparse: unwritten words read 0
         self.log: list[tuple] = []  # (cycle, unit, event, addr, data) rows
-        self._pending: dict[tuple[int, int], int] = {}  # (cycle, addr) -> word
+        self._pending = deque()  # (cycle, addr, word), in cycle order
+        self._write_cycle = float("-inf")  # latest cycle written so far
         self._read_cycle = float("-inf")  # latest cycle read so far
 
     def _range_error(self, addr: int) -> AddressError:
         return AddressError(f"address {addr} out of range for depth {self.depth}")
-
-    def _commit_before(self, cycle: int):
-        pending = self._pending
-        for slot in sorted(s for s in pending if s[0] < cycle):
-            self.words[slot[1]] = pending.pop(slot)
 
     def write(self, addr: int, word: int, cycle: int,
               unit: str = "ctrl") -> None:
@@ -43,23 +41,26 @@ class MemoryModel:
             raise self._range_error(addr)
         if not 0 <= word < _WORD_LIMIT:
             raise ValueError(f"word {word:#x} does not fit in {WORD_BITS} bits")
-        slot = (cycle, addr)
-        if slot in self._pending:
-            raise SimulationFault(
-                f"write-write conflict at address {addr} in cycle {cycle}")
         if cycle < self._read_cycle:
             raise SimulationFault(f"write to cycle {cycle} after cycle "
                                   f"{self._read_cycle} was read")
-        self._pending[slot] = word
+        if cycle <= self._write_cycle:
+            raise SimulationFault(f"port A: write to cycle {cycle} after a "
+                                  f"write to cycle {self._write_cycle}")
+        self._write_cycle = cycle
+        self._pending.append((cycle, addr, word))
         self.log.append((cycle, unit, "write", addr, word))
 
     def read(self, addr: int, cycle: int, unit: str = "ctrl") -> int:
         if not 0 <= addr < self.depth:
             raise self._range_error(addr)
-        if cycle > self._read_cycle:
-            self._read_cycle = cycle
-            if self._pending:
-                self._commit_before(cycle)
+        if cycle <= self._read_cycle:
+            raise SimulationFault(f"port B: read in cycle {cycle} after a "
+                                  f"read in cycle {self._read_cycle}")
+        self._read_cycle = cycle
+        while self._pending and self._pending[0][0] < cycle:  # in cycle order
+            _, a, w = self._pending.popleft()
+            self.words[a] = w
         word = self.words.get(addr, 0)
         self.log.append((cycle, unit, "read", addr, word))
         return word
@@ -70,11 +71,11 @@ class MemoryModel:
             if not 0 <= addr < self.depth:
                 raise self._range_error(addr)
         latest = dict(self.words)
-        latest.update((a, w) for (_, a), w in sorted(self._pending.items()))
+        latest.update((a, w) for _, a, w in self._pending)
         return [latest.get(a, 0) for a in range(start, start + count)]
 
     def unwritten(self, start: int, count: int) -> list[int]:
         """Addresses in [start, start + count) that no write has targeted."""
-        pending = {a for _, a in self._pending}
+        pending = {a for _, a, _ in self._pending}
         return [a for a in range(start, start + count)
                 if a not in self.words and a not in pending]

@@ -36,7 +36,7 @@ class ParameterSet:
     m: int            # oil variables, l*M
     tau: int          # pseudorandom stream length in bytes
     n_prime: int      # target output length in field elements, l*V*M
-    lambda_bits: int  # security parameter (seed length in bits)
+    lambda_bits: int  # security level; tau keeps P[zero-fill] < 2^-lambda
 
     def __post_init__(self):
         if self.v != self.l * self.V or self.m != self.l * self.M:

@@ -147,13 +147,14 @@ def keystream_oracle(key, iv, n_bytes, nonce=b"\x00" * 8):
 # ---------------------------------------------------------------------------
 # Closed-form cycle counts of the two timed units, written from the timing
 # model's definition.  cfg is read by attribute only (any object with the
-# five TimingConfig fields).
+# four TimingConfig fields).
 
 
 def wrapper_cycles_oracle(tau, cfg):
-    """setup + blocks * (latency + writeback + overhead), blocks = ceil(tau/16)."""
+    """setup + blocks * (latency + 2 + overhead), blocks = ceil(tau/16): the
+    two cipher-output words drain through the one write port in 2 cycles."""
     blocks = -(-tau // 16)
-    per_block = cfg.aes_latency + cfg.writeback_cycles + cfg.per_block_overhead
+    per_block = cfg.aes_latency + 2 + cfg.per_block_overhead
     return cfg.wrapper_setup_cycles + blocks * per_block
 
 
@@ -161,3 +162,22 @@ def rejsamp_cycles_oracle(tau, n_prime, cfg):
     """setup + 3 cycles per 16-byte group + tau collects + ceil(n'/8) writes."""
     blocks = -(-tau // 16)
     return cfg.rejsamp_setup_cycles + 3 * blocks + tau + -(-n_prime // 8)
+
+
+# ---------------------------------------------------------------------------
+# The rule that fixes tau, from the sampler's definition.  The output is
+# zero-filled exactly when the R stream bytes that mask to q outnumber the
+# tau - n' spare bytes, and for q = 127 a byte masks to q with probability
+# 1/128, so R ~ Bin(tau, 1/128).
+
+
+def zero_fill_weight(tau, n_prime):
+    """128^tau * P[R > tau - n'] in exact integers: the sum over r of
+    C(tau, r) * 127^(tau - r).  The lower tail r <= tau - n' is summed
+    with the term ratio t(r+1) = t(r) * (tau - r) / ((r + 1) * 127), which
+    divides exactly, and taken from the whole 128^tau."""
+    term, lower = 127 ** tau, 0
+    for r in range(tau - n_prime + 1):
+        lower += term
+        term = term * (tau - r) // ((r + 1) * 127)
+    return 128 ** tau - lower

@@ -100,12 +100,10 @@ def test_c06_reference_cycle_counts_and_identity():
     assert (r.total_cycles, r.wrapper_cycles, r.rejsamp_cycles) == \
         (8525, 4632, 3893)
     configs = [hwsim.TimingConfig(),
-               hwsim.TimingConfig(aes_latency=5, writeback_cycles=1,
-                                  per_block_overhead=0,
+               hwsim.TimingConfig(aes_latency=5, per_block_overhead=0,
                                   wrapper_setup_cycles=3,
                                   rejsamp_setup_cycles=9),
-               hwsim.TimingConfig(aes_latency=40, writeback_cycles=4,
-                                  per_block_overhead=6,
+               hwsim.TimingConfig(aes_latency=40, per_block_overhead=8,
                                   wrapper_setup_cycles=100,
                                   rejsamp_setup_cycles=200)]
     for cfg in configs:

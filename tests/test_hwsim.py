@@ -127,31 +127,40 @@ def test_dual_port_same_cycle_write_and_read():
 def test_write_write_conflict_faults():
     mem = MemoryModel(16)
     mem.write(5, 1, cycle=7)
-    with pytest.raises(SimulationFault, match="write-write"):
+    with pytest.raises(SimulationFault,
+                       match="port A: write to cycle 7 after a write to cycle 7"):
         mem.write(5, 2, cycle=7)
-    # distinct addresses in one cycle are fine
-    mem.write(6, 2, cycle=7)
+    # port A takes one write per cycle, whatever the address
+    with pytest.raises(SimulationFault, match="port A"):
+        mem.write(6, 2, cycle=7)
+    mem.write(6, 2, cycle=8)
+    assert mem.peek_range(5, 2) == [1, 2]
 
 
 def test_write_behind_a_read_faults():
     mem = MemoryModel(16)
-    mem.write(5, 1, cycle=7)
-    assert mem.read(5, cycle=8) == 1  # commits the cycle-7 write
+    mem.write(5, 1, cycle=3)
+    assert mem.read(5, cycle=8) == 1  # commits the cycle-3 write
     with pytest.raises(SimulationFault,
                        match="write to cycle 7 after cycle 8 was read"):
         mem.write(5, 2, cycle=7)
     mem.write(5, 2, cycle=8)  # the read's own cycle is still open
-    assert mem.read(5, cycle=8) == 1
+    with pytest.raises(SimulationFault,
+                       match="port B: read in cycle 8 after a read in cycle 8"):
+        mem.read(5, cycle=8)  # port B already read in cycle 8
     assert mem.read(5, cycle=9) == 2
 
 
 def test_commit_follows_cycle_order():
-    # writes issued out of cycle order: the later cycle wins, as peek_range says
     mem = MemoryModel(16)
     mem.write(5, 1, cycle=4)
-    mem.write(5, 2, cycle=3)
-    assert mem.peek_range(5, 1) == [1]
+    with pytest.raises(SimulationFault, match="port A"):
+        mem.write(5, 2, cycle=3)  # writes arrive in cycle order
+    mem.write(5, 3, cycle=5)
+    # the later cycle wins, as peek_range says, and lands a cycle later
+    assert mem.peek_range(5, 1) == [3]
     assert mem.read(5, cycle=5) == 1
+    assert mem.read(5, cycle=6) == 3
 
 
 def test_unwritten_counts_pending_and_committed_writes():
@@ -176,8 +185,38 @@ def test_deep_memory_is_sparse():
     mem = MemoryModel(10**18)  # nothing is allocated per word
     mem.write(10**18 - 1, 7, cycle=0)
     assert mem.read(10**18 - 1, cycle=1) == 7
-    assert mem.read(12345, cycle=1) == 0
+    with pytest.raises(SimulationFault, match="port B"):
+        mem.read(12345, cycle=1)
+    assert mem.read(12345, cycle=2) == 0
     assert mem.peek_range(10**18 - 2, 2) == [0, 7]
+
+
+@pytest.mark.parametrize("accesses", [
+    [("write", 5, 7), ("write", 5, 7)],   # second write in one cycle
+    [("write", 5, 7), ("write", 6, 7)],   # ... to a different address
+    [("write", 5, 7), ("write", 6, 6)],   # write to an earlier cycle
+    [("read", 5, 7), ("read", 5, 7)],     # second read in one cycle
+    [("read", 5, 7), ("read", 6, 7)],     # ... of a different address
+    [("read", 5, 7), ("read", 5, 6)],     # read in an earlier cycle
+    [("read", 5, 7), ("write", 5, 6)],    # write behind a read
+], ids=["ww-same", "ww-other-addr", "w-earlier", "rr-same", "rr-other-addr",
+        "r-earlier", "w-behind-r"])
+def test_port_rule_faults(accesses):
+    mem = MemoryModel(16)
+    (kind, addr, cycle), (bad_kind, bad_addr, bad_cycle) = accesses
+    if kind == "write":
+        mem.write(addr, 1, cycle=cycle)
+    else:
+        mem.read(addr, cycle=cycle)
+    with pytest.raises(SimulationFault):
+        if bad_kind == "write":
+            mem.write(bad_addr, 2, cycle=bad_cycle)
+        else:
+            mem.read(bad_addr, cycle=bad_cycle)
+    # the faulting access leaves no trace
+    assert len(mem.log) == 1
+    assert mem.peek_range(0, 16) == [int(kind == "write" and a == addr)
+                                     for a in range(16)]
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +347,8 @@ def test_rejsamp_unit_matches_golden_adversarial(level, density):
                     else rng.randrange(256) for _ in range(p.tau))
         mem = MemoryModel(p.tau_addrs)
         for a, w in enumerate(words_from_bytes(raw)):
-            mem.write(a, w, cycle=0)
-        hwsim.RejSampUnit(TimingConfig()).run(p, mem, start_cycle=1)
+            mem.write(a, w, cycle=a)
+        hwsim.RejSampUnit(TimingConfig()).run(p, mem, start_cycle=p.tau_addrs)
         out = bytes_from_words(mem.peek_range(0, p.out_addrs), p.n_prime)
         assert out == rej_samp(raw, p.tau, p.n_prime, p.q).to_bytes()
         # the spare tail runs dry (zero-fill) whenever q-bytes are dense
@@ -332,9 +371,9 @@ def test_run_program_reference_cycles():
 
 @pytest.mark.parametrize("cfg", [
     TimingConfig(),
-    TimingConfig(aes_latency=1, writeback_cycles=0, per_block_overhead=0,
+    TimingConfig(aes_latency=1, per_block_overhead=0,
                  wrapper_setup_cycles=0, rejsamp_setup_cycles=0),
-    TimingConfig(aes_latency=30, writeback_cycles=5, per_block_overhead=7,
+    TimingConfig(aes_latency=30, per_block_overhead=10,
                  wrapper_setup_cycles=11, rejsamp_setup_cycles=13),
 ])
 @pytest.mark.parametrize("level", [SecurityLevel.SL1, SecurityLevel.SL3])
@@ -372,6 +411,42 @@ def test_no_write_write_conflicts_in_full_run():
     res = hwsim.run_program(hwsim.default_program(SecurityLevel.SL1), SEED, IV)
     writes = [(r[0], r[3]) for r in res.mem.log if r[2] == "write"]
     assert len(writes) == len(set(writes))
+
+
+def _split_program(level):
+    """Separate RUN_PRG and RUN_REJSAMP runs, seed at words 3-4, one NOP."""
+    return [
+        hwsim.assemble(Opcode.LOAD_SEED, level, waddr=3, wen=1),
+        hwsim.assemble(Opcode.LOAD_SEED, level, waddr=4, wen=1),
+        hwsim.assemble(Opcode.NOP, level),
+        hwsim.assemble(Opcode.RUN_PRG, level),
+        hwsim.assemble(Opcode.RUN_REJSAMP, level),
+        hwsim.assemble(Opcode.READ_RESULT, level, raddr=0),
+    ]
+
+
+@pytest.mark.parametrize("program", [hwsim.default_program, _split_program],
+                         ids=["default", "split"])
+@pytest.mark.parametrize("level", [SecurityLevel.SL1, SecurityLevel.SL3],
+                         ids=lambda l: l.value)
+@settings(max_examples=8, deadline=None)
+@given(cfg=st.builds(TimingConfig, aes_latency=st.integers(1, 40),
+                     per_block_overhead=st.integers(0, 8),
+                     wrapper_setup_cycles=st.integers(0, 100),
+                     rejsamp_setup_cycles=st.integers(0, 100)))
+def test_schedule_fits_the_memory_ports(program, level, cfg):
+    res = hwsim.run_program(program(level), SEED, IV, cfg=cfg)
+    log, report = res.mem.log, res.report
+    accesses = [(row[0], row[2]) for row in log
+                if row[2] in ("read", "write")]
+    assert len(accesses) == len(set(accesses))  # one read, one write a cycle
+    # each unit's rows lie inside the span it reports, the drain included
+    start = min(row[0] for row in log if row[1] == "wrapper")
+    last_write = max(row[0] for row in log if row[1:3] == ("wrapper", "write"))
+    assert start <= last_write < start + report.wrapper_cycles
+    sampler = [row[0] for row in log if row[1] == "rejsamp"]
+    assert start + report.wrapper_cycles <= min(sampler)
+    assert max(sampler) < start + report.total_cycles
 
 
 def test_split_prg_then_rejsamp_equals_full():

@@ -1,9 +1,11 @@
 import json
+from math import comb
 
 import pytest
 
 from rejsamp.params import (ParameterSet, SecurityLevel, builtin_params,
                             is_mersenne, level_from_number)
+from oracles import zero_fill_weight
 
 PUBLISHED = {
     SecurityLevel.SL1: dict(q=127, l=3, V=52, M=18, v=156, m=54,
@@ -13,6 +15,11 @@ PUBLISHED = {
     SecurityLevel.SL5: dict(q=127, l=3, V=102, M=35, v=306, m=105,
                             tau=11018, n_prime=10710),
 }
+
+# (tau, n', lambda) per level, written out so the tau rule below is checked
+# apart from the package
+TAU_RULE = {"SL1": (2916, 2808, 128), "SL3": (6123, 5928, 192),
+            "SL5": (11018, 10710, 256)}
 
 ADDR_PAIRS = {
     SecurityLevel.SL1: (365, 351),
@@ -79,3 +86,25 @@ def test_level_from_number():
     assert level_from_number(3) is SecurityLevel.SL3
     with pytest.raises(ValueError):
         level_from_number(2)
+
+
+@pytest.mark.parametrize("tau,n_prime", [(1, 1), (2, 1), (5, 2), (7, 7),
+                                         (30, 20)])
+def test_zero_fill_weight_matches_binomial_sum(tau, n_prime):
+    assert zero_fill_weight(tau, n_prime) == sum(
+        comb(tau, r) * 127 ** (tau - r)
+        for r in range(tau - n_prime + 1, tau + 1))
+
+
+@pytest.mark.parametrize("level", sorted(TAU_RULE))
+def test_tau_is_shortest_stream_below_zero_fill_bound(level):
+    # P[zero-fill] = weight / 128^tau < 2^-lambda at tau, not at tau - 1
+    tau, n_prime, lam = TAU_RULE[level]
+    assert zero_fill_weight(tau, n_prime) << lam < 1 << 7 * tau
+    assert zero_fill_weight(tau - 1, n_prime) << lam >= 1 << 7 * (tau - 1)
+
+
+@pytest.mark.parametrize("level", list(SecurityLevel))
+def test_builtin_levels_follow_tau_rule(level):
+    p = builtin_params(level)
+    assert (p.tau, p.n_prime, p.lambda_bits) == TAU_RULE[level.value]

@@ -71,6 +71,18 @@ def test_positional_stability(data):
             assert out.elems[j] == masked[j]
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_zero_fill_exactly_when_rejects_exceed_spares(data):
+    # the event the tau rule bounds: more q-bytes than the tau - n' spares
+    tau = data.draw(st.integers(min_value=1, max_value=64))
+    n_prime = data.draw(st.integers(min_value=1, max_value=tau))
+    byte = st.one_of(st.sampled_from([0x7F, 0xFF]), st.integers(0, 255))
+    raw = bytes(data.draw(st.lists(byte, min_size=tau, max_size=tau)))
+    s = rejection_stats(raw, tau, n_prime, 127)
+    assert (s.zero_filled > 0) == (s.masked_to_q > tau - n_prime)
+
+
 def test_replacement_order_exhaustive_two_symbols():
     # every valid/rejected pattern for small tau, against the transcription
     valid, reject = 0x05, 0x7F
