@@ -106,7 +106,10 @@ def _cmd_simulate(args) -> int:
     else:
         words = hwsim.default_program(level_from_number(args.level))
     result = hwsim.run_program(words, args.seed, args.iv,
-                               mem_depth=args.mem_depth, freq_hz=args.freq)
+                               mem_depth=args.mem_depth)
+    report = result.report.to_json_dict()
+    report["freq_hz"] = args.freq
+    report["latency_us"] = fom.latency(report["total_cycles"], args.freq) * 1e6
     if args.trace:
         with open(args.trace, "w") as f:
             f.write("cycle,unit,event,addr,data\n")
@@ -117,7 +120,7 @@ def _cmd_simulate(args) -> int:
     if args.out:
         _write_vector(result.vector, args.out, args.format)
     # files first: a report on stdout must mean every output was written
-    sys.stdout.write(json.dumps(result.report.to_json_dict()) + "\n")
+    sys.stdout.write(json.dumps(report) + "\n")
     if not args.no_self_check:
         golden = rej_samp_prg(args.seed, args.iv, result.params)
         if result.vector.elems != golden.elems:
@@ -160,21 +163,7 @@ def _cmd_fom(args) -> int:
                 raise ValueError("metrics file is nested too deeply") from None
     else:
         doc = fom.REFERENCE_INPUTS
-    if not isinstance(doc, dict) or not isinstance(doc.get("platforms"), list):
-        raise ValueError('metrics file must be an object with a "platforms" '
-                         'list')
-    extra = set(doc) - {"platforms", "scale_to_nm", "lut_area_um2"}
-    if extra:
-        raise ValueError(f"unknown metrics file field(s) {sorted(extra)}")
-    if doc.get("scale_to_nm") is not None:
-        fom.check_number("scale_to_nm", doc["scale_to_nm"])
-    lut_area_um2 = doc.get("lut_area_um2", 1.0)
-    fom.check_number("lut_area_um2", lut_area_um2)
-    if lut_area_um2 <= 0:
-        raise ValueError(f"lut_area_um2 must be positive, got {lut_area_um2!r}")
-    metrics = [fom.metrics_from_dict(e) for e in doc["platforms"]]
-    report = fom.fom_report(metrics, scale_to_nm=doc.get("scale_to_nm"),
-                            lut_area_um2=lut_area_um2)
+    report = fom.report_from_doc(doc)
     for warning in report["warnings"]:
         print(f"warning: {warning}", file=sys.stderr)
     text = (fom.report_to_csv(report) if args.format == "csv"

@@ -49,15 +49,21 @@ class PlatformMetrics:
         if self.kind is PlatformKind.ASIC:
             if self.area_um2 is None or self.luts is not None:
                 raise ValueError("ASIC metrics need area_um2 and no luts")
+            if self.area_um2 <= 0:
+                raise ValueError("area_um2 must be positive")
         else:
             if self.luts is None or self.area_um2 is not None:
                 raise ValueError("FPGA metrics need luts and no area_um2")
+            if self.luts <= 0 or not float(self.luts).is_integer():
+                raise ValueError("luts must be a positive whole number")
         if self.cpd_ns <= 0:
             raise ValueError("cpd_ns must be positive")
         if self.power_mw < 0:
             raise ValueError("power_mw must be non-negative")
         if self.tech_nm <= 0:
             raise ValueError("tech_nm must be positive")
+        if self.power_listed_w is not None and self.power_listed_w < 0:
+            raise ValueError("power_listed_w must be non-negative")
 
     @property
     def cpd_seconds(self) -> float:
@@ -107,10 +113,16 @@ def scaled_fpga_adp(m: PlatformMetrics, to_nm: float,
 
 
 def latency(cycles: int, freq_hz: float) -> float:
-    """Wall-clock seconds for a cycle count at a clock frequency."""
-    if freq_hz <= 0:
-        raise ValueError("frequency must be positive")
-    return cycles / freq_hz
+    """Wall-clock seconds for a cycle count at a clock frequency that is
+    positive, finite and high enough for a finite latency in microseconds."""
+    if not 0 < freq_hz < math.inf:
+        raise ValueError(f"frequency must be positive and finite, got "
+                         f"{freq_hz}")
+    seconds = cycles / freq_hz
+    if not math.isfinite(seconds * 1e6):
+        raise ValueError(f"frequency {freq_hz} Hz is too low for a finite "
+                         f"latency")
+    return seconds
 
 
 def format_sig(x: float, sig: int = 3) -> str:
@@ -218,6 +230,27 @@ def fom_report(metrics: list[PlatformMetrics], scale_to_nm: float | None = None,
                               f"{m.tech_nm:g} nm",
             })
     return {"rows": rows, "warnings": warnings}
+
+
+def report_from_doc(doc) -> dict:
+    """The report for a metrics document: an object with a "platforms"
+    list of entries for metrics_from_dict and the optional scale_to_nm
+    and lut_area_um2 (default 1.0, positive) passed on to fom_report."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("platforms"), list):
+        raise ValueError('metrics file must be an object with a "platforms" '
+                         'list')
+    extra = set(doc) - {"platforms", "scale_to_nm", "lut_area_um2"}
+    if extra:
+        raise ValueError(f"unknown metrics file field(s) {sorted(extra)}")
+    if doc.get("scale_to_nm") is not None:
+        check_number("scale_to_nm", doc["scale_to_nm"])
+    lut_area_um2 = doc.get("lut_area_um2", 1.0)
+    check_number("lut_area_um2", lut_area_um2)
+    if lut_area_um2 <= 0:
+        raise ValueError(f"lut_area_um2 must be positive, got {lut_area_um2!r}")
+    metrics = [metrics_from_dict(e) for e in doc["platforms"]]
+    return fom_report(metrics, scale_to_nm=doc.get("scale_to_nm"),
+                      lut_area_um2=lut_area_um2)
 
 
 def _csv_field(value) -> str:

@@ -22,6 +22,13 @@ defaults are solved so the SL-I totals reproduce the reference cycle
 counts exactly.  The unit scans the full stream (no data-dependent early
 stop), which is what makes the counts seed-independent.
 
+Program: two LOAD_SEED, then RUN_FULL or RUN_PRG, RUN_REJSAMP, then
+READ_RESULT, with NOPs anywhere (they cost nothing).  Every accepted
+program runs one straight-line schedule: seed writes at cycles 0-1, B1
+staging reads at cycles 2-3 with the wrapper starting at cycle 2, the
+sampler from the wrapper's last cycle, then the host drain.  Reports are
+in cycles only; the simulator knows no clock.
+
 Memory map (in place): seed words land wherever LOAD_SEED points (words
 0-1 in the default program) and are captured into B1 before the keystream
 [0, ceil(tau/8)) overwrites them; the packed output [0, ceil(n'/8)) then
@@ -33,11 +40,10 @@ themselves; the wrapper adds an issue row per block and the sampler a
 done row at its last write.
 """
 
-import math
 import struct
 from dataclasses import dataclass
 
-from .. import aesprg, fom
+from .. import aesprg
 from ..packing import words_from_bytes, bytes_from_words
 from ..params import (BYTES_PER_WORD, ParameterSet, SecurityLevel,
                       builtin_params)
@@ -69,39 +75,25 @@ class TimingConfig:
 
 @dataclass(frozen=True)
 class CycleReport:
-    """Per-unit and total cycle counts with the derived wall-clock latency.
+    """Per-unit cycle counts; the total is derived, never stored.
 
     Totals cover the two functional units only; seed staging and result
     drain appear in the trace but are host/control work outside the
-    measured window.
+    measured window.  The simulator knows no clock: a caller converts
+    cycles to time with `fom.latency` at the frequency it chooses.
     """
     wrapper_cycles: int
     rejsamp_cycles: int
-    freq_hz: float
-
-    def __post_init__(self):
-        if not 0 < self.freq_hz < math.inf:
-            raise ValueError(f"frequency must be positive and finite, got "
-                             f"{self.freq_hz}")
-        if not math.isfinite(self.latency_seconds * 1e6):  # latency_us
-            raise ValueError(f"frequency {self.freq_hz} Hz is too low for a "
-                             f"finite latency")
 
     @property
     def total_cycles(self) -> int:
         return self.wrapper_cycles + self.rejsamp_cycles
-
-    @property
-    def latency_seconds(self) -> float:
-        return fom.latency(self.total_cycles, self.freq_hz)
 
     def to_json_dict(self) -> dict:
         return {
             "total_cycles": self.total_cycles,
             "wrapper_cycles": self.wrapper_cycles,
             "rejsamp_cycles": self.rejsamp_cycles,
-            "freq_hz": self.freq_hz,
-            "latency_us": self.latency_seconds * 1e6,
         }
 
 
@@ -220,8 +212,18 @@ class ProgramResult:
         return sorted(self.mem.log, key=lambda r: (r[0], r[1], r[2]))
 
 
-def _validate_program(program: list[Instruction]) -> SecurityLevel:
-    """Check a decoded program against the ISA rules; returns its level."""
+# The op sequences, NOPs dropped, that produce a sampled vector.
+_SHAPES = (
+    (Opcode.LOAD_SEED, Opcode.LOAD_SEED, Opcode.RUN_FULL, Opcode.READ_RESULT),
+    (Opcode.LOAD_SEED, Opcode.LOAD_SEED, Opcode.RUN_PRG, Opcode.RUN_REJSAMP,
+     Opcode.READ_RESULT),
+)
+
+
+def _validate_program(
+        program: list[Instruction]) -> tuple[SecurityLevel, int, int]:
+    """Check a decoded program against the ISA rules; returns its level,
+    the address of its first seed word and its result drain address."""
     if not program:
         raise ProgramError("empty program")
     active = [ins for ins in program if ins.op != Opcode.NOP]
@@ -231,47 +233,32 @@ def _validate_program(program: list[Instruction]) -> SecurityLevel:
     if len(levels) > 1:
         raise ProgramError(f"mixed security-level fields {sorted(levels)}")
     level = active[0].security_level()  # raises for the reserved encoding
-
-    loads = [ins for ins in active if ins.op == Opcode.LOAD_SEED]
-    if len(loads) != 2:
-        raise ProgramError(f"need exactly 2 LOAD_SEED for the 16-byte seed, "
-                           f"got {len(loads)}")
-    if any(ins.wen != 1 for ins in loads):
+    ops = tuple(ins.op for ins in active)
+    if ops not in _SHAPES:
+        raise ProgramError(
+            f"program runs {', '.join(op.name for op in ops)}; a program is "
+            f"2 LOAD_SEED, then RUN_FULL or RUN_PRG, RUN_REJSAMP, then "
+            f"READ_RESULT (NOPs anywhere)")
+    load0, load1 = active[:2]
+    if load0.wen != 1 or load1.wen != 1:
         raise ProgramError("LOAD_SEED requires wen=1")
-    if loads[1].waddr != loads[0].waddr + 1:
+    if load1.waddr != load0.waddr + 1:
         raise ProgramError("LOAD_SEED words must target consecutive addresses")
-    if any(ins.wen for ins in active if ins.op != Opcode.LOAD_SEED):
+    if any(ins.wen for ins in active[2:]):
         raise ProgramError("wen set on a non-LOAD_SEED instruction")
-
-    first_run = next((i for i, ins in enumerate(active)
-                      if ins.op in (Opcode.RUN_PRG, Opcode.RUN_REJSAMP,
-                                    Opcode.RUN_FULL)), None)
-    if first_run is None:
-        raise ProgramError("no RUN_PRG/RUN_REJSAMP/RUN_FULL instruction")
-    if any(ins.op == Opcode.LOAD_SEED for ins in active[first_run:]):
-        raise ProgramError("LOAD_SEED must precede every RUN instruction")
-
-    reads = [i for i, ins in enumerate(active) if ins.op == Opcode.READ_RESULT]
-    if len(reads) != 1:
-        raise ProgramError("need exactly one READ_RESULT")
-    if reads[0] != len(active) - 1:
-        raise ProgramError("READ_RESULT must be the last instruction")
-    if not any(ins.op in (Opcode.RUN_REJSAMP, Opcode.RUN_FULL)
-               for ins in active[:reads[0]]):
-        raise ProgramError("READ_RESULT before any sampling run")
-    return level
+    return level, load0.waddr, active[-1].raddr
 
 
 def run_program(words: list[int], seed: bytes, iv: bytes,
                 cfg: TimingConfig | None = None,
-                mem_depth: int = DEFAULT_DEPTH,
-                freq_hz: float = 222e6) -> ProgramResult:
-    """Decode and execute a sequence of instruction words; returns the
-    cycle report, the sampled vector, the memory with its trace log and
-    the parameter set the program ran."""
+                mem_depth: int = DEFAULT_DEPTH) -> ProgramResult:
+    """Decode and check a program of instruction words, then run the one
+    schedule every accepted program has (see the module docstring).
+    Returns the cycle report, the sampled vector, the memory with its
+    trace log and the parameter set the program ran."""
     cfg = cfg or TimingConfig()
-    program = [decode(w) for w in words]
-    level = _validate_program(program)
+    level, seed_addr, drain_addr = _validate_program(
+        [decode(w) for w in words])
     p = builtin_params(level)
     mem = MemoryModel(mem_depth)  # rejects a depth that is not positive
     if mem_depth < p.required_mem_words:
@@ -282,43 +269,19 @@ def run_program(words: list[int], seed: bytes, iv: bytes,
             required_words=p.required_mem_words)
     aesprg.check_key(seed)
 
-    cycle = 0
-    wrapper_cycles = 0
-    rejsamp_cycles = 0
-    seed_base = None
-    seed_chunks = iter((seed[:8], seed[8:]))
-    vector = None
-    for ins in program:  # a NOP matches no branch
-        if ins.op == Opcode.LOAD_SEED:
-            if seed_base is None:
-                seed_base = ins.waddr
-            word = int.from_bytes(next(seed_chunks), "big")
-            mem.write(ins.waddr, word, cycle=cycle, unit="ctrl")
-            cycle += 1
-        if ins.op in (Opcode.RUN_PRG, Opcode.RUN_FULL):
-            # B1 staging: the wrapper pulls the seed back out of memory.
-            staged = b"".join(
-                mem.read(seed_base + i, cycle=cycle + i,
-                         unit="wrapper").to_bytes(8, "big")
-                for i in range(2))
-            used = AesCtrWrapper(cfg).run(staged, iv, p, mem,
-                                          start_cycle=cycle)
-            wrapper_cycles += used
-            cycle += used
-        if ins.op in (Opcode.RUN_REJSAMP, Opcode.RUN_FULL):
-            used = RejSampUnit(cfg).run(p, mem, start_cycle=cycle)
-            rejsamp_cycles += used
-            cycle += used
-        if ins.op == Opcode.READ_RESULT:
-            drain = [mem.read(ins.raddr + w, cycle=cycle + w,
-                              unit="host") for w in range(p.out_addrs)]
-            cycle += p.out_addrs
-            vector = FieldVector(tuple(bytes_from_words(drain, p.n_prime)), p.q)
-    assert vector is not None  # guaranteed by _validate_program
-
-    report = CycleReport(
-        wrapper_cycles=wrapper_cycles,
-        rejsamp_cycles=rejsamp_cycles,
-        freq_hz=freq_hz,
-    )
+    for i, word in enumerate(words_from_bytes(seed)):  # LOAD_SEED
+        mem.write(seed_addr + i, word, cycle=i, unit="ctrl")
+    # B1 staging: the wrapper pulls the seed back out of memory.
+    staged = bytes_from_words(
+        [mem.read(seed_addr + i, cycle=2 + i, unit="wrapper")
+         for i in range(2)], aesprg.KEY_BYTES)
+    wrapper_cycles = AesCtrWrapper(cfg).run(staged, iv, p, mem, start_cycle=2)
+    cycle = 2 + wrapper_cycles
+    rejsamp_cycles = RejSampUnit(cfg).run(p, mem, start_cycle=cycle)
+    cycle += rejsamp_cycles
+    drain = [mem.read(drain_addr + w, cycle=cycle + w, unit="host")
+             for w in range(p.out_addrs)]
+    vector = FieldVector(tuple(bytes_from_words(drain, p.n_prime)), p.q)
+    report = CycleReport(wrapper_cycles=wrapper_cycles,
+                         rejsamp_cycles=rejsamp_cycles)
     return ProgramResult(report=report, vector=vector, mem=mem, params=p)

@@ -10,7 +10,8 @@ class InvalidInstructionError(HwSimError, ValueError):
 
 
 class ProgramError(HwSimError, ValueError):
-    """Instruction sequence violates the required ordering rules."""
+    """Instruction sequence is not an accepted program shape, or breaks a
+    LOAD_SEED or wen rule."""
 
 
 class UnsupportedLevelError(HwSimError, ValueError):

@@ -129,9 +129,7 @@ def test_c07_latency_arithmetic():
 
 
 def test_c08_fom_table_reproduction():
-    metrics = [fom.metrics_from_dict(e)
-               for e in fom.REFERENCE_INPUTS["platforms"]]
-    rep = fom.fom_report(metrics, scale_to_nm=65, lut_area_um2=1.0)
+    rep = fom.report_from_doc(fom.REFERENCE_INPUTS)
     cells = {(r["platform"], r["adp_unit"]): (r["adp_3sf"], r["pdp_3sf"])
              for r in rep["rows"]}
     assert cells[("ASIC (65 nm)", fom.UM2_S)] == ("8.23e-04", "2.28e-10")
@@ -159,7 +157,7 @@ def test_c10_hardware_measurements_are_inputs_only():
     # measured provenance, and nothing in the package computes them
     doc = fom.REFERENCE_INPUTS
     metrics = [fom.metrics_from_dict(e) for e in doc["platforms"]]
-    rep = fom.fom_report(metrics, scale_to_nm=doc["scale_to_nm"])
+    rep = fom.report_from_doc(doc)
     direct = [r for r in rep["rows"] if "tech-scaled" not in r["platform"]]
     for row, m in zip(direct, metrics, strict=True):
         assert "measured" in row["provenance"]

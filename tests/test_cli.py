@@ -83,6 +83,20 @@ def test_simulate_report_and_self_check(capsys, tmp_path):
     assert len(rows) > 700
 
 
+@pytest.mark.parametrize("freq,line", [
+    ((), '{"total_cycles": 8525, "wrapper_cycles": 4632, "rejsamp_cycles": '
+         '3893, "freq_hz": 222000000.0, "latency_us": 38.4009009009009}\n'),
+    (("--freq", "565e6"),
+     '{"total_cycles": 8525, "wrapper_cycles": 4632, "rejsamp_cycles": '
+     '3893, "freq_hz": 565000000.0, "latency_us": 15.08849557522124}\n'),
+], ids=["default-freq", "565MHz"])
+def test_simulate_report_line_pinned(freq, line, capsys):
+    # key order, float text and the latency derived at --freq
+    assert run_cli("simulate", "--level", "1", "--seed", SEED_HEX,
+                   "--iv", "0001", *freq) == 0
+    assert capsys.readouterr().out == line
+
+
 def test_simulate_trace_pinned(tmp_path, capsys):
     # any drift in the simulated schedule or the access log changes the CSV
     trace = tmp_path / "trace.csv"
@@ -176,7 +190,12 @@ def test_simulate_bad_freq_exit2(freq, capsys):
      (0, 0, 0, 0, "RUN_FULL"), (0, 674, 0, 0, "READ_RESULT")],
     [(0, 0, 1022, 1, "LOAD_SEED"), (0, 0, 1023, 1, "LOAD_SEED"),
      (0, 0, 0, 0, "RUN_FULL"), (0, 0, 0, 0, "READ_RESULT")],
-], ids=["sample-before-keystream", "drain-past-depth", "seed-past-depth"])
+    # a second keystream run would be keyed with the first one's words
+    [(0, 0, 0, 1, "LOAD_SEED"), (0, 0, 1, 1, "LOAD_SEED"),
+     (0, 0, 0, 0, "RUN_PRG"), (0, 0, 0, 0, "RUN_PRG"),
+     (0, 0, 0, 0, "RUN_REJSAMP"), (0, 0, 0, 0, "READ_RESULT")],
+], ids=["sample-before-keystream", "drain-past-depth", "seed-past-depth",
+        "second-keystream-run"])
 def test_simulate_faulting_program_exit2(ops, tmp_path, capsys):
     prog = tmp_path / "prog.hex"
     prog.write_text(hwsim.format_program([
@@ -297,9 +316,16 @@ FPGA = {"kind": "FPGA", "luts": 10, "cpd_ns": 1.0, "power_mw": 1.0,
     {"platforms": [FPGA], "scale_to_mn": 65},
     {"platforms": [FPGA], "scale_to_nm": 65, "lut_area_um2": -2},
     {"platforms": [FPGA], "scale_to_nm": 65, "lut_area_um2": None},
+    {"platforms": [{"kind": "ASIC", "area_um2": -100, "cpd_ns": 1.0,
+                    "power_mw": 1.0, "tech_nm": 65}]},
+    {"platforms": [dict(FPGA, luts=-7.5)]},
+    {"platforms": [dict(FPGA, luts=2.5)]},
+    {"platforms": [dict(FPGA, power_listed_w=-1)]},
 ], ids=["entry-not-an-object", "non-numeric-field", "non-numeric-scale",
         "platforms-not-a-list", "list-name", "number-name",
-        "unknown-top-level-field", "negative-lut-area", "null-lut-area"])
+        "unknown-top-level-field", "negative-lut-area", "null-lut-area",
+        "negative-area", "negative-luts", "fractional-luts",
+        "negative-listed-power"])
 def test_fom_malformed_entry_exit2(doc, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))

@@ -35,15 +35,26 @@ def test_package_imports_only_itself_and_the_stdlib():
     assert foreign == []
 
 
-@pytest.mark.parametrize("module", ["rejsamp.fom", "rejsamp.params"])
-def test_importing_a_layer_loads_only_that_layer(module):
-    # a fresh interpreter, so that no other test's imports are counted
+def _loaded_by(module):
+    """The rejsamp modules that importing module loads, in a fresh
+    interpreter, so that no other test's imports are counted."""
     code = (f"import sys, {module}; print(*sorted(m for m in sys.modules "
             f"if m.split('.')[0] == 'rejsamp'))")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.split() == ["rejsamp", module]
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.split()
+
+
+@pytest.mark.parametrize("module", ["rejsamp.fom", "rejsamp.params"])
+def test_importing_a_layer_loads_only_that_layer(module):
+    assert _loaded_by(module) == ["rejsamp", module]
+
+
+def test_simulator_loads_no_layer_above_it():
+    # the simulator counts cycles; time, the CLI and KAT files sit above it
+    loaded = _loaded_by("rejsamp.hwsim")
+    assert "rejsamp.hwsim.core" in loaded
+    assert not {"rejsamp.fom", "rejsamp.kat", "rejsamp.cli"} & set(loaded)
 
 
 def test_public_surface_is_pinned():

@@ -77,8 +77,12 @@ def test_latency_reference_values(cycles, freq, quoted):
 
 
 def test_latency_validation():
-    with pytest.raises(ValueError):
-        latency(100, 0)
+    for freq in (0, -1e6, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            latency(100, freq)
+    # finite seconds, but the latency in microseconds overflows
+    with pytest.raises(ValueError, match="too low"):
+        latency(8525, 1e-300)
 
 
 def test_metrics_validation():
@@ -138,7 +142,5 @@ def test_metrics_from_dict_schema():
 
 
 def test_reference_inputs_reproduce_table():
-    ms = [metrics_from_dict(e) for e in fom.REFERENCE_INPUTS["platforms"]]
-    rep = fom_report(ms, scale_to_nm=fom.REFERENCE_INPUTS["scale_to_nm"],
-                     lut_area_um2=fom.REFERENCE_INPUTS["lut_area_um2"])
+    rep = fom.report_from_doc(fom.REFERENCE_INPUTS)
     assert len(rep["rows"]) == 3 and len(rep["warnings"]) == 1
