@@ -46,6 +46,15 @@ _seed_arg = _hex_arg("seed", aesprg.KEY_BYTES)
 _iv_arg = _hex_arg("iv", aesprg.IV_BYTES)
 
 
+def _emit(text: str, path: str | None) -> None:
+    """Write text to path, or to stdout when no path is given."""
+    if path:
+        with open(path, "w") as f:
+            f.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _write_vector(vec: FieldVector, path: str, fmt: str):
     if fmt == "bin":
         with open(path, "wb") as f:
@@ -70,11 +79,7 @@ def _cmd_params(args) -> int:
         out[p.sec_level.value] = d
     text = json.dumps(out if len(levels) > 1 else out[next(iter(out))],
                       indent=2) + "\n"
-    if args.params_out:
-        with open(args.params_out, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(text, args.params_out)
     return EXIT_OK
 
 
@@ -134,13 +139,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_kat(args) -> int:
     if args.kat_mode == "generate":
-        text = kat.generate_kat(args.seed, args.iv, args.level,
-                                count=args.count)
-        if args.out:
-            with open(args.out, "w") as f:
-                f.write(text)
-        else:
-            sys.stdout.write(text)
+        _emit(kat.generate_kat(args.seed, args.iv, args.level,
+                               count=args.count), args.out)
         return EXIT_OK
     with open(args.path) as f:
         records = kat.parse_kat(f.read())
@@ -166,13 +166,8 @@ def _cmd_fom(args) -> int:
     report = fom.report_from_doc(doc)
     for warning in report["warnings"]:
         print(f"warning: {warning}", file=sys.stderr)
-    text = (fom.report_to_csv(report) if args.format == "csv"
-            else json.dumps(report, indent=2) + "\n")
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(fom.report_to_csv(report) if args.format == "csv"
+          else json.dumps(report, indent=2) + "\n", args.out)
     return EXIT_OK
 
 

@@ -197,6 +197,19 @@ def metrics_from_dict(entry: dict) -> PlatformMetrics:
         raise ValueError(f"platform entry missing field {e}") from None
 
 
+def _row(platform: str, m: PlatformMetrics, a: Quantity, p: Quantity,
+         provenance: str) -> dict:
+    """One report row: the platform's ADP a and PDP p with their units."""
+    return {
+        "platform": platform,
+        "kind": m.kind.value,
+        "cpd_ns": m.cpd_ns,
+        "adp": a.value, "adp_unit": a.unit, "adp_3sf": format_sig(a.value),
+        "pdp": p.value, "pdp_unit": p.unit, "pdp_3sf": format_sig(p.value),
+        "provenance": provenance,
+    }
+
+
 def fom_report(metrics: list[PlatformMetrics], scale_to_nm: float | None = None,
                lut_area_um2: float = 1.0) -> dict:
     """A comparison-table-shaped report: one row per platform plus a
@@ -204,31 +217,18 @@ def fom_report(metrics: list[PlatformMetrics], scale_to_nm: float | None = None,
     rows = []
     warnings = []
     for m in metrics:
-        a, p = adp(m), pdp(m)
-        rows.append({
-            "platform": m.name or m.kind.value,
-            "kind": m.kind.value,
-            "cpd_ns": m.cpd_ns,
-            "adp": a.value, "adp_unit": a.unit, "adp_3sf": format_sig(a.value),
-            "pdp": p.value, "pdp_unit": p.unit, "pdp_3sf": format_sig(p.value),
-            "provenance": "inputs measured; products derived",
-        })
+        p = pdp(m)
+        rows.append(_row(m.name or m.kind.value, m, adp(m), p,
+                         "inputs measured; products derived"))
         w = m.unit_warning()
         if w:
             warnings.append(w)
         if m.kind is PlatformKind.FPGA and scale_to_nm is not None:
-            s = scaled_fpga_adp(m, scale_to_nm, lut_area_um2)
-            rows.append({
-                "platform": f"{m.name or 'FPGA'} (tech-scaled to "
-                            f"{scale_to_nm:g} nm)",
-                "kind": m.kind.value,
-                "cpd_ns": m.cpd_ns,
-                "adp": s.value, "adp_unit": s.unit, "adp_3sf": format_sig(s.value),
-                "pdp": p.value, "pdp_unit": p.unit, "pdp_3sf": format_sig(p.value),
-                "provenance": f"scaled with (to/from)^2 assuming "
-                              f"{lut_area_um2:g} um^2 per LUT at "
-                              f"{m.tech_nm:g} nm",
-            })
+            rows.append(_row(
+                f"{m.name or 'FPGA'} (tech-scaled to {scale_to_nm:g} nm)", m,
+                scaled_fpga_adp(m, scale_to_nm, lut_area_um2), p,
+                f"scaled with (to/from)^2 assuming {lut_area_um2:g} um^2 per "
+                f"LUT at {m.tech_nm:g} nm"))
     return {"rows": rows, "warnings": warnings}
 
 

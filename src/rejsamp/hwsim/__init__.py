@@ -1,20 +1,16 @@
 """Cycle-level simulator of the sampling coprocessor."""
 
-from .core import (AesCtrWrapper, CycleReport, ProgramResult, RejSampUnit,
-                   TimingConfig, run_program)
+from .core import CycleReport, ProgramResult, TimingConfig, run_program
 from .errors import (CapacityError, HwSimError, InvalidInstructionError,
-                     PreconditionFault, ProgramError, SimulationFault,
-                     UnsupportedLevelError)
+                     ProgramError, SimulationFault, UnsupportedLevelError)
 from .isa import (Instruction, Opcode, assemble, decode, default_program,
                   encode, format_program, parse_program)
 from .memory import MemoryModel
 
 __all__ = [
-    "AesCtrWrapper", "CycleReport", "ProgramResult", "RejSampUnit",
-    "TimingConfig", "run_program",
+    "CycleReport", "ProgramResult", "TimingConfig", "run_program",
     "CapacityError", "HwSimError", "InvalidInstructionError",
-    "PreconditionFault", "ProgramError", "SimulationFault",
-    "UnsupportedLevelError",
+    "ProgramError", "SimulationFault", "UnsupportedLevelError",
     "Instruction", "Opcode", "assemble", "decode", "default_program",
     "encode", "format_program", "parse_program",
     "MemoryModel",

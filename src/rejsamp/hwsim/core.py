@@ -23,17 +23,20 @@ counts exactly.  The unit scans the full stream (no data-dependent early
 stop), which is what makes the counts seed-independent.
 
 Program: two LOAD_SEED, then RUN_FULL or RUN_PRG, RUN_REJSAMP, then
-READ_RESULT, with NOPs anywhere (they cost nothing).  Every accepted
-program runs one straight-line schedule: seed writes at cycles 0-1, B1
-staging reads at cycles 2-3 with the wrapper starting at cycle 2, the
-sampler from the wrapper's last cycle, then the host drain.  Reports are
-in cycles only; the simulator knows no clock.
+READ_RESULT with raddr 0, with NOPs anywhere (they cost nothing).  Every
+accepted program runs one straight-line schedule: seed writes at cycles
+0-1, B1 staging reads at cycles 2-3 with the wrapper starting at cycle 2,
+the sampler from the wrapper's last cycle, then the host drain.  Reports
+are in cycles only; the simulator knows no clock.
 
-Memory map (in place): seed words land wherever LOAD_SEED points (words
-0-1 in the default program) and are captured into B1 before the keystream
-[0, ceil(tau/8)) overwrites them; the packed output [0, ceil(n'/8)) then
-overwrites the consumed stream head.  The largest region ever live is the
-keystream, so the required depth is exactly ceil(tau/8).
+Memory map (in place): seed words land at the two consecutive LOAD_SEED
+addresses (words 0-1 in the default program) and are captured into B1
+before the keystream [0, ceil(tau/8)) overwrites them; the packed output
+[0, ceil(n'/8)) then overwrites the consumed stream head, and the host
+drains it from word 0.  The largest region ever live is the keystream, so
+the required depth is exactly ceil(tau/8).  run_program alone knows this
+map: it checks the depth once, and the units assume the schedule (the
+wrapper writes every keystream word before the sampler reads one).
 
 Trace: the memory's log is the run's one trace.  Reads and writes log
 themselves; the wrapper adds an issue row per block and the sampler a
@@ -48,7 +51,7 @@ from ..packing import words_from_bytes, bytes_from_words
 from ..params import (BYTES_PER_WORD, ParameterSet, SecurityLevel,
                       builtin_params)
 from ..sampler import FieldVector
-from .errors import CapacityError, PreconditionFault, ProgramError
+from .errors import CapacityError, ProgramError
 from .isa import Instruction, Opcode, decode
 from .memory import DEFAULT_DEPTH, MemoryModel
 
@@ -106,7 +109,8 @@ class AesCtrWrapper:
 
     Each block's cipher output (B2) is drained as two 64-bit words on
     consecutive cycles starting aes_latency cycles after issue.  Stream
-    bytes past tau are zeroed in the final word.
+    bytes past tau are zeroed in the final word.  It fills words
+    [0, ceil(tau/8)), which run_program has checked the memory holds.
     """
 
     def __init__(self, cfg: TimingConfig):
@@ -116,11 +120,6 @@ class AesCtrWrapper:
             start_cycle: int = 0) -> int:
         """Generate and store the keystream, logging an issue row per block;
         returns the cycles the block schedule spans from start_cycle."""
-        if mem.depth < p.tau_addrs:
-            raise CapacityError(
-                f"memory depth {mem.depth} cannot hold the {p.tau_addrs}-word "
-                f"keystream for {p.sec_level.value}; required depth "
-                f"{p.required_mem_words}", required_words=p.required_mem_words)
         cfg = self.cfg
         round_keys = aesprg.expand_key(seed)
         per_block = cfg.aes_latency + 2 + cfg.per_block_overhead  # 2: drain
@@ -151,7 +150,8 @@ class RejSampUnit:
     bytes from the spare tail queue up in arrival order and patch rejected
     head positions, which keeps the result bit-identical to the literal
     (position-preserving) algorithm while the hardware-style datapath
-    streams the words once.
+    streams the words once.  It reads the keystream the wrapper wrote
+    earlier in run_program's schedule.
     """
 
     def __init__(self, cfg: TimingConfig):
@@ -161,12 +161,6 @@ class RejSampUnit:
         """Sample the stored keystream into packed output words in place,
         logging a done row at the last write; returns the cycles the
         schedule spans from start_cycle."""
-        missing = mem.unwritten(0, p.tau_addrs)
-        if missing:
-            raise PreconditionFault(
-                f"keystream region underfilled: {len(missing)} of "
-                f"{p.tau_addrs} words never written (first missing "
-                f"address {missing[0]})")
         q = p.q
         mask = bytes(b & q for b in range(256))
         rejected = bytes([q])
@@ -221,9 +215,9 @@ _SHAPES = (
 
 
 def _validate_program(
-        program: list[Instruction]) -> tuple[SecurityLevel, int, int]:
-    """Check a decoded program against the ISA rules; returns its level,
-    the address of its first seed word and its result drain address."""
+        program: list[Instruction]) -> tuple[SecurityLevel, int]:
+    """Check a decoded program against the ISA rules; returns its level
+    and the address of its first seed word."""
     if not program:
         raise ProgramError("empty program")
     active = [ins for ins in program if ins.op != Opcode.NOP]
@@ -246,7 +240,10 @@ def _validate_program(
         raise ProgramError("LOAD_SEED words must target consecutive addresses")
     if any(ins.wen for ins in active[2:]):
         raise ProgramError("wen set on a non-LOAD_SEED instruction")
-    return level, load0.waddr, active[-1].raddr
+    if active[-1].raddr != 0:
+        raise ProgramError(f"READ_RESULT raddr is {active[-1].raddr}; the "
+                           f"result is drained from word 0, so raddr must be 0")
+    return level, load0.waddr
 
 
 def run_program(words: list[int], seed: bytes, iv: bytes,
@@ -257,16 +254,14 @@ def run_program(words: list[int], seed: bytes, iv: bytes,
     Returns the cycle report, the sampled vector, the memory with its
     trace log and the parameter set the program ran."""
     cfg = cfg or TimingConfig()
-    level, seed_addr, drain_addr = _validate_program(
-        [decode(w) for w in words])
+    level, seed_addr = _validate_program([decode(w) for w in words])
     p = builtin_params(level)
     mem = MemoryModel(mem_depth)  # rejects a depth that is not positive
     if mem_depth < p.required_mem_words:
         raise CapacityError(
             f"{level.value} needs {p.required_mem_words} memory words for "
             f"the keystream region but the memory holds {mem_depth}; rerun "
-            f"with depth >= {p.required_mem_words}",
-            required_words=p.required_mem_words)
+            f"with depth >= {p.required_mem_words}")
     aesprg.check_key(seed)
 
     for i, word in enumerate(words_from_bytes(seed)):  # LOAD_SEED
@@ -279,7 +274,7 @@ def run_program(words: list[int], seed: bytes, iv: bytes,
     cycle = 2 + wrapper_cycles
     rejsamp_cycles = RejSampUnit(cfg).run(p, mem, start_cycle=cycle)
     cycle += rejsamp_cycles
-    drain = [mem.read(drain_addr + w, cycle=cycle + w, unit="host")
+    drain = [mem.read(w, cycle=cycle + w, unit="host")
              for w in range(p.out_addrs)]
     vector = FieldVector(tuple(bytes_from_words(drain, p.n_prime)), p.q)
     report = CycleReport(wrapper_cycles=wrapper_cycles,

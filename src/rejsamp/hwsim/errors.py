@@ -11,7 +11,7 @@ class InvalidInstructionError(HwSimError, ValueError):
 
 class ProgramError(HwSimError, ValueError):
     """Instruction sequence is not an accepted program shape, or breaks a
-    LOAD_SEED or wen rule."""
+    LOAD_SEED, wen or READ_RESULT raddr rule."""
 
 
 class UnsupportedLevelError(HwSimError, ValueError):
@@ -25,14 +25,6 @@ class AddressError(HwSimError, IndexError):
 class CapacityError(HwSimError, RuntimeError):
     """Memory too small for the selected parameter set."""
 
-    def __init__(self, message: str, required_words: int):
-        super().__init__(message)
-        self.required_words = required_words
-
 
 class SimulationFault(HwSimError, RuntimeError):
     """Memory access that breaks the one-access-per-port-per-cycle rule."""
-
-
-class PreconditionFault(HwSimError, RuntimeError):
-    """Functional unit started without its required memory region populated."""

@@ -4,7 +4,8 @@ Field layout, decoded LSB first (bit 0 is the least significant bit):
 
     bits  1:0   sec_level  2-bit security-level selector (0=SL1, 1=SL3, 2=SL5,
                            3 reserved; rejected at execution, not decode)
-    bits 11:2   raddr      10-bit read address (result drain base)
+    bits 11:2   raddr      10-bit read address; READ_RESULT requires 0 (the
+                           result is drained from word 0)
     bits 21:12  waddr      10-bit write address (seed preload target)
     bit  22     wen        write enable for seed preloads
     bits 25:23  op         3-bit opcode

@@ -26,7 +26,7 @@ class MemoryModel:
         if depth <= 0:
             raise ValueError("memory depth must be positive")
         self.depth = depth
-        self.words: dict[int, int] = {}  # sparse: unwritten words read 0
+        self.words: dict[int, int] = {}  # sparse: a word never written reads 0
         self.log: list[tuple] = []  # (cycle, unit, event, addr, data) rows
         self._pending = deque()  # (cycle, addr, word), in cycle order
         self._write_cycle = float("-inf")  # latest cycle written so far
@@ -73,9 +73,3 @@ class MemoryModel:
         latest = dict(self.words)
         latest.update((a, w) for _, a, w in self._pending)
         return [latest.get(a, 0) for a in range(start, start + count)]
-
-    def unwritten(self, start: int, count: int) -> list[int]:
-        """Addresses in [start, start + count) that no write has targeted."""
-        pending = {a for _, a, _ in self._pending}
-        return [a for a in range(start, start + count)
-                if a not in self.words and a not in pending]

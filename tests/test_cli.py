@@ -194,8 +194,13 @@ def test_simulate_bad_freq_exit2(freq, capsys):
     [(0, 0, 0, 1, "LOAD_SEED"), (0, 0, 1, 1, "LOAD_SEED"),
      (0, 0, 0, 0, "RUN_PRG"), (0, 0, 0, 0, "RUN_PRG"),
      (0, 0, 0, 0, "RUN_REJSAMP"), (0, 0, 0, 0, "READ_RESULT")],
+    # the result sits at word 0: inside it, and past the output region
+    [(0, 0, 0, 1, "LOAD_SEED"), (0, 0, 1, 1, "LOAD_SEED"),
+     (0, 0, 0, 0, "RUN_FULL"), (0, 5, 0, 0, "READ_RESULT")],
+    [(0, 0, 0, 1, "LOAD_SEED"), (0, 0, 1, 1, "LOAD_SEED"),
+     (0, 0, 0, 0, "RUN_FULL"), (0, 400, 0, 0, "READ_RESULT")],
 ], ids=["sample-before-keystream", "drain-past-depth", "seed-past-depth",
-        "second-keystream-run"])
+        "second-keystream-run", "drain-at-word-5", "drain-at-word-400"])
 def test_simulate_faulting_program_exit2(ops, tmp_path, capsys):
     prog = tmp_path / "prog.hex"
     prog.write_text(hwsim.format_program([
@@ -205,6 +210,9 @@ def test_simulate_faulting_program_exit2(ops, tmp_path, capsys):
                    "--iv", "0001", "--mem-depth", "1023") == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    if ops[-1][1]:  # a non-zero drain address
+        assert "READ_RESULT" in captured.err
 
 
 def test_simulate_missing_level_usage(capsys):

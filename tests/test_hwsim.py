@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from rejsamp import aesprg, hwsim
 from rejsamp.hwsim import (CapacityError, Instruction, InvalidInstructionError,
-                           MemoryModel, Opcode, PreconditionFault,
-                           ProgramError, SimulationFault, TimingConfig,
-                           UnsupportedLevelError)
+                           MemoryModel, Opcode, ProgramError, SimulationFault,
+                           TimingConfig, UnsupportedLevelError)
+from rejsamp.hwsim.core import AesCtrWrapper, RejSampUnit
 from rejsamp.packing import bytes_from_words, words_from_bytes
 from rejsamp.params import SecurityLevel, builtin_params
 from rejsamp.sampler import rej_samp, rej_samp_prg, rejection_stats
@@ -163,14 +163,6 @@ def test_commit_follows_cycle_order():
     assert mem.read(5, cycle=6) == 3
 
 
-def test_unwritten_counts_pending_and_committed_writes():
-    mem = MemoryModel(16)
-    mem.write(1, 0, cycle=0)
-    mem.read(0, cycle=1)  # commits the write to address 1
-    mem.write(3, 0, cycle=1)  # still pending
-    assert mem.unwritten(0, 5) == [0, 2, 4]
-
-
 def test_address_and_word_validation():
     mem = MemoryModel(16)
     with pytest.raises(IndexError):
@@ -226,7 +218,7 @@ def test_port_rule_faults(accesses):
 def _keystream_mem(seed=SEED, iv=IV, p=SL1):
     """Memory holding the keystream, and the wrapper's cycle count."""
     mem = MemoryModel(max(1024, p.required_mem_words))
-    cycles = hwsim.AesCtrWrapper(TimingConfig()).run(seed, iv, p, mem)
+    cycles = AesCtrWrapper(TimingConfig()).run(seed, iv, p, mem)
     return mem, cycles
 
 
@@ -259,7 +251,7 @@ def test_wrapper_memory_matches_keystream():
 
 def test_wrapper_block_count_events():
     mem = MemoryModel(1024)
-    hwsim.AesCtrWrapper(TimingConfig()).run(SEED, IV, SL1, mem)
+    AesCtrWrapper(TimingConfig()).run(SEED, IV, SL1, mem)
     issues = [r for r in mem.log if r[2] == "issue"]
     assert len(issues) == 183
 
@@ -267,7 +259,7 @@ def test_wrapper_block_count_events():
 def test_pipeline_latency_from_log():
     mem = MemoryModel(1024)
     cfg = TimingConfig()
-    hwsim.AesCtrWrapper(cfg).run(SEED, IV, SL1, mem, start_cycle=0)
+    AesCtrWrapper(cfg).run(SEED, IV, SL1, mem, start_cycle=0)
     first_issue = min(r[0] for r in mem.log if r[2] == "issue")
     first_write = min(r[0] for r in mem.log if r[2] == "write")
     assert first_write - first_issue == cfg.aes_latency
@@ -280,14 +272,8 @@ def test_pipeline_latency_from_log():
 def test_wrapper_rejects_bad_nonce_and_iv(iv):
     mem = MemoryModel(1024)
     with pytest.raises(ValueError, match="iv"):
-        hwsim.AesCtrWrapper(TimingConfig()).run(SEED, iv, SL1, mem)
+        AesCtrWrapper(TimingConfig()).run(SEED, iv, SL1, mem)
     assert mem.log == []
-
-
-def test_wrapper_capacity_error():
-    with pytest.raises(CapacityError) as ei:
-        hwsim.AesCtrWrapper(TimingConfig()).run(SEED, IV, SL1, MemoryModel(364))
-    assert ei.value.required_words == 365
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +283,7 @@ def test_wrapper_capacity_error():
 def test_rejsamp_unit_cycles_and_oracle():
     mem, start = _keystream_mem()
     raw = bytes_from_words(mem.peek_range(0, SL1.tau_addrs), SL1.tau)
-    cycles = hwsim.RejSampUnit(TimingConfig()).run(SL1, mem, start_cycle=start)
+    cycles = RejSampUnit(TimingConfig()).run(SL1, mem, start_cycle=start)
     assert cycles == 3893
     out_writes = [r for r in mem.log if r[1:3] == ("rejsamp", "write")]
     assert len(out_writes) == 351
@@ -309,19 +295,8 @@ def test_rejsamp_unit_matches_golden_random_seeds(case):
     rng = random.Random(1000 + case)
     seed, iv = rng.randbytes(16), rng.randbytes(2)
     mem, start = _keystream_mem(seed, iv)
-    hwsim.RejSampUnit(TimingConfig()).run(SL1, mem, start_cycle=start)
+    RejSampUnit(TimingConfig()).run(SL1, mem, start_cycle=start)
     assert _output_bytes(mem) == rej_samp_prg(seed, iv, SL1).to_bytes()
-
-
-def test_rejsamp_unit_precondition_fault():
-    unit = hwsim.RejSampUnit(TimingConfig())
-    with pytest.raises(PreconditionFault, match="underfilled"):
-        unit.run(SL1, MemoryModel(1024))
-    mem = MemoryModel(1024)
-    for a in range(SL1.tau_addrs - 1):  # one word short
-        mem.write(a, 0, cycle=a)
-    with pytest.raises(PreconditionFault, match="364"):
-        unit.run(SL1, mem, start_cycle=SL1.tau_addrs)
 
 
 def test_rejsamp_unit_zero_fill_path():
@@ -330,7 +305,7 @@ def test_rejsamp_unit_zero_fill_path():
     stream = b"\xff" * SL1.tau
     for a, w in enumerate(words_from_bytes(stream)):
         mem.write(a, w, cycle=a)
-    hwsim.RejSampUnit(TimingConfig()).run(SL1, mem, start_cycle=SL1.tau_addrs)
+    RejSampUnit(TimingConfig()).run(SL1, mem, start_cycle=SL1.tau_addrs)
     assert set(_output_bytes(mem)) == {0}
 
 
@@ -348,7 +323,7 @@ def test_rejsamp_unit_matches_golden_adversarial(level, density):
         mem = MemoryModel(p.tau_addrs)
         for a, w in enumerate(words_from_bytes(raw)):
             mem.write(a, w, cycle=a)
-        hwsim.RejSampUnit(TimingConfig()).run(p, mem, start_cycle=p.tau_addrs)
+        RejSampUnit(TimingConfig()).run(p, mem, start_cycle=p.tau_addrs)
         out = bytes_from_words(mem.peek_range(0, p.out_addrs), p.n_prime)
         assert out == rej_samp(raw, p.tau, p.n_prime, p.q).to_bytes()
         # the spare tail runs dry (zero-fill) whenever q-bytes are dense
@@ -482,10 +457,8 @@ def test_sl3_runs_at_default_depth():
 
 def test_sl5_capacity_and_enlarged_run():
     prog = hwsim.default_program(SecurityLevel.SL5)
-    with pytest.raises(CapacityError) as ei:
+    with pytest.raises(CapacityError, match="1378"):
         hwsim.run_program(prog, SEED, IV)
-    assert ei.value.required_words == 1378
-    assert "1378" in str(ei.value)
     res = hwsim.run_program(prog, SEED, IV, mem_depth=1378)
     p5 = builtin_params(SecurityLevel.SL5)
     assert res.vector.elems == rej_samp_prg(SEED, IV, p5).elems
@@ -533,6 +506,11 @@ def test_program_order_errors():
     with pytest.raises(ProgramError, match=SHAPE_ERROR):
         hwsim.run_program(_prog(ld0, ld1,
                                 Instruction(0, 0, 0, 0, Opcode.RUN_PRG), rd),
+                          SEED, IV)
+    # the result sits at word 0: any other drain address is a program error
+    with pytest.raises(ProgramError, match="READ_RESULT raddr is 5"):
+        hwsim.run_program(_prog(ld0, ld1, run,
+                                Instruction(0, 5, 0, 0, Opcode.READ_RESULT)),
                           SEED, IV)
 
 
