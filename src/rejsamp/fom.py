@@ -95,7 +95,8 @@ def scale_area(area: Quantity, from_nm: float, to_nm: float) -> Quantity:
     """Classical technology scaling: area x (to/from)^2, unit preserved."""
     if from_nm <= 0 or to_nm <= 0:
         raise ValueError("process nodes must be positive")
-    return Quantity(area.value * (to_nm / from_nm) ** 2, area.unit)
+    ratio = to_nm / from_nm  # squared by multiplying: overflow gives inf
+    return Quantity(area.value * ratio * ratio, area.unit)
 
 
 def scaled_fpga_adp(m: PlatformMetrics, to_nm: float,
@@ -199,7 +200,10 @@ def metrics_from_dict(entry: dict) -> PlatformMetrics:
 
 def _row(platform: str, m: PlatformMetrics, a: Quantity, p: Quantity,
          provenance: str) -> dict:
-    """One report row: the platform's ADP a and PDP p with their units."""
+    """One report row: the platform's finite ADP a and PDP p with units."""
+    for label, q in (("ADP", a), ("PDP", p)):
+        if not math.isfinite(q.value):
+            raise ValueError(f"{platform}: {label} {q.value} is not finite")
     return {
         "platform": platform,
         "kind": m.kind.value,
@@ -234,22 +238,25 @@ def fom_report(metrics: list[PlatformMetrics], scale_to_nm: float | None = None,
 
 def report_from_doc(doc) -> dict:
     """The report for a metrics document: an object with a "platforms"
-    list of entries for metrics_from_dict and the optional scale_to_nm
-    and lut_area_um2 (default 1.0, positive) passed on to fom_report."""
+    list of entries for metrics_from_dict and the optional positive
+    scale_to_nm and lut_area_um2 (default 1.0) passed on to fom_report."""
     if not isinstance(doc, dict) or not isinstance(doc.get("platforms"), list):
         raise ValueError('metrics file must be an object with a "platforms" '
                          'list')
     extra = set(doc) - {"platforms", "scale_to_nm", "lut_area_um2"}
     if extra:
         raise ValueError(f"unknown metrics file field(s) {sorted(extra)}")
-    if doc.get("scale_to_nm") is not None:
-        check_number("scale_to_nm", doc["scale_to_nm"])
+    scale_to_nm = doc.get("scale_to_nm")
+    if scale_to_nm is not None:
+        check_number("scale_to_nm", scale_to_nm)
+        if scale_to_nm <= 0:
+            raise ValueError(f"scale_to_nm must be positive, got {scale_to_nm}")
     lut_area_um2 = doc.get("lut_area_um2", 1.0)
     check_number("lut_area_um2", lut_area_um2)
     if lut_area_um2 <= 0:
         raise ValueError(f"lut_area_um2 must be positive, got {lut_area_um2!r}")
     metrics = [metrics_from_dict(e) for e in doc["platforms"]]
-    return fom_report(metrics, scale_to_nm=doc.get("scale_to_nm"),
+    return fom_report(metrics, scale_to_nm=scale_to_nm,
                       lut_area_um2=lut_area_um2)
 
 

@@ -20,7 +20,10 @@ additive cycle decomposition of the modeled core (SL-I: 4632 + 3893 =
 The per-state costs are a calibrated model, not measured RTL: the setup
 defaults are solved so the SL-I totals reproduce the reference cycle
 counts exactly.  The unit scans the full stream (no data-dependent early
-stop), which is what makes the counts seed-independent.
+stop), so no cycle depends on the data.  Each unit's loop is therefore
+only its schedule, per block or group (issue rows, reads and writes at
+their cycles); its datapath runs once over the whole stream, with
+`packing` turning bytes into words, and its output is a per-block run's.
 
 Program: two LOAD_SEED, then RUN_FULL or RUN_PRG, RUN_REJSAMP, then
 READ_RESULT with raddr 0, with NOPs anywhere (they cost nothing).  Every
@@ -43,7 +46,6 @@ themselves; the wrapper adds an issue row per block and the sampler a
 done row at its last write.
 """
 
-import struct
 from dataclasses import dataclass
 
 from .. import aesprg
@@ -56,7 +58,6 @@ from .isa import Instruction, Opcode, decode
 from .memory import DEFAULT_DEPTH, MemoryModel
 
 GROUP_BYTES = 16  # shift-register width: two 64-bit words
-_HALVES = struct.Struct(">QQ")  # one cipher block as its two stream words
 
 
 @dataclass(frozen=True)
@@ -107,10 +108,12 @@ def block_count(p: ParameterSet) -> int:
 class AesCtrWrapper:
     """Block-serial CTR wrapper around the pipelined cipher core.
 
-    Each block's cipher output (B2) is drained as two 64-bit words on
-    consecutive cycles starting aes_latency cycles after issue.  Stream
-    bytes past tau are zeroed in the final word.  It fills words
-    [0, ceil(tau/8)), which run_program has checked the memory holds.
+    Schedule, per block: issue into the core, then aes_latency cycles
+    later drain its cipher output (B2) as two 64-bit words on consecutive
+    cycles.  Datapath, once over the stream: the first tau bytes of cipher
+    output are packed into words, the final one zero-padded.  It fills
+    words [0, ceil(tau/8)), which run_program has checked the memory
+    holds.
     """
 
     def __init__(self, cfg: TimingConfig):
@@ -125,33 +128,28 @@ class AesCtrWrapper:
         per_block = cfg.aes_latency + 2 + cfg.per_block_overhead  # 2: drain
         issue0 = start_cycle + cfg.wrapper_setup_cycles
         blocks = block_count(p)
-        final = p.tau_addrs - 1
-        pad_bits = 8 * (p.tau_addrs * BYTES_PER_WORD - p.tau)
+        stream = bytearray()
         for b, counter in enumerate(aesprg.ctr_blocks(iv, blocks)):
-            issue = issue0 + b * per_block
-            mem.log.append((issue, "wrapper", "issue", b, None))
-            b2 = aesprg.encrypt_block_expanded(round_keys, counter)
-            ready = issue + cfg.aes_latency
-            for half, word in enumerate(_HALVES.unpack(b2)):
-                addr = 2 * b + half
-                if addr > final:
-                    break  # final block only partially inside the stream
-                if addr == final:
-                    word = word >> pad_bits << pad_bits  # zero past tau
-                mem.write(addr, word, cycle=ready + half, unit="wrapper")
+            mem.log.append((issue0 + b * per_block, "wrapper", "issue", b,
+                            None))
+            stream += aesprg.encrypt_block_expanded(round_keys, counter)
+        ready0 = issue0 + cfg.aes_latency
+        for a, word in enumerate(words_from_bytes(stream[:p.tau])):
+            mem.write(a, word, cycle=ready0 + (a // 2) * per_block + a % 2,
+                      unit="wrapper")
         return issue0 + blocks * per_block - start_cycle
 
 
 class RejSampUnit:
     """Streaming rejection-sampling unit.
 
-    The 16-byte shift register refills from two word reads; all resident
-    bytes are masked and compared against q in one validate cycle.  Valid
-    bytes from the spare tail queue up in arrival order and patch rejected
-    head positions, which keeps the result bit-identical to the literal
-    (position-preserving) algorithm while the hardware-style datapath
-    streams the words once.  It reads the keystream the wrapper wrote
-    earlier in run_program's schedule.
+    Schedule, per 16-byte group: two refill reads, one validate cycle
+    (mask and compare against q) and one collect cycle per byte.
+    Datapath, once over the stream read back: valid bytes from the spare
+    tail queue up in arrival order and patch rejected head positions,
+    which keeps the result bit-identical to the literal
+    (position-preserving) algorithm.  It reads the keystream the wrapper
+    wrote earlier in run_program's schedule.
     """
 
     def __init__(self, cfg: TimingConfig):
@@ -163,23 +161,17 @@ class RejSampUnit:
         schedule spans from start_cycle."""
         q = p.q
         mask = bytes(b & q for b in range(256))
-        rejected = bytes([q])
         cycle = start_cycle + self.cfg.rejsamp_setup_cycles
-        out = bytearray()       # masked values of the first n' positions
-        spares = bytearray()    # valid tail values, in stream order
+        words = []
         for g in range(block_count(p)):
-            addr = 2 * g         # refill: two word reads
-            group = mem.read(addr, cycle=cycle,
-                             unit="rejsamp").to_bytes(BYTES_PER_WORD, "big")
-            if addr + 1 < p.tau_addrs:
-                group += mem.read(addr + 1, cycle=cycle + 1,
-                                  unit="rejsamp").to_bytes(BYTES_PER_WORD, "big")
             in_group = min(GROUP_BYTES, p.tau - g * GROUP_BYTES)
-            masked = group[:in_group].translate(mask)   # validate
-            split = max(0, p.n_prime - g * GROUP_BYTES)
-            out += masked[:split]                       # collect
-            spares += masked[split:].replace(rejected, b"")
+            for i in range(-(-in_group // BYTES_PER_WORD)):  # refill
+                words.append(mem.read(2 * g + i, cycle=cycle + i,
+                                      unit="rejsamp"))
             cycle += 3 + in_group    # refill, validate, one collect per byte
+        masked = bytes_from_words(words, p.tau).translate(mask)  # validate
+        out = bytearray(masked[:p.n_prime])  # collect: the first n' values
+        spares = masked[p.n_prime:].replace(bytes([q]), b"")  # valid tail
         used = 0
         j = out.find(q)
         while j >= 0:            # patch rejected head positions in order

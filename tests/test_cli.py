@@ -312,6 +312,7 @@ def test_fom_schema_violation_exit2(tmp_path, capsys):
 
 FPGA = {"kind": "FPGA", "luts": 10, "cpd_ns": 1.0, "power_mw": 1.0,
         "tech_nm": 28}
+ASIC = {"kind": "ASIC", "cpd_ns": 1.0, "power_mw": 1.0, "tech_nm": 65}
 
 
 @pytest.mark.parametrize("doc", [
@@ -329,17 +330,25 @@ FPGA = {"kind": "FPGA", "luts": 10, "cpd_ns": 1.0, "power_mw": 1.0,
     {"platforms": [dict(FPGA, luts=-7.5)]},
     {"platforms": [dict(FPGA, luts=2.5)]},
     {"platforms": [dict(FPGA, power_listed_w=-1)]},
+    {"platforms": [dict(ASIC, area_um2=10.0)], "scale_to_nm": -5},
+    {"platforms": [], "scale_to_nm": 0},
+    {"platforms": [FPGA], "scale_to_nm": 1e200},
+    {"platforms": [dict(ASIC, area_um2=1e308, cpd_ns=1e308)]},
 ], ids=["entry-not-an-object", "non-numeric-field", "non-numeric-scale",
         "platforms-not-a-list", "list-name", "number-name",
         "unknown-top-level-field", "negative-lut-area", "null-lut-area",
         "negative-area", "negative-luts", "fractional-luts",
-        "negative-listed-power"])
+        "negative-listed-power", "asic-only-negative-scale",
+        "empty-platforms-zero-scale", "scaled-area-overflow",
+        "asic-adp-overflow"])
 def test_fom_malformed_entry_exit2(doc, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    assert run_cli("fom", str(path)) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    for fmt in ("json", "csv"):
+        assert run_cli("fom", str(path), "--format", fmt) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -82,7 +82,8 @@ json_value = st.recursive(
     json_leaf, lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=6)
 metric = st.one_of(st.floats(min_value=1e-3, max_value=1e6),
-                   st.integers(1, 10**6), json_leaf)
+                   st.integers(1, 10**6),
+                   st.sampled_from([1e308, 1e200, 1e-308]), json_leaf)
 platform = st.fixed_dictionaries(
     {"kind": st.sampled_from(["ASIC", "FPGA", "FPGA", "ASIC", "GPU"]),
      "cpd_ns": metric, "power_mw": metric, "tech_nm": metric},

@@ -152,6 +152,16 @@ def test_field_vector_packing_roundtrip():
     assert FieldVector(tuple(back), 127).elems == elems
 
 
+@given(data=st.binary(max_size=64))
+def test_packing_matches_chunk_oracle(data):
+    words = words_from_bytes(data)
+    assert words == [int.from_bytes(data[i:i + 8].ljust(8, b"\0"), "big")
+                     for i in range(0, len(data), 8)]
+    assert bytes_from_words(words, len(data)) == data
+    with pytest.raises(ValueError, match="hold"):
+        bytes_from_words(words, 8 * len(words) + 1)
+
+
 def test_field_vector_packed_words_msb_first():
     fv = FieldVector((1, 2, 3, 4, 5, 6, 7, 8, 9), 127)
     words = words_from_bytes(fv.to_packed_bytes())
