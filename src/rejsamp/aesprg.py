@@ -1,13 +1,17 @@
 """AES-128 block cipher and the CTR keystream used as the sampler's PRG.
 
-The cipher is functional only and has no notion of cycles. It is the
-32-bit T-table formulation of FIPS-197 (Daemen & Rijmen, The Design of
-Rijndael, 4.2). The state is held as 16 bytes; rounds 1..9 compute each
-output column as four table lookups XORed with the round-key word, and
-ShiftRows is just the choice of state bytes fed to those lookups. The
-final round applies the S-box alone. The hwsim wrapper calls expand_key
-once per run and encrypt_block_expanded once per block.
-No hardcoded lookup tables: the S-box, the T-tables and the round
+The cipher is functional only and has no notion of cycles. It encrypts
+every block of one CTR run in a single call, byte-sliced across the
+blocks (Kasper & Schwabe, "Faster and Timing-Attack Resistant AES-GCM",
+CHES 2009): lane j is an int holding state byte j of every block. Each
+table lookup is one bytes.translate over a whole lane, the one-lookup-
+per-lane idea of Hamburg ("Accelerating AES with Vector Permute
+Instructions", CHES 2009). SubBytes translates a lane through the S-box
+and through 2*S(x), which MixColumns needs; ShiftRows is the choice of
+lanes each output column reads; AddRoundKey XORs a key byte broadcast
+across the lane. The hwsim wrapper and keystream call expand_key once per
+run and encrypt_block_expanded once over all of the run's counter blocks.
+No hardcoded lookup tables: the S-box, its doubled copy and the round
 constants are derived from the field arithmetic at import.
 
 Counter block layout (16 bytes), fixed as in the coprocessor, which can
@@ -26,6 +30,7 @@ _ZERO_PREFIX = bytes(8)
 _BLOCK_INDEX_BYTES = 6
 _MAX_BLOCKS = 1 << (8 * _BLOCK_INDEX_BYTES)
 _WORDS = struct.Struct(">4I")
+_SCHEDULE = struct.Struct(">44I")
 
 
 def _build_tables():
@@ -45,18 +50,16 @@ def _build_tables():
         for k in range(5):
             s ^= ((b << k) | (b >> (8 - k))) & 0xFF
         sbox[a] = s
-    # Te0[a]: MixColumns of the column (S[a], 0, 0, 0), i.e. (2s, s, s, 3s);
-    # Te1..Te3 are its byte rotations, the images of S[a] in rows 1..3
-    te = [[xtime[s] << 24 | s << 16 | s << 8 | xtime[s] ^ s for s in sbox]]
-    for _ in range(3):
-        te.append([t >> 8 | (t & 0xFF) << 24 for t in te[-1]])
     rcon = [1]
     for _ in range(9):
         rcon.append(xtime[rcon[-1]])
-    return sbox, te, rcon
+    # the S-box and its doubled image 2*S(x): the two lookups of a round
+    return bytes(sbox), bytes(xtime[s] for s in sbox), rcon
 
 
-SBOX, _TE, _RCON = _build_tables()
+SBOX, _SBOX2, _RCON = _build_tables()
+# ShiftRows: byte j (row j % 4) reads that row of column (j // 4 + j % 4) % 4
+_SHIFT_ROWS = tuple((j + 4 * (j % 4)) % 16 for j in range(16))
 
 
 def expand_key(key: bytes) -> list[int]:
@@ -74,27 +77,40 @@ def expand_key(key: bytes) -> list[int]:
     return w
 
 
-def encrypt_block_expanded(w: list[int], block: bytes) -> bytes:
-    """One AES-128 encryption with a precomputed key schedule."""
-    te0, te1, te2, te3 = _TE
-    a, b, c, d = _WORDS.unpack(block)
-    # the state as 16 bytes, s[4c + r] = row r of column c
-    (s0, s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11, s12, s13, s14,
-     s15) = _WORDS.pack(a ^ w[0], b ^ w[1], c ^ w[2], d ^ w[3])
-    for r in range(4, 40, 4):
-        (s0, s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11, s12, s13, s14,
-         s15) = _WORDS.pack(
-            te0[s0] ^ te1[s5] ^ te2[s10] ^ te3[s15] ^ w[r],
-            te0[s4] ^ te1[s9] ^ te2[s14] ^ te3[s3] ^ w[r + 1],
-            te0[s8] ^ te1[s13] ^ te2[s2] ^ te3[s7] ^ w[r + 2],
-            te0[s12] ^ te1[s1] ^ te2[s6] ^ te3[s11] ^ w[r + 3])
-    sb = SBOX
-    # final round: S-box and ShiftRows only; the bytes are disjoint
-    return _WORDS.pack(
-        sb[s0] << 24 ^ sb[s5] << 16 ^ sb[s10] << 8 ^ sb[s15] ^ w[40],
-        sb[s4] << 24 ^ sb[s9] << 16 ^ sb[s14] << 8 ^ sb[s3] ^ w[41],
-        sb[s8] << 24 ^ sb[s13] << 16 ^ sb[s2] << 8 ^ sb[s7] ^ w[42],
-        sb[s12] << 24 ^ sb[s1] << 16 ^ sb[s6] << 8 ^ sb[s11] ^ w[43])
+def encrypt_block_expanded(w: list[int], data: bytes) -> bytes:
+    """AES-128 encryption of every 16-byte block of data with a
+    precomputed key schedule, all blocks at once."""
+    n, rest = divmod(len(data), BLOCK_BYTES)
+    if not n or rest:
+        raise ValueError(f"data must be a positive multiple of {BLOCK_BYTES} "
+                         f"bytes, got {len(data)}")
+    ones = int.from_bytes(b"\x01" * n, "little")  # broadcasts a key byte
+    rk = _SCHEDULE.pack(*w)  # round r's key bytes are rk[16r:16r + 16]
+    # lane j: state byte j (row j % 4, column j // 4) of every block
+    s = [int.from_bytes(data[j::BLOCK_BYTES], "little") ^ rk[j] * ones
+         for j in range(BLOCK_BYTES)]
+    for r in range(1, 10):
+        lanes = [x.to_bytes(n, "little") for x in s]
+        a = [int.from_bytes(lane.translate(SBOX), "little") for lane in lanes]
+        a2 = [int.from_bytes(lane.translate(_SBOX2), "little")
+              for lane in lanes]
+        s = []
+        for c in range(0, BLOCK_BYTES, 4):
+            # MixColumns of the shifted column: a_r ^ t ^ 2a_r ^ 2a_(r+1)
+            j0, j1, j2, j3 = _SHIFT_ROWS[c:c + 4]
+            t = a[j0] ^ a[j1] ^ a[j2] ^ a[j3]
+            d0, d1, d2, d3 = a2[j0], a2[j1], a2[j2], a2[j3]
+            k = BLOCK_BYTES * r + c
+            s += (a[j0] ^ t ^ d0 ^ d1 ^ rk[k] * ones,
+                  a[j1] ^ t ^ d1 ^ d2 ^ rk[k + 1] * ones,
+                  a[j2] ^ t ^ d2 ^ d3 ^ rk[k + 2] * ones,
+                  a[j3] ^ t ^ d3 ^ d0 ^ rk[k + 3] * ones)
+    out = bytearray(len(data))
+    for j in range(BLOCK_BYTES):  # final round: no MixColumns
+        lane = s[_SHIFT_ROWS[j]].to_bytes(n, "little").translate(SBOX)
+        lane = int.from_bytes(lane, "little") ^ rk[10 * BLOCK_BYTES + j] * ones
+        out[j::BLOCK_BYTES] = lane.to_bytes(n, "little")
+    return bytes(out)
 
 
 def aes128_encrypt_block(key: bytes, block: bytes) -> bytes:
@@ -131,8 +147,5 @@ def keystream(key: bytes, iv: bytes, n_bytes: int) -> bytes:
     check_key(key)
     if n_bytes <= 0:
         raise ValueError("empty keystream request")
-    w = expand_key(key)
-    out = bytearray()
-    for block in ctr_blocks(iv, -(-n_bytes // BLOCK_BYTES)):
-        out += encrypt_block_expanded(w, block)
-    return bytes(out[:n_bytes])
+    counters = b"".join(ctr_blocks(iv, -(-n_bytes // BLOCK_BYTES)))
+    return encrypt_block_expanded(expand_key(key), counters)[:n_bytes]

@@ -110,8 +110,9 @@ class AesCtrWrapper:
 
     Schedule, per block: issue into the core, then aes_latency cycles
     later drain its cipher output (B2) as two 64-bit words on consecutive
-    cycles.  Datapath, once over the stream: the first tau bytes of cipher
-    output are packed into words, the final one zero-padded.  It fills
+    cycles.  Datapath, once over the stream: one cipher call encrypts
+    every counter block of the run, and the first tau bytes of its output
+    are packed into words, the final one zero-padded.  It fills
     words [0, ceil(tau/8)), which run_program has checked the memory
     holds.
     """
@@ -128,11 +129,10 @@ class AesCtrWrapper:
         per_block = cfg.aes_latency + 2 + cfg.per_block_overhead  # 2: drain
         issue0 = start_cycle + cfg.wrapper_setup_cycles
         blocks = block_count(p)
-        stream = bytearray()
-        for b, counter in enumerate(aesprg.ctr_blocks(iv, blocks)):
-            mem.log.append((issue0 + b * per_block, "wrapper", "issue", b,
-                            None))
-            stream += aesprg.encrypt_block_expanded(round_keys, counter)
+        counters = b"".join(aesprg.ctr_blocks(iv, blocks))  # checks the iv
+        mem.log.extend((issue0 + b * per_block, "wrapper", "issue", b, None)
+                       for b in range(blocks))
+        stream = aesprg.encrypt_block_expanded(round_keys, counters)
         ready0 = issue0 + cfg.aes_latency
         for a, word in enumerate(words_from_bytes(stream[:p.tau])):
             mem.write(a, word, cycle=ready0 + (a // 2) * per_block + a % 2,

@@ -64,12 +64,3 @@ class MemoryModel:
         word = self.words.get(addr, 0)
         self.log.append((cycle, unit, "read", addr, word))
         return word
-
-    def peek_range(self, start: int, count: int) -> list[int]:
-        """Untimed, unlogged view with all pending writes applied."""
-        for addr in (start, start + count - 1):
-            if not 0 <= addr < self.depth:
-                raise self._range_error(addr)
-        latest = dict(self.words)
-        latest.update((a, w) for _, a, w in self._pending)
-        return [latest.get(a, 0) for a in range(start, start + count)]

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rejsamp import aesprg
@@ -96,18 +96,21 @@ def test_single_block_keystream_is_one_encryption():
 
 
 def test_block_consumption_count(monkeypatch):
-    calls = []
+    blocks = 0
+    counters = set()
     real = aesprg.encrypt_block_expanded
 
-    def counting(rks, block):
-        calls.append(block)
-        return real(rks, block)
+    def counting(rks, data):
+        nonlocal blocks
+        blocks += len(data) // 16  # one call encrypts every block of data
+        counters.update(data[i:i + 16] for i in range(0, len(data), 16))
+        return real(rks, data)
 
     monkeypatch.setattr(aesprg, "encrypt_block_expanded", counting)
     aesprg.keystream(KEY, b"\x00\x01", 2916)
-    assert len(calls) == 183
+    assert blocks == 183
     # no two counter blocks repeat within the request
-    assert len(set(calls)) == 183
+    assert len(counters) == 183
 
 
 def test_matches_independent_ctr_oracle():
@@ -127,6 +130,34 @@ def test_sl5_keystream_matches_independent_ctr_oracle():
 def test_cipher_matches_independent_oracle(key, block):
     w = aesprg.expand_key(key)
     assert aesprg.encrypt_block_expanded(w, block) == aes128_encrypt_oracle(key, block)
+
+
+def _cycled(blocks):
+    """blocks 16-byte blocks cycling through 16 distinct ones"""
+    return (bytes(range(256)) * (blocks // 16 + 1))[:16 * blocks]
+
+
+@settings(max_examples=12, deadline=None)
+@given(key=st.binary(min_size=16, max_size=16),
+       data=st.integers(min_value=1, max_value=300).flatmap(
+           lambda n: st.binary(min_size=16 * n, max_size=16 * n)))
+# lane widths either side of 256 bytes, and SL5's 689 blocks
+@example(key=KEY, data=_cycled(255))
+@example(key=KEY, data=_cycled(256))
+@example(key=KEY, data=_cycled(257))
+@example(key=KEY, data=_cycled(689))
+def test_batched_cipher_matches_oracle_per_block(key, data):
+    w = aesprg.expand_key(key)
+    blocks = [data[i:i + 16] for i in range(0, len(data), 16)]
+    oracle = {b: aes128_encrypt_oracle(key, b) for b in set(blocks)}
+    assert aesprg.encrypt_block_expanded(w, data) == \
+        b"".join(oracle[b] for b in blocks)
+
+
+@pytest.mark.parametrize("n", [0, 1, 15, 17, 31, 33])
+def test_batched_cipher_rejects_partial_blocks(n):
+    with pytest.raises(ValueError, match="multiple of 16"):
+        aesprg.encrypt_block_expanded(aesprg.expand_key(KEY), bytes(n))
 
 
 @settings(max_examples=60, deadline=None)

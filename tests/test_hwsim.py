@@ -20,6 +20,15 @@ IV = b"\x00\x01"
 SL1 = builtin_params(SecurityLevel.SL1)
 
 
+def peek_range(mem, start, count):
+    """Untimed, unlogged view of words [start, start + count) with all
+    pending writes applied."""
+    assert 0 <= start and start + count <= mem.depth
+    latest = dict(mem.words)
+    latest.update((a, w) for _, a, w in mem._pending)
+    return [latest.get(a, 0) for a in range(start, start + count)]
+
+
 # ---------------------------------------------------------------------------
 # instruction set
 
@@ -134,7 +143,7 @@ def test_write_write_conflict_faults():
     with pytest.raises(SimulationFault, match="port A"):
         mem.write(6, 2, cycle=7)
     mem.write(6, 2, cycle=8)
-    assert mem.peek_range(5, 2) == [1, 2]
+    assert peek_range(mem, 5, 2) == [1, 2]
 
 
 def test_write_behind_a_read_faults():
@@ -158,7 +167,7 @@ def test_commit_follows_cycle_order():
         mem.write(5, 2, cycle=3)  # writes arrive in cycle order
     mem.write(5, 3, cycle=5)
     # the later cycle wins, as peek_range says, and lands a cycle later
-    assert mem.peek_range(5, 1) == [3]
+    assert peek_range(mem, 5, 1) == [3]
     assert mem.read(5, cycle=5) == 1
     assert mem.read(5, cycle=6) == 3
 
@@ -180,7 +189,7 @@ def test_deep_memory_is_sparse():
     with pytest.raises(SimulationFault, match="port B"):
         mem.read(12345, cycle=1)
     assert mem.read(12345, cycle=2) == 0
-    assert mem.peek_range(10**18 - 2, 2) == [0, 7]
+    assert peek_range(mem, 10**18 - 2, 2) == [0, 7]
 
 
 @pytest.mark.parametrize("accesses", [
@@ -207,8 +216,8 @@ def test_port_rule_faults(accesses):
             mem.read(bad_addr, cycle=bad_cycle)
     # the faulting access leaves no trace
     assert len(mem.log) == 1
-    assert mem.peek_range(0, 16) == [int(kind == "write" and a == addr)
-                                     for a in range(16)]
+    assert peek_range(mem, 0, 16) == [int(kind == "write" and a == addr)
+                                      for a in range(16)]
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +232,7 @@ def _keystream_mem(seed=SEED, iv=IV, p=SL1):
 
 
 def _output_bytes(mem):
-    return bytes_from_words(mem.peek_range(0, SL1.out_addrs), SL1.n_prime)
+    return bytes_from_words(peek_range(mem, 0, SL1.out_addrs), SL1.n_prime)
 
 
 def test_wrapper_cycles_and_writes():
@@ -239,7 +248,7 @@ def test_wrapper_memory_matches_keystream():
     for level in SecurityLevel:
         p = builtin_params(level)
         mem, _ = _keystream_mem(p=p)
-        words = mem.peek_range(0, p.tau_addrs)
+        words = peek_range(mem, 0, p.tau_addrs)
         stream = bytes_from_words(words, p.tau)
         assert stream == aesprg.keystream(SEED, IV, p.tau)
         # final word zero-padded past tau
@@ -282,7 +291,7 @@ def test_wrapper_rejects_bad_nonce_and_iv(iv):
 
 def test_rejsamp_unit_cycles_and_oracle():
     mem, start = _keystream_mem()
-    raw = bytes_from_words(mem.peek_range(0, SL1.tau_addrs), SL1.tau)
+    raw = bytes_from_words(peek_range(mem, 0, SL1.tau_addrs), SL1.tau)
     cycles = RejSampUnit(TimingConfig()).run(SL1, mem, start_cycle=start)
     assert cycles == 3893
     out_writes = [r for r in mem.log if r[1:3] == ("rejsamp", "write")]
@@ -324,7 +333,7 @@ def test_rejsamp_unit_matches_golden_adversarial(level, density):
         for a, w in enumerate(words_from_bytes(raw)):
             mem.write(a, w, cycle=a)
         RejSampUnit(TimingConfig()).run(p, mem, start_cycle=p.tau_addrs)
-        out = bytes_from_words(mem.peek_range(0, p.out_addrs), p.n_prime)
+        out = bytes_from_words(peek_range(mem, 0, p.out_addrs), p.n_prime)
         assert out == rej_samp(raw, p.tau, p.n_prime, p.q).to_bytes()
         # the spare tail runs dry (zero-fill) whenever q-bytes are dense
         assert (rejection_stats(raw, p.tau, p.n_prime, p.q).zero_filled > 0) \
