@@ -7,7 +7,7 @@ here claims to derive them. Results carry their unit as data.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 
 UM2_S = "um^2*s"
@@ -27,12 +27,41 @@ class PlatformKind(Enum):
     FPGA = "FPGA"
 
 
+# each kind's one size field and the unit of its area-delay product
+_SIZE = {PlatformKind.ASIC: ("area_um2", UM2_S),
+         PlatformKind.FPGA: ("luts", LUT_S)}
+
+# each numeric field's rule: _check requires a finite number, not a bool,
+# that meets it
+_RULES = {"area_um2": "positive", "luts": "positive whole",
+          "cpd_ns": "positive", "power_mw": "non-negative",
+          "tech_nm": "positive", "power_listed_w": "non-negative",
+          "scale_to_nm": "positive", "lut_area_um2": "positive"}
+_HOLDS = {"positive": lambda x: x > 0, "non-negative": lambda x: x >= 0,
+          "positive whole": lambda x: x > 0 and float(x).is_integer()}
+
+
+def _check(field: str, value) -> None:
+    """Raise ValueError, naming field, unless value is a finite number,
+    not a bool, that meets field's rule."""
+    rule = _RULES[field]
+    try:
+        ok = (not isinstance(value, bool) and math.isfinite(value)
+              and _HOLDS[rule](value))
+    except (TypeError, OverflowError):  # not a number, or an int past float
+        ok = False
+    if not ok:
+        raise ValueError(f"{field} must be a finite {rule} number, got "
+                         f"{value!r}")
+
+
 @dataclass(frozen=True)
 class PlatformMetrics:
     """One platform's measured figures.
 
     Exactly one of area_um2 (ASIC) / luts (FPGA) must be present, matching
-    kind. power_listed_w records a power figure whose source quoted watts;
+    kind, and every numeric field given meets its rule in _RULES.
+    power_listed_w records a power figure whose source quoted watts;
     when it disagrees with power_mw by a factor of 1000 the report carries
     a unit-discrepancy warning instead of guessing the intent.
     """
@@ -46,24 +75,16 @@ class PlatformMetrics:
     power_listed_w: float | None = None
 
     def __post_init__(self):
-        if self.kind is PlatformKind.ASIC:
-            if self.area_um2 is None or self.luts is not None:
-                raise ValueError("ASIC metrics need area_um2 and no luts")
-            if self.area_um2 <= 0:
-                raise ValueError("area_um2 must be positive")
-        else:
-            if self.luts is None or self.area_um2 is not None:
-                raise ValueError("FPGA metrics need luts and no area_um2")
-            if self.luts <= 0 or not float(self.luts).is_integer():
-                raise ValueError("luts must be a positive whole number")
-        if self.cpd_ns <= 0:
-            raise ValueError("cpd_ns must be positive")
-        if self.power_mw < 0:
-            raise ValueError("power_mw must be non-negative")
-        if self.tech_nm <= 0:
-            raise ValueError("tech_nm must be positive")
-        if self.power_listed_w is not None and self.power_listed_w < 0:
-            raise ValueError("power_listed_w must be non-negative")
+        size = _SIZE[self.kind][0]
+        given = [f for f, _ in _SIZE.values() if getattr(self, f) is not None]
+        if given != [size]:
+            raise ValueError(f"{self.kind.value} metrics need {size} and no "
+                             f"other size field, got {given}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            optional_and_absent = value is None and f.default is None
+            if f.name in _RULES and not optional_and_absent:
+                _check(f.name, value)
 
     @property
     def cpd_seconds(self) -> float:
@@ -81,9 +102,8 @@ class PlatformMetrics:
 
 def adp(m: PlatformMetrics) -> Quantity:
     """Area-delay product: silicon area (ASIC) or LUT count (FPGA) x CPD."""
-    if m.kind is PlatformKind.ASIC:
-        return Quantity(m.area_um2 * m.cpd_seconds, UM2_S)
-    return Quantity(m.luts * m.cpd_seconds, LUT_S)
+    field, unit = _SIZE[m.kind]
+    return Quantity(getattr(m, field) * m.cpd_seconds, unit)
 
 
 def pdp(m: PlatformMetrics) -> Quantity:
@@ -93,8 +113,8 @@ def pdp(m: PlatformMetrics) -> Quantity:
 
 def scale_area(area: Quantity, from_nm: float, to_nm: float) -> Quantity:
     """Classical technology scaling: area x (to/from)^2, unit preserved."""
-    if from_nm <= 0 or to_nm <= 0:
-        raise ValueError("process nodes must be positive")
+    _check("tech_nm", from_nm)
+    _check("scale_to_nm", to_nm)
     ratio = to_nm / from_nm  # squared by multiplying: overflow gives inf
     return Quantity(area.value * ratio * ratio, area.unit)
 
@@ -158,44 +178,26 @@ REFERENCE_INPUTS = {
 }
 
 
-def check_number(field: str, value) -> None:
-    """Raise ValueError unless value is a finite JSON number."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
-        raise ValueError(f"{field} must be a finite number, got {value!r}")
-
-
 def metrics_from_dict(entry: dict) -> PlatformMetrics:
+    """The PlatformMetrics of one platform entry of a metrics document;
+    null in an optional field means the field is absent."""
     if not isinstance(entry, dict):
         raise ValueError(f"platform entry must be an object: {entry!r}")
     try:
         kind = PlatformKind(entry["kind"])
     except (KeyError, ValueError):
         raise ValueError(f"platform entry needs kind ASIC or FPGA: {entry!r}")
-    numeric = {"area_um2", "luts", "cpd_ns", "power_mw", "power_listed_w",
-               "tech_nm"}
-    extra = set(entry) - numeric - {"name", "kind"}
+    extra = set(entry) - {f.name for f in fields(PlatformMetrics)}
     if extra:
         raise ValueError(f"unknown metric field(s) {sorted(extra)}")
-    for field in sorted(numeric & set(entry)):
-        if entry[field] is not None:
-            check_number(field, entry[field])
     if not isinstance(entry.get("name", ""), str):
         raise ValueError(f"platform name must be a string, got "
                          f"{entry['name']!r}")
-    try:
-        return PlatformMetrics(
-            kind=kind,
-            cpd_ns=entry["cpd_ns"],
-            power_mw=entry["power_mw"],
-            tech_nm=entry["tech_nm"],
-            area_um2=entry.get("area_um2"),
-            luts=entry.get("luts"),
-            name=entry.get("name", ""),
-            power_listed_w=entry.get("power_listed_w"),
-        )
-    except KeyError as e:
-        raise ValueError(f"platform entry missing field {e}") from None
+    missing = [f.name for f in fields(PlatformMetrics)
+               if f.default is MISSING and f.name not in entry]
+    if missing:
+        raise ValueError(f"platform entry missing field(s) {missing}")
+    return PlatformMetrics(**dict(entry, kind=kind))
 
 
 def _row(platform: str, m: PlatformMetrics, a: Quantity, p: Quantity,
@@ -248,13 +250,9 @@ def report_from_doc(doc) -> dict:
         raise ValueError(f"unknown metrics file field(s) {sorted(extra)}")
     scale_to_nm = doc.get("scale_to_nm")
     if scale_to_nm is not None:
-        check_number("scale_to_nm", scale_to_nm)
-        if scale_to_nm <= 0:
-            raise ValueError(f"scale_to_nm must be positive, got {scale_to_nm}")
+        _check("scale_to_nm", scale_to_nm)
     lut_area_um2 = doc.get("lut_area_um2", 1.0)
-    check_number("lut_area_um2", lut_area_um2)
-    if lut_area_um2 <= 0:
-        raise ValueError(f"lut_area_um2 must be positive, got {lut_area_um2!r}")
+    _check("lut_area_um2", lut_area_um2)
     metrics = [metrics_from_dict(e) for e in doc["platforms"]]
     return fom_report(metrics, scale_to_nm=scale_to_nm,
                       lut_area_um2=lut_area_um2)

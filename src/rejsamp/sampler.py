@@ -109,14 +109,15 @@ class RejectionStats:
 
 
 def rejection_stats(raw: bytes, tau: int, n_prime: int, q: int) -> RejectionStats:
-    masked = mask_bytes(raw, q)
-    head_rejects = sum(1 for v in masked[:n_prime] if v == q)
-    tail_valid = sum(1 for v in masked[n_prime:] if v != q)
-    replaced = min(head_rejects, tail_valid)
+    # one copy of raw holding 1 where a byte masks to q and 0 elsewhere
+    rejected = raw.translate(bytes(
+        v == q for v in mask_bytes(bytes(range(256)), q)))
+    head_rejects = rejected.count(1, 0, n_prime)
+    replaced = min(head_rejects, rejected.count(0, n_prime))
     return RejectionStats(
         tau=tau,
         n_prime=n_prime,
-        masked_to_q=sum(1 for v in masked if v == q),
+        masked_to_q=rejected.count(1),
         replaced=replaced,
         zero_filled=head_rejects - replaced,
     )

@@ -334,13 +334,18 @@ ASIC = {"kind": "ASIC", "cpd_ns": 1.0, "power_mw": 1.0, "tech_nm": 65}
     {"platforms": [], "scale_to_nm": 0},
     {"platforms": [FPGA], "scale_to_nm": 1e200},
     {"platforms": [dict(ASIC, area_um2=1e308, cpd_ns=1e308)]},
+    {"platforms": [dict(FPGA, cpd_ns=None)]},
+    {"platforms": [dict(FPGA, power_mw=None)]},
+    {"platforms": [dict(ASIC, area_um2=1.0, tech_nm=None)]},
+    {"platforms": [dict(FPGA, luts=10**400)]},
 ], ids=["entry-not-an-object", "non-numeric-field", "non-numeric-scale",
         "platforms-not-a-list", "list-name", "number-name",
         "unknown-top-level-field", "negative-lut-area", "null-lut-area",
         "negative-area", "negative-luts", "fractional-luts",
         "negative-listed-power", "asic-only-negative-scale",
         "empty-platforms-zero-scale", "scaled-area-overflow",
-        "asic-adp-overflow"])
+        "asic-adp-overflow", "null-cpd", "null-power", "null-tech",
+        "int-past-float-luts"])
 def test_fom_malformed_entry_exit2(doc, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))

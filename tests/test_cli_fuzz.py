@@ -101,6 +101,33 @@ metrics_text = st.one_of(
                      '"cpd_ns": 1, "power_mw": 1, "tech_nm": 65}]}']))
 
 
+# a metrics document valid in every field but one, which holds an edge
+# value: the other fuzzed documents almost never get this close to valid
+positive = st.one_of(st.floats(min_value=1e-3, max_value=1e6),
+                     st.integers(1, 10**6))
+well_formed_platform = st.sampled_from(["area_um2", "luts"]).flatmap(
+    lambda size: st.fixed_dictionaries(
+        {"kind": st.just("ASIC" if size == "area_um2" else "FPGA"),
+         size: st.integers(1, 10**6), "cpd_ns": positive,
+         "power_mw": positive | st.just(0), "tech_nm": positive},
+        optional={"power_listed_w": positive, "name": st.text(max_size=4)}))
+edge_value = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                       st.floats(max_value=-1e-3, allow_infinity=False),
+                       st.integers(-10**6, -1), st.just(2.5), st.just(1e308))
+
+
+@st.composite
+def one_bad_field(draw):
+    doc = {"platforms": draw(st.lists(well_formed_platform, min_size=1,
+                                      max_size=3)),
+           "scale_to_nm": draw(positive), "lut_area_um2": draw(positive)}
+    target = draw(st.sampled_from(doc["platforms"] + [doc]))
+    field = draw(st.sampled_from(sorted(
+        set(target) - {"kind", "name", "platforms"})))
+    target[field] = draw(edge_value)
+    return doc
+
+
 def _command(head, required, optional, file_text=st.just("")):
     """argv drawn as the head, every required option (its value drawn)
     and each optional one present or not, plus the input file's text."""
@@ -150,12 +177,10 @@ def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
-@settings(max_examples=120, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow,
-                                 HealthCheck.data_too_large])
-@given(invocation)
-def test_cli_exit_codes_and_strict_json(case):
-    argv, file_text = case
+def _run(argv, file_text):
+    """cli.main(argv) with {file} standing for a file holding file_text,
+    {missing} for an absent path and {dir} and {tmp} for a directory:
+    the exit code, stdout and stderr."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "input"
         path.write_text(file_text)
@@ -168,7 +193,30 @@ def test_cli_exit_codes_and_strict_json(case):
                 code = cli.main(argv)
             except SystemExit as e:  # argparse usage errors and --help
                 code = e.code
-    assert code in EXIT_CODES, (argv, err.getvalue())
-    text = out.getvalue().strip()
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(invocation)
+def test_cli_exit_codes_and_strict_json(case):
+    argv, file_text = case
+    code, out, err = _run(argv, file_text)
+    assert code in EXIT_CODES, (argv, err)
+    text = out.strip()
     if text[:1] in ("{", "["):
         json.loads(text, parse_constant=_reject_constant)
+
+
+@settings(max_examples=120, deadline=None)
+@given(one_bad_field(), st.sampled_from(["json", "csv"]))
+def test_fom_one_bad_field_exit_codes(doc, fmt):
+    code, out, err = _run(["fom", "{file}", "--format", fmt], json.dumps(doc))
+    assert code in (0, 2), err
+    if code == 2:
+        # one error line and no report that could read as a success
+        assert out == "" and err.startswith("error: ")
+        assert err.count("\n") == 1
+    elif fmt == "json":
+        json.loads(out, parse_constant=_reject_constant)

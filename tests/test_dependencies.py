@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import rejsamp
-from rejsamp import aesprg, hwsim
+from rejsamp import aesprg, fom, hwsim
 
 PACKAGE_DIR = Path(rejsamp.__file__).parent
 
@@ -57,6 +57,15 @@ def test_simulator_loads_no_layer_above_it():
     assert not {"rejsamp.fom", "rejsamp.kat", "rejsamp.cli"} & set(loaded)
 
 
+def _defined(module):
+    """The public functions, classes and constants defined in module, not
+    imported into it."""
+    return sorted(
+        name for name, value in vars(module).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+        and getattr(value, "__module__", module.__name__) == module.__name__)
+
+
 def test_public_surface_is_pinned():
     # the package root only holds its submodules: import the defining module
     assert [name for name, value in vars(rejsamp).items()
@@ -71,12 +80,12 @@ def test_public_surface_is_pinned():
     assert [f.name for f in dataclasses.fields(hwsim.TimingConfig)] == [
         "aes_latency", "per_block_overhead", "wrapper_setup_cycles",
         "rejsamp_setup_cycles"]
-    # public functions and constants defined in aesprg (not imported into it)
-    defined = sorted(
-        name for name, value in vars(aesprg).items()
-        if not name.startswith("_") and not inspect.ismodule(value)
-        and getattr(value, "__module__", aesprg.__name__) == aesprg.__name__)
-    assert defined == [
+    assert _defined(aesprg) == [
         "BLOCK_BYTES", "IV_BYTES", "KEY_BYTES", "SBOX", "aes128_encrypt_block",
         "check_key", "ctr_blocks", "encrypt_block_expanded", "expand_key",
         "keystream"]
+    assert _defined(fom) == [
+        "LUT_S", "MW_S", "PlatformKind", "PlatformMetrics", "Quantity",
+        "REFERENCE_INPUTS", "UM2_S", "adp", "fom_report", "format_sig",
+        "latency", "metrics_from_dict", "pdp", "report_from_doc",
+        "report_to_csv", "scale_area", "scaled_fpga_adp"]

@@ -95,6 +95,13 @@ def test_metrics_validation():
     with pytest.raises(ValueError, match="cpd"):
         PlatformMetrics(kind=PlatformKind.ASIC, area_um2=1.0, cpd_ns=0,
                         power_mw=1.0, tech_nm=65)
+    # direct construction meets the same rules as a metrics document
+    fields = dict(kind=PlatformKind.FPGA, luts=10, cpd_ns=1.0, power_mw=1.0,
+                  tech_nm=28)
+    for field, value in [("tech_nm", float("inf")), ("power_mw", True),
+                         ("luts", True), ("cpd_ns", "x")]:
+        with pytest.raises(ValueError, match=field):
+            PlatformMetrics(**dict(fields, **{field: value}))
 
 
 def test_unit_warning_only_on_disagreement():
