@@ -75,7 +75,7 @@ def _cmd_params(args) -> int:
         p = builtin_params(level_from_number(n))
         d = p.to_dict()
         d["tau_addrs"], d["out_addrs"] = p.tau_addrs, p.out_addrs
-        d["required_mem_words"] = p.required_mem_words
+        d["required_mem_words"] = p.tau_addrs
         out[p.sec_level.value] = d
     text = json.dumps(out if len(levels) > 1 else out[next(iter(out))],
                       indent=2) + "\n"
@@ -101,13 +101,9 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.program:
+    if args.program is not None:
         with open(args.program) as f:
             words = hwsim.parse_program(f.read())
-    elif args.level is None:
-        print("simulate: --level is required without --program",
-              file=sys.stderr)
-        return EXIT_USAGE
     else:
         words = hwsim.default_program(level_from_number(args.level))
     result = hwsim.run_program(words, args.seed, args.iv,
@@ -199,7 +195,11 @@ def build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(func=_cmd_sample)
 
     pm = sub.add_parser("simulate", help="run the cycle-level simulator")
-    pm.add_argument("--level", type=int, choices=[1, 3, 5])
+    source = pm.add_mutually_exclusive_group(required=True)
+    source.add_argument("--level", type=int, choices=[1, 3, 5])
+    source.add_argument("--program", metavar="PATH",
+                        help="hex instruction file overriding the default "
+                             "program")
     pm.add_argument("--seed", type=_seed_arg, required=True)
     pm.add_argument("--iv", type=_iv_arg, required=True)
     pm.add_argument("--freq", type=float, default=222e6,
@@ -208,8 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--trace", metavar="PATH", help="write a CSV access trace")
     pm.add_argument("--out", metavar="PATH")
     pm.add_argument("--format", choices=["bin", "csv", "json"], default="bin")
-    pm.add_argument("--program", metavar="PATH",
-                    help="hex instruction file overriding the default program")
     pm.add_argument("--no-self-check", action="store_true",
                     help="skip the golden-model comparison")
     pm.set_defaults(func=_cmd_simulate)

@@ -3,7 +3,9 @@ and cycle-count-to-latency conversion.
 
 All hardware measurements (LUTs, silicon area, critical path delay, power,
 operating frequency) are inputs supplied from synthesis reports; nothing
-here claims to derive them. Results carry their unit as data.
+here claims to derive them. fom_report computes every product from them
+and checks its own report-level inputs; report_from_doc only parses a
+metrics document into those inputs. Each report row carries its units.
 """
 
 import math
@@ -13,13 +15,6 @@ from enum import Enum
 UM2_S = "um^2*s"
 LUT_S = "LUT*s"
 MW_S = "mW*s"
-
-
-@dataclass(frozen=True)
-class Quantity:
-    """A value tagged with its unit; reports carry the unit next to it."""
-    value: float
-    unit: str
 
 
 class PlatformKind(Enum):
@@ -86,10 +81,6 @@ class PlatformMetrics:
             if f.name in _RULES and not optional_and_absent:
                 _check(f.name, value)
 
-    @property
-    def cpd_seconds(self) -> float:
-        return self.cpd_ns * 1e-9
-
     def unit_warning(self) -> str | None:
         if self.power_listed_w is None:
             return None
@@ -98,39 +89,6 @@ class PlatformMetrics:
         return (f"{self.name or self.kind.value}: source lists power as "
                 f"{self.power_listed_w} W but the figures are computed with "
                 f"{self.power_mw} mW; the source units are inconsistent")
-
-
-def adp(m: PlatformMetrics) -> Quantity:
-    """Area-delay product: silicon area (ASIC) or LUT count (FPGA) x CPD."""
-    field, unit = _SIZE[m.kind]
-    return Quantity(getattr(m, field) * m.cpd_seconds, unit)
-
-
-def pdp(m: PlatformMetrics) -> Quantity:
-    """Power-delay product: total power (mW) x CPD (s)."""
-    return Quantity(m.power_mw * m.cpd_seconds, MW_S)
-
-
-def scale_area(area: Quantity, from_nm: float, to_nm: float) -> Quantity:
-    """Classical technology scaling: area x (to/from)^2, unit preserved."""
-    _check("tech_nm", from_nm)
-    _check("scale_to_nm", to_nm)
-    ratio = to_nm / from_nm  # squared by multiplying: overflow gives inf
-    return Quantity(area.value * ratio * ratio, area.unit)
-
-
-def scaled_fpga_adp(m: PlatformMetrics, to_nm: float,
-                    lut_area_um2: float = 1.0) -> Quantity:
-    """FPGA ADP converted to um^2*s at another node.
-
-    lut_area_um2 is the assumed silicon area of one LUT at the FPGA's own
-    node; there is no physical default, so 1.0 is only a normalization
-    that callers should treat as an explicit modeling assumption.
-    """
-    if m.kind is not PlatformKind.FPGA:
-        raise ValueError("tech scaling of LUT area applies to FPGA metrics")
-    at_native = Quantity(m.luts * lut_area_um2 * m.cpd_seconds, UM2_S)
-    return scale_area(at_native, m.tech_nm, to_nm)
 
 
 def latency(cycles: int, freq_hz: float) -> float:
@@ -144,10 +102,6 @@ def latency(cycles: int, freq_hz: float) -> float:
         raise ValueError(f"frequency {freq_hz} Hz is too low for a finite "
                          f"latency")
     return seconds
-
-
-def format_sig(x: float, sig: int = 3) -> str:
-    return f"{x:.{sig - 1}e}"
 
 
 # Measured inputs for the modeled accelerator: post-place-and-route on an
@@ -200,18 +154,18 @@ def metrics_from_dict(entry: dict) -> PlatformMetrics:
     return PlatformMetrics(**dict(entry, kind=kind))
 
 
-def _row(platform: str, m: PlatformMetrics, a: Quantity, p: Quantity,
-         provenance: str) -> dict:
-    """One report row: the platform's finite ADP a and PDP p with units."""
-    for label, q in (("ADP", a), ("PDP", p)):
-        if not math.isfinite(q.value):
-            raise ValueError(f"{platform}: {label} {q.value} is not finite")
+def _row(platform: str, m: PlatformMetrics, adp: float, adp_unit: str,
+         pdp: float, provenance: str) -> dict:
+    """One report row: the platform's finite ADP (in adp_unit) and PDP."""
+    for label, value in (("ADP", adp), ("PDP", pdp)):
+        if not math.isfinite(value):
+            raise ValueError(f"{platform}: {label} {value} is not finite")
     return {
         "platform": platform,
         "kind": m.kind.value,
         "cpd_ns": m.cpd_ns,
-        "adp": a.value, "adp_unit": a.unit, "adp_3sf": format_sig(a.value),
-        "pdp": p.value, "pdp_unit": p.unit, "pdp_3sf": format_sig(p.value),
+        "adp": adp, "adp_unit": adp_unit, "adp_3sf": f"{adp:.2e}",
+        "pdp": pdp, "pdp_unit": MW_S, "pdp_3sf": f"{pdp:.2e}",
         "provenance": provenance,
     }
 
@@ -219,20 +173,37 @@ def _row(platform: str, m: PlatformMetrics, a: Quantity, p: Quantity,
 def fom_report(metrics: list[PlatformMetrics], scale_to_nm: float | None = None,
                lut_area_um2: float = 1.0) -> dict:
     """A comparison-table-shaped report: one row per platform plus a
-    tech-scaled row per FPGA entry when a target node is given."""
+    tech-scaled row per FPGA entry when a target node is given.
+
+    With CPD in seconds, a row's ADP is its size field (area_um2 in
+    um^2*s, luts in LUT*s) x CPD and its PDP is power_mw x CPD in mW*s.
+    The tech-scaled row's ADP, in um^2*s, is
+    luts x lut_area_um2 x CPD x ratio x ratio with ratio = scale_to_nm /
+    tech_nm. lut_area_um2 is the assumed silicon area of one LUT at the
+    FPGA's own node; there is no physical default, so 1.0 is only a
+    normalization. scale_to_nm (when given) and lut_area_um2 must be
+    finite positive numbers.
+    """
+    if scale_to_nm is not None:
+        _check("scale_to_nm", scale_to_nm)
+    _check("lut_area_um2", lut_area_um2)
     rows = []
     warnings = []
     for m in metrics:
-        p = pdp(m)
-        rows.append(_row(m.name or m.kind.value, m, adp(m), p,
-                         "inputs measured; products derived"))
+        size, adp_unit = _SIZE[m.kind]
+        cpd_s = m.cpd_ns * 1e-9
+        pdp = m.power_mw * cpd_s
+        rows.append(_row(m.name or m.kind.value, m, getattr(m, size) * cpd_s,
+                         adp_unit, pdp, "inputs measured; products derived"))
         w = m.unit_warning()
         if w:
             warnings.append(w)
         if m.kind is PlatformKind.FPGA and scale_to_nm is not None:
+            # squared by multiplying: an overflow gives inf, not an error
+            ratio = scale_to_nm / m.tech_nm
             rows.append(_row(
                 f"{m.name or 'FPGA'} (tech-scaled to {scale_to_nm:g} nm)", m,
-                scaled_fpga_adp(m, scale_to_nm, lut_area_um2), p,
+                m.luts * lut_area_um2 * cpd_s * ratio * ratio, UM2_S, pdp,
                 f"scaled with (to/from)^2 assuming {lut_area_um2:g} um^2 per "
                 f"LUT at {m.tech_nm:g} nm"))
     return {"rows": rows, "warnings": warnings}
@@ -240,22 +211,17 @@ def fom_report(metrics: list[PlatformMetrics], scale_to_nm: float | None = None,
 
 def report_from_doc(doc) -> dict:
     """The report for a metrics document: an object with a "platforms"
-    list of entries for metrics_from_dict and the optional positive
-    scale_to_nm and lut_area_um2 (default 1.0) passed on to fom_report."""
+    list of entries for metrics_from_dict and the optional scale_to_nm and
+    lut_area_um2 (default 1.0), which fom_report checks."""
     if not isinstance(doc, dict) or not isinstance(doc.get("platforms"), list):
         raise ValueError('metrics file must be an object with a "platforms" '
                          'list')
     extra = set(doc) - {"platforms", "scale_to_nm", "lut_area_um2"}
     if extra:
         raise ValueError(f"unknown metrics file field(s) {sorted(extra)}")
-    scale_to_nm = doc.get("scale_to_nm")
-    if scale_to_nm is not None:
-        _check("scale_to_nm", scale_to_nm)
-    lut_area_um2 = doc.get("lut_area_um2", 1.0)
-    _check("lut_area_um2", lut_area_um2)
     metrics = [metrics_from_dict(e) for e in doc["platforms"]]
-    return fom_report(metrics, scale_to_nm=scale_to_nm,
-                      lut_area_um2=lut_area_um2)
+    return fom_report(metrics, scale_to_nm=doc.get("scale_to_nm"),
+                      lut_area_um2=doc.get("lut_area_um2", 1.0))
 
 
 def _csv_field(value) -> str:

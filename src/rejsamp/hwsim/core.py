@@ -249,11 +249,11 @@ def run_program(words: list[int], seed: bytes, iv: bytes,
     level, seed_addr = _validate_program([decode(w) for w in words])
     p = builtin_params(level)
     mem = MemoryModel(mem_depth)  # rejects a depth that is not positive
-    if mem_depth < p.required_mem_words:
+    if mem_depth < p.tau_addrs:
         raise CapacityError(
-            f"{level.value} needs {p.required_mem_words} memory words for "
+            f"{level.value} needs {p.tau_addrs} memory words for "
             f"the keystream region but the memory holds {mem_depth}; rerun "
-            f"with depth >= {p.required_mem_words}")
+            f"with depth >= {p.tau_addrs}")
     aesprg.check_key(seed)
 
     for i, word in enumerate(words_from_bytes(seed)):  # LOAD_SEED

@@ -50,23 +50,16 @@ class ParameterSet:
 
     @property
     def tau_addrs(self) -> int:
-        """64-bit words needed to hold the tau-byte keystream."""
+        """64-bit words needed to hold the tau-byte keystream, and so the
+        minimum memory depth for a run: the keystream overwrites the seed
+        and the packed output is written over its consumed head, so it is
+        the largest region ever live."""
         return -(-self.tau // BYTES_PER_WORD)
 
     @property
     def out_addrs(self) -> int:
         """64-bit words needed to hold the n_prime packed output bytes."""
         return -(-self.n_prime // BYTES_PER_WORD)
-
-    @property
-    def required_mem_words(self) -> int:
-        """Minimum memory depth for a full run.
-
-        The keystream region [0, tau_addrs) is the largest region ever
-        live: the seed words are overwritten by it and the packed output
-        is written in place over the consumed stream head.
-        """
-        return self.tau_addrs
 
     def to_dict(self) -> dict:
         d = asdict(self)

@@ -64,13 +64,18 @@ def mask_bytes(raw: bytes, q: int) -> list[int]:
     return [b & q for b in raw]
 
 
-def rej_samp(raw: bytes, tau: int, n_prime: int, q: int) -> FieldVector:
-    """Rejection-sample n_prime field elements from a tau-byte string."""
+def _check_shape(raw: bytes, tau: int, n_prime: int) -> None:
+    """Raise ValueError unless raw holds tau bytes and 1 <= n_prime <= tau."""
     if len(raw) != tau:
         raise ValueError(f"raw has {len(raw)} bytes, expected tau={tau}")
     if not 1 <= n_prime <= tau:
         raise ValueError(f"insufficient input: need 1 <= n_prime <= tau, got "
                          f"n_prime={n_prime}, tau={tau}")
+
+
+def rej_samp(raw: bytes, tau: int, n_prime: int, q: int) -> FieldVector:
+    """Rejection-sample n_prime field elements from a tau-byte string."""
+    _check_shape(raw, tau, n_prime)
     masked = mask_bytes(raw, q)
     out = masked[:n_prime]
     k = n_prime
@@ -109,6 +114,9 @@ class RejectionStats:
 
 
 def rejection_stats(raw: bytes, tau: int, n_prime: int, q: int) -> RejectionStats:
+    """The counts behind rej_samp(raw, tau, n_prime, q), which checks the
+    same arguments."""
+    _check_shape(raw, tau, n_prime)
     # one copy of raw holding 1 where a byte masks to q and 0 elsewhere
     rejected = raw.translate(bytes(
         v == q for v in mask_bytes(bytes(range(256)), q)))

@@ -154,6 +154,18 @@ def test_simulate_custom_program_file(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["total_cycles"] == 8525
 
 
+def test_simulate_level_and_program_usage(tmp_path, capsys):
+    # --level would otherwise be ignored and the SL1 program run
+    prog = tmp_path / "prog.hex"
+    prog.write_text(hwsim.format_program(
+        hwsim.default_program(SecurityLevel.SL1)))
+    with pytest.raises(SystemExit) as ei:
+        run_cli("simulate", "--level", "3", "--program", str(prog),
+                "--seed", SEED_HEX, "--iv", "0001")
+    assert ei.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_simulate_reserved_level_program_exit3(tmp_path, capsys):
     words = [hwsim.encode(hwsim.Instruction(3, 0, w, 1, hwsim.Opcode.LOAD_SEED))
              for w in (0, 1)]
@@ -216,7 +228,10 @@ def test_simulate_faulting_program_exit2(ops, tmp_path, capsys):
 
 
 def test_simulate_missing_level_usage(capsys):
-    assert run_cli("simulate", "--seed", SEED_HEX, "--iv", "0001") == 2
+    with pytest.raises(SystemExit) as ei:
+        run_cli("simulate", "--seed", SEED_HEX, "--iv", "0001")
+    assert ei.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_simulate_self_check_failure_exit5(monkeypatch, capsys):
@@ -364,6 +379,7 @@ def test_fom_malformed_entry_exit2(doc, tmp_path, capsys):
     ["fom", "--out", "{missing}/r.json"],
     ["simulate", "--seed", SEED_HEX, "--iv", "0001", "--program", "{missing}"],
     ["simulate", "--seed", SEED_HEX, "--iv", "0001", "--program", "{dir}"],
+    ["simulate", "--seed", SEED_HEX, "--iv", "0001", "--program", ""],
     ["simulate", "--level", "1", "--seed", SEED_HEX, "--iv", "0001",
      "--trace", "{missing}/t.csv"],
     ["simulate", "--level", "1", "--seed", SEED_HEX, "--iv", "0001",
@@ -373,7 +389,8 @@ def test_fom_malformed_entry_exit2(doc, tmp_path, capsys):
     ["sample", "--level", "1", "--seed", SEED_HEX, "--iv", "0001",
      "--out", "{dir}"],
 ], ids=["kat-missing", "kat-dir", "fom-missing", "fom-dir", "fom-out-unwritable",
-        "program-missing", "program-dir", "trace-unwritable", "out-is-dir",
+        "program-missing", "program-dir", "program-empty-path",
+        "trace-unwritable", "out-is-dir",
         "sample-out-unwritable", "sample-out-is-dir"])
 def test_unusable_file_exit2(argv, tmp_path, capsys):
     paths = {"missing": tmp_path / "absent", "dir": tmp_path}

@@ -5,9 +5,8 @@ import math
 import pytest
 
 from rejsamp import fom
-from rejsamp.fom import (PlatformKind, PlatformMetrics, Quantity, adp,
-                         fom_report, latency, metrics_from_dict, pdp,
-                         scale_area, scaled_fpga_adp)
+from rejsamp.fom import (PlatformKind, PlatformMetrics, fom_report, latency,
+                         metrics_from_dict)
 
 
 def round_sig(x: float, sig: int = 3) -> float:
@@ -23,19 +22,25 @@ FPGA = PlatformMetrics(kind=PlatformKind.FPGA, luts=5108, cpd_ns=4.50,
                        power_listed_w=1.2)
 
 
+def row(m: PlatformMetrics, **kw) -> dict:
+    """The measured (first) report row of platform m alone."""
+    return fom_report([m], **kw)["rows"][0]
+
+
 def test_adp_reference_values():
-    a = adp(ASIC)
-    assert (a.unit, round_sig(a.value)) == (fom.UM2_S, 8.23e-4)
-    f = adp(FPGA)
-    assert (f.unit, round_sig(f.value)) == (fom.LUT_S, 2.30e-5)
+    a = row(ASIC)
+    assert (a["adp_unit"], round_sig(a["adp"])) == (fom.UM2_S, 8.23e-4)
+    f = row(FPGA)
+    assert (f["adp_unit"], round_sig(f["adp"])) == (fom.LUT_S, 2.30e-5)
 
 
 def test_pdp_reference_values():
-    assert round_sig(pdp(ASIC).value) == 2.28e-10
-    assert round_sig(pdp(FPGA).value) == 5.40e-9
+    assert (row(ASIC)["pdp_unit"], round_sig(row(ASIC)["pdp"])) == \
+        (fom.MW_S, 2.28e-10)
+    assert round_sig(row(FPGA)["pdp"]) == 5.40e-9
     zero = PlatformMetrics(kind=PlatformKind.ASIC, area_um2=1.0, cpd_ns=2.0,
                            power_mw=0.0, tech_nm=65)
-    assert pdp(zero).value == 0.0
+    assert row(zero)["pdp"] == 0.0
 
 
 @pytest.mark.parametrize("factor", [0.5, 2.0, 10.0])
@@ -43,26 +48,50 @@ def test_products_linear_in_cpd(factor):
     scaled = PlatformMetrics(kind=PlatformKind.ASIC, area_um2=ASIC.area_um2,
                              cpd_ns=ASIC.cpd_ns * factor,
                              power_mw=ASIC.power_mw, tech_nm=ASIC.tech_nm)
-    assert adp(scaled).value == pytest.approx(adp(ASIC).value * factor)
-    assert pdp(scaled).value == pytest.approx(pdp(ASIC).value * factor)
+    assert row(scaled)["adp"] == pytest.approx(row(ASIC)["adp"] * factor)
+    assert row(scaled)["pdp"] == pytest.approx(row(ASIC)["pdp"] * factor)
+
+
+def scaled_row(tech_nm: float, to_nm: float) -> dict:
+    """The tech-scaled row of a 1-LUT, 1 s FPGA at tech_nm, so its ADP is
+    the area scaling factor alone."""
+    one = PlatformMetrics(kind=PlatformKind.FPGA, luts=1, cpd_ns=1e9,
+                          power_mw=1.0, tech_nm=tech_nm)
+    return fom_report([one], scale_to_nm=to_nm)["rows"][1]
 
 
 def test_scale_area():
-    q = Quantity(1.0, fom.UM2_S)
-    assert scale_area(q, 28, 65).value == pytest.approx((65 / 28) ** 2)
-    assert scale_area(q, 28, 65).value == pytest.approx(5.389, abs=1e-3)
-    assert scale_area(q, 45, 45).value == 1.0
-    assert scale_area(q, 65, 28).unit == fom.UM2_S
-    with pytest.raises(ValueError):
-        scale_area(q, 0, 65)
+    assert scaled_row(28, 65)["adp"] == pytest.approx((65 / 28) ** 2)
+    assert scaled_row(28, 65)["adp"] == pytest.approx(5.389, abs=1e-3)
+    assert scaled_row(45, 45)["adp"] == 1.0
+    assert scaled_row(65, 28)["adp_unit"] == fom.UM2_S
+    with pytest.raises(ValueError, match="scale_to_nm"):
+        scaled_row(28, 0)
 
 
 def test_scaled_fpga_adp_reference_row():
-    s = scaled_fpga_adp(FPGA, to_nm=65, lut_area_um2=1.0)
-    assert s.unit == fom.UM2_S
-    assert round_sig(s.value) == 1.24e-4
-    with pytest.raises(ValueError):
-        scaled_fpga_adp(ASIC, to_nm=65)
+    rows = fom_report([ASIC, FPGA], scale_to_nm=65, lut_area_um2=1.0)["rows"]
+    assert [r["platform"] for r in rows] == [
+        "ASIC (65 nm)", "FPGA (Artix-7)",
+        "FPGA (Artix-7) (tech-scaled to 65 nm)"]
+    s = rows[2]
+    assert s["adp_unit"] == fom.UM2_S
+    assert round_sig(s["adp"]) == 1.24e-4
+    assert s["adp"] == pytest.approx(rows[1]["adp"] * (65 / 28) ** 2)
+    # no scaled row for an ASIC, or without a target node
+    assert len(fom_report([ASIC], scale_to_nm=65)["rows"]) == 1
+    assert len(fom_report([FPGA])["rows"]) == 1
+
+
+@pytest.mark.parametrize("field,value", [
+    ("lut_area_um2", -1.0), ("lut_area_um2", True),
+    ("lut_area_um2", float("nan")), ("scale_to_nm", 0)])
+def test_report_checks_its_own_inputs(field, value):
+    # a library caller meets the same rules as a metrics document, even
+    # when no row would use the value
+    for metrics in ([FPGA], [ASIC], []):
+        with pytest.raises(ValueError, match=field):
+            fom_report(metrics, **{"scale_to_nm": 65, field: value})
 
 
 @pytest.mark.parametrize("cycles,freq,quoted", [

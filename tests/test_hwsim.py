@@ -226,7 +226,7 @@ def test_port_rule_faults(accesses):
 
 def _keystream_mem(seed=SEED, iv=IV, p=SL1):
     """Memory holding the keystream, and the wrapper's cycle count."""
-    mem = MemoryModel(max(1024, p.required_mem_words))
+    mem = MemoryModel(max(1024, p.tau_addrs))
     cycles = AesCtrWrapper(TimingConfig()).run(seed, iv, p, mem)
     return mem, cycles
 

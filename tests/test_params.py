@@ -54,8 +54,8 @@ def test_mask_width_for_q127():
 
 
 def test_required_depth_is_keystream_region():
-    assert builtin_params(SecurityLevel.SL5).required_mem_words == 1378
-    assert builtin_params(SecurityLevel.SL3).required_mem_words == 766
+    assert builtin_params(SecurityLevel.SL5).tau_addrs == 1378
+    assert builtin_params(SecurityLevel.SL3).tau_addrs == 766
 
 
 def test_is_mersenne():

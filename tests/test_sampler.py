@@ -173,6 +173,14 @@ def test_field_vector_csv():
     assert FieldVector((5, 0, 126), 127).to_csv() == "5\n0\n126\n"
 
 
+def test_rejection_stats_input_validation():
+    # the same checks, with the same messages, as rej_samp
+    with pytest.raises(ValueError, match="expected tau"):
+        rejection_stats(b"\x7f" * 10, 5, 3, 127)
+    with pytest.raises(ValueError, match="insufficient"):
+        rejection_stats(b"\x7f" * 10, 10, 12, 127)
+
+
 def test_rejection_stats():
     raw = bytes([0x7F, 0x05, 0xFF, 0x10, 0x20, 0xFF])
     s = rejection_stats(raw, 6, 4, 127)
