@@ -18,7 +18,7 @@ import json
 import sys
 
 from . import aesprg, fom, hwsim, kat
-from .params import builtin_params, level_from_number
+from .params import LEVEL_NUMBERS, builtin_params, level_from_number
 from .sampler import FieldVector, rej_samp, rej_samp_prg, rejection_stats
 
 EXIT_OK = 0
@@ -31,14 +31,14 @@ EXIT_MISMATCH = 5
 def _hex_arg(name: str, n_bytes: int):
     """An argparse type that accepts exactly n_bytes bytes as hex."""
     def parse(s: str) -> bytes:
-        try:
-            b = bytes.fromhex(s)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{s!r} is not hex")
-        if len(b) != n_bytes:
+        # the digit count first: bytes.fromhex skips whitespace
+        if len(s) != 2 * n_bytes:
             raise argparse.ArgumentTypeError(
                 f"{name} must be exactly {2 * n_bytes} hex digits")
-        return b
+        try:
+            return bytes.fromhex(s)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{s!r} is not hex") from None
     return parse
 
 
@@ -69,17 +69,10 @@ def _write_vector(vec: FieldVector, path: str, fmt: str):
 
 
 def _cmd_params(args) -> int:
-    levels = [args.level] if args.level else [1, 3, 5]
-    out = {}
-    for n in levels:
-        p = builtin_params(level_from_number(n))
-        d = p.to_dict()
-        d["tau_addrs"], d["out_addrs"] = p.tau_addrs, p.out_addrs
-        d["required_mem_words"] = p.tau_addrs
-        out[p.sec_level.value] = d
-    text = json.dumps(out if len(levels) > 1 else out[next(iter(out))],
-                      indent=2) + "\n"
-    _emit(text, args.params_out)
+    dicts = [builtin_params(level_from_number(n)).to_dict()
+             for n in ([args.level] if args.level else LEVEL_NUMBERS)]
+    doc = dicts[0] if args.level else {d["sec_level"]: d for d in dicts}
+    _emit(json.dumps(doc, indent=2) + "\n", args.params_out)
     return EXIT_OK
 
 
@@ -181,12 +174,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     pp = sub.add_parser("params", help="emit parameter sets as JSON")
-    pp.add_argument("--level", type=int, choices=[1, 3, 5])
+    pp.add_argument("--level", type=int, choices=LEVEL_NUMBERS)
     pp.add_argument("--params-out", metavar="PATH")
     pp.set_defaults(func=_cmd_params)
 
     ps = sub.add_parser("sample", help="run the golden sampler")
-    ps.add_argument("--level", type=int, choices=[1, 3, 5], required=True)
+    ps.add_argument("--level", type=int, choices=LEVEL_NUMBERS, required=True)
     ps.add_argument("--seed", type=_seed_arg, required=True,
                     help="32 hex digits")
     ps.add_argument("--iv", type=_iv_arg, required=True, help="4 hex digits")
@@ -196,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pm = sub.add_parser("simulate", help="run the cycle-level simulator")
     source = pm.add_mutually_exclusive_group(required=True)
-    source.add_argument("--level", type=int, choices=[1, 3, 5])
+    source.add_argument("--level", type=int, choices=LEVEL_NUMBERS)
     source.add_argument("--program", metavar="PATH",
                         help="hex instruction file overriding the default "
                              "program")
@@ -215,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     pk = sub.add_parser("kat", help="known-answer-test files")
     ksub = pk.add_subparsers(dest="kat_mode", required=True)
     kg = ksub.add_parser("generate")
-    kg.add_argument("--level", type=int, choices=[1, 3, 5], required=True)
+    kg.add_argument("--level", type=int, choices=LEVEL_NUMBERS, required=True)
     kg.add_argument("--seed", type=_seed_arg, required=True)
     kg.add_argument("--iv", type=_iv_arg, required=True)
     kg.add_argument("--count", type=int, default=1)

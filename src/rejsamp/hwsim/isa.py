@@ -2,8 +2,9 @@
 
 Field layout, decoded LSB first (bit 0 is the least significant bit):
 
-    bits  1:0   sec_level  2-bit security-level selector (0=SL1, 1=SL3, 2=SL5,
-                           3 reserved; rejected at execution, not decode)
+    bits  1:0   sec_level  2-bit security-level selector, in SecurityLevel
+                           order (0=SL1, 1=SL3, 2=SL5); 3 is reserved,
+                           rejected at execution, not decode
     bits 11:2   raddr      10-bit read address; READ_RESULT requires 0 (the
                            result is drained from word 0)
     bits 21:12  waddr      10-bit write address (seed preload target)
@@ -38,10 +39,6 @@ class Opcode(IntEnum):
     READ_RESULT = 5
 
 
-_LEVEL_CODE = {0: SecurityLevel.SL1, 1: SecurityLevel.SL3, 2: SecurityLevel.SL5}
-_CODE_LEVEL = {v: k for k, v in _LEVEL_CODE.items()}
-
-
 @dataclass(frozen=True)
 class Instruction:
     sec_level: int  # raw 2-bit field; 3 is reserved
@@ -61,15 +58,11 @@ class Instruction:
             raise InvalidInstructionError("wen field is 1 bit")
 
     def security_level(self) -> SecurityLevel:
-        try:
-            return _LEVEL_CODE[self.sec_level]
-        except KeyError:
+        levels = list(SecurityLevel)  # a level's code is its place here
+        if self.sec_level >= len(levels):
             raise UnsupportedLevelError(
-                f"sec_level field {self.sec_level} is reserved") from None
-
-
-def level_code(level: SecurityLevel) -> int:
-    return _CODE_LEVEL[level]
+                f"sec_level field {self.sec_level} is reserved")
+        return levels[self.sec_level]
 
 
 def encode(ins: Instruction) -> int:
@@ -99,7 +92,8 @@ def decode(word: int) -> Instruction:
 
 def assemble(op: Opcode, level: SecurityLevel, raddr: int = 0,
              waddr: int = 0, wen: int = 0) -> int:
-    return encode(Instruction(level_code(level), raddr, waddr, wen, op))
+    code = list(SecurityLevel).index(level)
+    return encode(Instruction(code, raddr, waddr, wen, op))
 
 
 def default_program(level: SecurityLevel) -> list[int]:

@@ -3,10 +3,11 @@
 Line formats (whitespace-separated key=value fields, '#' comments allowed):
 
     key=<32 hex> iv=<4 hex> n=<dec> out=<2n hex>        keystream bytes
-    key=<32 hex> iv=<4 hex> level=<1|3|5> out=<hex>     sampled vector,
+    key=<32 hex> iv=<4 hex> level=<1|3|5> out=<2n' hex> sampled vector,
                                                         one byte per element
 
-The presence of n= versus level= selects the record kind. Verification
+The presence of n= versus level= selects the record kind. Numbers are
+ASCII decimal digits, and out must hold n (or n') bytes. Verification
 recomputes every record and reports the first mismatching line. It expands
 each (key, iv) keystream once, to the longest length the records of that
 pair need, and recomputes each of those records from a prefix of it.
@@ -15,8 +16,8 @@ pair need, and recomputes each of those records from a prefix of it.
 import re
 from dataclasses import dataclass
 
-from . import aesprg
-from .params import builtin_params, level_from_number
+from . import aesprg, params
+from .params import ParameterSet, builtin_params, level_from_number
 from .sampler import rej_samp
 
 
@@ -35,8 +36,8 @@ class KatRecord:
     key: bytes
     iv: bytes
     out_hex: str
-    n: int | None = None       # keystream record
-    level: int | None = None   # field-vector record
+    n: int    # keystream bytes the record is recomputed from
+    params: ParameterSet | None = None  # set on a field-vector record
 
 
 def _hex_field(value: str, want_len: int | None, line: int, col: int,
@@ -47,6 +48,13 @@ def _hex_field(value: str, want_len: int | None, line: int, col: int,
         return bytes.fromhex(value)
     except ValueError:
         raise KatError(line, col, f"{name} is not valid hex") from None
+
+
+def _decimal(value: str) -> int:
+    # int(_, 10) alone also takes a sign, '_' and non-ASCII digits
+    if not (value.isascii() and value.isdigit()):
+        raise ValueError(f"{value!r} is not ASCII decimal")
+    return int(value)
 
 
 def parse_kat(text: str) -> list[KatRecord]:
@@ -82,32 +90,27 @@ def parse_kat(text: str) -> list[KatRecord]:
                              "out").hex()
         if "n" in fields:
             try:
-                n = int(fields["n"], 10)
+                n = _decimal(fields["n"])
             except ValueError:
                 raise KatError(lineno, cols["n"], "n is not a decimal "
                                                   "integer") from None
             if n <= 0:
                 raise KatError(lineno, cols["n"], "n must be positive")
-            if len(out_hex) != 2 * n:
-                raise KatError(lineno, cols["out"],
-                               f"out has {len(out_hex) // 2} bytes, n={n}")
-            records.append(KatRecord(lineno, key, iv, out_hex, n=n))
+            p, out_len, rule = None, n, f"n={n}"
         else:
             try:
-                level = int(fields["level"], 10)
-                level_from_number(level)
+                p = builtin_params(level_from_number(
+                    _decimal(fields["level"])))
             except ValueError:
-                raise KatError(lineno, cols["level"],
-                               "level must be 1, 3 or 5") from None
-            records.append(KatRecord(lineno, key, iv, out_hex, level=level))
+                raise KatError(lineno, cols["level"], "level must be "
+                               f"{params.LEVEL_CHOICES}") from None
+            n, out_len = p.tau, p.n_prime
+            rule = f"level={fields['level']} needs n'={out_len}"
+        if len(out_hex) != 2 * out_len:
+            raise KatError(lineno, cols["out"],
+                           f"out has {len(out_hex) // 2} bytes, {rule}")
+        records.append(KatRecord(lineno, key, iv, out_hex, n, p))
     return records
-
-
-def _stream_bytes(rec: KatRecord) -> int:
-    """Keystream bytes the record is recomputed from."""
-    if rec.n is not None:
-        return rec.n
-    return builtin_params(level_from_number(rec.level)).tau
 
 
 def verify_kat(records: list[KatRecord]) -> tuple[int, str] | None:
@@ -122,7 +125,7 @@ def verify_kat(records: list[KatRecord]) -> tuple[int, str] | None:
     last: dict[tuple[bytes, bytes], int] = {}
     for i, rec in enumerate(records):
         group = (rec.key, rec.iv)
-        need[group] = max(need.get(group, 0), _stream_bytes(rec))
+        need[group] = max(need.get(group, 0), rec.n)
         last[group] = i
     streams: dict[tuple[bytes, bytes], bytes] = {}
     for i, rec in enumerate(records):
@@ -130,17 +133,14 @@ def verify_kat(records: list[KatRecord]) -> tuple[int, str] | None:
         if group not in streams:
             streams[group] = aesprg.keystream(rec.key, rec.iv, need[group])
         ks = streams[group] if last[group] > i else streams.pop(group)
-        if rec.n is not None:
-            got = ks[:rec.n].hex()
-        else:
-            p = builtin_params(level_from_number(rec.level))
-            got = rej_samp(ks[:p.tau], p.tau, p.n_prime,
-                           p.q).to_bytes().hex()
-        if got != rec.out_hex:
-            kind = "keystream" if rec.n is not None else "field vector"
+        p, got = rec.params, ks[:rec.n]
+        if p is not None:
+            got = rej_samp(got, p.tau, p.n_prime, p.q).to_bytes()
+        if got.hex() != rec.out_hex:
+            kind = "keystream" if p is None else "field vector"
             return rec.lineno, (f"{kind} mismatch at line {rec.lineno}: "
                                 f"expected {rec.out_hex[:32]}..., "
-                                f"recomputed {got[:32]}...")
+                                f"recomputed {got[:16].hex()}...")
     return None
 
 

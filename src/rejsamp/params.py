@@ -14,9 +14,17 @@ BYTES_PER_WORD = 8
 
 
 class SecurityLevel(Enum):
+    """A built-in security level.  The digit in its name is its number on
+    the command line and in KAT files; its place in this order is its
+    2-bit sec_level code in an instruction word."""
     SL1 = "SL1"
     SL3 = "SL3"
     SL5 = "SL5"
+
+
+_BY_NUMBER = {int(level.value[2:]): level for level in SecurityLevel}
+LEVEL_NUMBERS = tuple(_BY_NUMBER)  # in member order
+LEVEL_CHOICES = "{}, {} or {}".format(*LEVEL_NUMBERS)  # for messages
 
 
 @dataclass(frozen=True)
@@ -62,9 +70,10 @@ class ParameterSet:
         return -(-self.n_prime // BYTES_PER_WORD)
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["sec_level"] = self.sec_level.value
-        return d
+        """Fields, then word counts; required_mem_words is tau_addrs."""
+        return {**asdict(self), "sec_level": self.sec_level.value,
+                "tau_addrs": self.tau_addrs, "out_addrs": self.out_addrs,
+                "required_mem_words": self.tau_addrs}
 
 
 _BUILTIN = {
@@ -93,7 +102,6 @@ def builtin_params(level: SecurityLevel) -> ParameterSet:
 
 def level_from_number(n: int) -> SecurityLevel:
     """Map the CLI's 1/3/5 spelling onto SecurityLevel."""
-    try:
-        return {1: SecurityLevel.SL1, 3: SecurityLevel.SL3, 5: SecurityLevel.SL5}[n]
-    except KeyError:
-        raise ValueError(f"no security level {n}; choose 1, 3 or 5") from None
+    if n not in _BY_NUMBER:
+        raise ValueError(f"no security level {n}; choose {LEVEL_CHOICES}")
+    return _BY_NUMBER[n]

@@ -167,17 +167,17 @@ def rejsamp_cycles_oracle(tau, n_prime, cfg):
 # ---------------------------------------------------------------------------
 # The rule that fixes tau, from the sampler's definition.  The output is
 # zero-filled exactly when the R stream bytes that mask to q outnumber the
-# tau - n' spare bytes, and for q = 127 a byte masks to q with probability
-# 1/128, so R ~ Bin(tau, 1/128).
+# tau - n' spare bytes, and for a Mersenne q a byte masks to q with
+# probability 1/(q+1), so R ~ Bin(tau, 1/(q+1)); 1/128 for q = 127.
 
 
-def zero_fill_weight(tau, n_prime):
-    """128^tau * P[R > tau - n'] in exact integers: the sum over r of
-    C(tau, r) * 127^(tau - r).  The lower tail r <= tau - n' is summed
-    with the term ratio t(r+1) = t(r) * (tau - r) / ((r + 1) * 127), which
-    divides exactly, and taken from the whole 128^tau."""
-    term, lower = 127 ** tau, 0
+def zero_fill_weight(tau, n_prime, q=127):
+    """(q+1)^tau * P[R > tau - n'] in exact integers: the sum over r of
+    C(tau, r) * q^(tau - r).  The lower tail r <= tau - n' is summed
+    with the term ratio t(r+1) = t(r) * (tau - r) / ((r + 1) * q), which
+    divides exactly, and taken from the whole (q+1)^tau."""
+    term, lower = q ** tau, 0
     for r in range(tau - n_prime + 1):
         lower += term
-        term = term * (tau - r) // ((r + 1) * 127)
-    return 128 ** tau - lower
+        term = term * (tau - r) // ((r + 1) * q)
+    return (q + 1) ** tau - lower

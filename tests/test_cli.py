@@ -62,9 +62,13 @@ def test_sample_csv_and_json_formats(tmp_path):
 
 
 def test_bad_hex_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as ei:
-        run_cli("sample", "--level", "1", "--seed", "zz", "--iv", "0001")
-    assert ei.value.code == 2
+    # bytes.fromhex skips whitespace: the digit count is checked first
+    for seed, iv in [("zz", "0001"), (SEED_HEX, "00 01"),
+                     (SEED_HEX[:2] + " " + SEED_HEX[2:], "0001")]:
+        with pytest.raises(SystemExit) as ei:
+            run_cli("sample", "--level", "1", "--seed", seed, "--iv", iv)
+        assert ei.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 def test_simulate_report_and_self_check(capsys, tmp_path):

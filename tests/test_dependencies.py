@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import rejsamp
-from rejsamp import aesprg, fom, hwsim
+from rejsamp import aesprg, fom, hwsim, kat, params
 
 PACKAGE_DIR = Path(rejsamp.__file__).parent
 
@@ -88,3 +88,8 @@ def test_public_surface_is_pinned():
         "LUT_S", "MW_S", "PlatformKind", "PlatformMetrics",
         "REFERENCE_INPUTS", "UM2_S", "fom_report", "latency",
         "metrics_from_dict", "report_from_doc", "report_to_csv"]
+    assert _defined(params) == [
+        "BYTES_PER_WORD", "LEVEL_CHOICES", "LEVEL_NUMBERS", "ParameterSet",
+        "SecurityLevel", "builtin_params", "is_mersenne", "level_from_number"]
+    assert _defined(kat) == [
+        "KatError", "KatRecord", "generate_kat", "parse_kat", "verify_kat"]

@@ -127,16 +127,39 @@ def test_parse_accepts_comments_and_blanks():
     (f"key={'0' * 32} iv=0001 n=1 out=00 x=1", "unknown field"),
     ("garbage", "key=value"),
     (f"iv=0001 n=1 out=00", "missing field 'key'"),
+    # numbers are ASCII decimal digits only
+    (f"key={'0' * 32} iv=0001 n=1_6 out={'00' * 16}", "n is not a decimal"),
+    (f"key={'0' * 32} iv=0001 level=+1 out=00", "level must be"),
+    (f"key={'0' * 32} iv=0001 level=0_1 out=00", "level must be"),
+    (f"key={'0' * 32} iv=0001 level=\u0663 out=00", "level must be"),
+    (f"key={'0' * 32} iv=0001 level=1 out=00", "out has 1 bytes, level=1 "
+                                               "needs n'=2808"),
 ])
 def test_parse_errors(line, err):
     with pytest.raises(kat.KatError, match=err):
         kat.parse_kat(line + "\n")
 
 
+def test_level_record_carries_its_parameter_set():
+    ks, fv = kat.parse_kat(kat.generate_kat(SEED, b"\x00\x01", 3))
+    p = builtin_params(SecurityLevel.SL3)
+    assert (ks.n, ks.params) == (p.tau, None)
+    assert (fv.n, fv.params) == (p.tau, p)
+    assert len(fv.out_hex) == 2 * p.n_prime
+
+
 def test_parse_error_carries_position():
     with pytest.raises(kat.KatError) as ei:
         kat.parse_kat(f"key={'0' * 32} iv=xyz1 n=1 out=00\n")
     assert ei.value.line == 1 and ei.value.col == 38
+    # a bad number, or an out of the wrong length, at that field's column
+    head = f"key={'0' * 32} iv=0001"
+    for line, field in [(f"{head} n=1_6 out={'00' * 16}", "n"),
+                        (f"{head} level=\u0663 out=00", "level"),
+                        (f"{head} level=5 out=00", "out")]:
+        with pytest.raises(kat.KatError) as ei:
+            kat.parse_kat(line + "\n")
+        assert ei.value.col == line.index(f" {field}=") + 2
 
 
 def test_iv_wraps_mod_2_16():

@@ -80,6 +80,12 @@ def test_to_dict_is_json_ready():
     d = builtin_params(SecurityLevel.SL1).to_dict()
     assert json.loads(json.dumps(d)) == d
     assert d["sec_level"] == "SL1" and d["tau"] == 2916
+    # the `rejsamp params` JSON: the fields in order, then the word counts
+    assert list(d) == ["sec_level", "q", "l", "V", "M", "v", "m", "tau",
+                       "n_prime", "lambda_bits", "tau_addrs", "out_addrs",
+                       "required_mem_words"]
+    assert (d["tau_addrs"], d["out_addrs"], d["required_mem_words"]) == \
+        (365, 351, 365)
 
 
 def test_level_from_number():

@@ -1,16 +1,19 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rejsamp import aesprg
+from rejsamp.hwsim import MemoryModel, TimingConfig
+from rejsamp.hwsim.core import RejSampUnit
 from rejsamp.packing import bytes_from_words, words_from_bytes
-from rejsamp.params import SecurityLevel, builtin_params
+from rejsamp.params import ParameterSet, SecurityLevel, builtin_params
 from rejsamp.sampler import (FieldVector, mask_bytes, rej_samp, rej_samp_prg,
                              rejection_stats)
-from oracles import rej_samp_naive
+from oracles import rej_samp_naive, zero_fill_weight
 
 SEED = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
 
@@ -188,3 +191,48 @@ def test_rejection_stats():
     assert s.replaced == 1      # one tail valid (0x20) available
     assert s.zero_filled == 1   # second head reject runs out of tail
     assert s.rejection_rate == pytest.approx(0.5)
+
+
+# ---------------------------------------------------------------------------
+# The exact output distribution, on toy parameter sets small enough to
+# enumerate every masked stream.  Byte b masks to b & q, so each of the
+# symbols 0..q stands for 256/(q+1) bytes and every stream of tau symbols
+# carries the same weight: counting streams counts probability exactly.
+
+
+def _toy(q, tau, n_prime):
+    return ParameterSet(sec_level=SecurityLevel.SL1, q=q, l=1, V=1,
+                        M=n_prime, v=1, m=n_prime, tau=tau, n_prime=n_prime,
+                        lambda_bits=0)
+
+
+@pytest.mark.parametrize("q,tau,n_prime", [
+    (3, 6, 2), (3, 7, 2), (3, 8, 2), (7, 5, 2), (1, 8, 2)])
+def test_output_is_uniform_unless_zero_filled(q, tau, n_prime):
+    # zero-fill happens exactly when the q-symbols outnumber the tau - n'
+    # spares (test_zero_fill_exactly_when_rejects_exceed_spares)
+    p = _toy(q, tau, n_prime)
+    vectors, zero_filled = Counter(), 0
+    for stream in itertools.product(range(q + 1), repeat=tau):
+        raw = bytes(stream)
+        if raw.count(q) > tau - n_prime:
+            zero_filled += 1
+        else:
+            vectors[rej_samp(raw, p.tau, p.n_prime, p.q).elems] += 1
+    # every vector of F_q^n' occurs, each with the same weight
+    assert len(vectors) == q ** n_prime
+    assert len(set(vectors.values())) == 1
+    assert zero_filled == zero_fill_weight(tau, n_prime, q)
+
+
+def test_rejsamp_unit_matches_golden_on_every_toy_stream():
+    # tau = 6 fills less than one 16-byte group and one memory word
+    p = _toy(3, 6, 2)
+    unit = RejSampUnit(TimingConfig())
+    for stream in itertools.product(range(p.q + 1), repeat=p.tau):
+        raw = bytes(stream)
+        mem = MemoryModel(p.tau_addrs)
+        mem.write(0, words_from_bytes(raw)[0], cycle=0)
+        cycles = unit.run(p, mem, start_cycle=1)
+        out = bytes_from_words([mem.read(0, cycle=1 + cycles)], p.n_prime)
+        assert out == rej_samp(raw, p.tau, p.n_prime, p.q).to_bytes()
