@@ -15,6 +15,7 @@ the file bytes are the elements in order, zero-padded to a multiple of 8.
 
 import argparse
 import json
+import re
 import sys
 
 from . import aesprg, fom, hwsim, kat
@@ -31,14 +32,13 @@ EXIT_MISMATCH = 5
 def _hex_arg(name: str, n_bytes: int):
     """An argparse type that accepts exactly n_bytes bytes as hex."""
     def parse(s: str) -> bytes:
-        # the digit count first: bytes.fromhex skips whitespace
+        # the digits first: bytes.fromhex skips whitespace
+        if not re.fullmatch(r"[0-9a-fA-F]*", s):
+            raise argparse.ArgumentTypeError(f"{s!r} is not hex")
         if len(s) != 2 * n_bytes:
             raise argparse.ArgumentTypeError(
                 f"{name} must be exactly {2 * n_bytes} hex digits")
-        try:
-            return bytes.fromhex(s)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{s!r} is not hex") from None
+        return bytes.fromhex(s)
     return parse
 
 

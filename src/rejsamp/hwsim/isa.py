@@ -25,6 +25,8 @@ from enum import IntEnum
 from ..params import SecurityLevel
 from .errors import InvalidInstructionError, UnsupportedLevelError
 
+_LEVELS = tuple(SecurityLevel)  # a level's code is its place here
+
 INSTRUCTION_BITS = 26
 ADDR_BITS = 10
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
@@ -58,11 +60,10 @@ class Instruction:
             raise InvalidInstructionError("wen field is 1 bit")
 
     def security_level(self) -> SecurityLevel:
-        levels = list(SecurityLevel)  # a level's code is its place here
-        if self.sec_level >= len(levels):
+        if self.sec_level >= len(_LEVELS):
             raise UnsupportedLevelError(
                 f"sec_level field {self.sec_level} is reserved")
-        return levels[self.sec_level]
+        return _LEVELS[self.sec_level]
 
 
 def encode(ins: Instruction) -> int:
@@ -92,7 +93,7 @@ def decode(word: int) -> Instruction:
 
 def assemble(op: Opcode, level: SecurityLevel, raddr: int = 0,
              waddr: int = 0, wen: int = 0) -> int:
-    code = list(SecurityLevel).index(level)
+    code = _LEVELS.index(level)
     return encode(Instruction(code, raddr, waddr, wen, op))
 
 

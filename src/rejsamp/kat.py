@@ -16,8 +16,9 @@ pair need, and recomputes each of those records from a prefix of it.
 import re
 from dataclasses import dataclass
 
-from . import aesprg, params
-from .params import ParameterSet, builtin_params, level_from_number
+from . import aesprg
+from .params import (_LEVEL_CHOICES, ParameterSet, builtin_params,
+                     level_from_number)
 from .sampler import rej_samp
 
 
@@ -103,7 +104,7 @@ def parse_kat(text: str) -> list[KatRecord]:
                     _decimal(fields["level"])))
             except ValueError:
                 raise KatError(lineno, cols["level"], "level must be "
-                               f"{params.LEVEL_CHOICES}") from None
+                               f"{_LEVEL_CHOICES}") from None
             n, out_len = p.tau, p.n_prime
             rule = f"level={fields['level']} needs n'={out_len}"
         if len(out_hex) != 2 * out_len:

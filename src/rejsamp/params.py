@@ -24,7 +24,8 @@ class SecurityLevel(Enum):
 
 _BY_NUMBER = {int(level.value[2:]): level for level in SecurityLevel}
 LEVEL_NUMBERS = tuple(_BY_NUMBER)  # in member order
-LEVEL_CHOICES = "{}, {} or {}".format(*LEVEL_NUMBERS)  # for messages
+_LEVEL_CHOICES = (", ".join(map(str, LEVEL_NUMBERS[:-1]))  # for messages
+                  + f" or {LEVEL_NUMBERS[-1]}")
 
 
 @dataclass(frozen=True)
@@ -103,5 +104,5 @@ def builtin_params(level: SecurityLevel) -> ParameterSet:
 def level_from_number(n: int) -> SecurityLevel:
     """Map the CLI's 1/3/5 spelling onto SecurityLevel."""
     if n not in _BY_NUMBER:
-        raise ValueError(f"no security level {n}; choose {LEVEL_CHOICES}")
+        raise ValueError(f"no security level {n}; choose {_LEVEL_CHOICES}")
     return _BY_NUMBER[n]

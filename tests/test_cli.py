@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -62,13 +63,20 @@ def test_sample_csv_and_json_formats(tmp_path):
 
 
 def test_bad_hex_is_usage_error(capsys):
-    # bytes.fromhex skips whitespace: the digit count is checked first
-    for seed, iv in [("zz", "0001"), (SEED_HEX, "00 01"),
-                     (SEED_HEX[:2] + " " + SEED_HEX[2:], "0001")]:
+    # bytes.fromhex skips whitespace: the digits are checked first,
+    # also where whitespace keeps the string at the right length
+    for cmd, (seed, iv) in itertools.product(
+            [["sample"], ["kat", "generate"]],
+            [("zz", "0001"), (SEED_HEX, "00 01"),
+             (SEED_HEX[:2] + " " + SEED_HEX[2:], "0001"),
+             (SEED_HEX, "01  "), (SEED_HEX, "  01"),
+             (SEED_HEX[:14] + "  " + SEED_HEX[16:], "0001")]):
         with pytest.raises(SystemExit) as ei:
-            run_cli("sample", "--level", "1", "--seed", seed, "--iv", iv)
+            run_cli(*cmd, "--level", "1", "--seed", seed, "--iv", iv)
         assert ei.value.code == 2
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "hex digits" in captured.err or "is not hex" in captured.err
 
 
 def test_simulate_report_and_self_check(capsys, tmp_path):

@@ -89,7 +89,7 @@ def test_public_surface_is_pinned():
         "REFERENCE_INPUTS", "UM2_S", "fom_report", "latency",
         "metrics_from_dict", "report_from_doc", "report_to_csv"]
     assert _defined(params) == [
-        "BYTES_PER_WORD", "LEVEL_CHOICES", "LEVEL_NUMBERS", "ParameterSet",
-        "SecurityLevel", "builtin_params", "is_mersenne", "level_from_number"]
+        "BYTES_PER_WORD", "LEVEL_NUMBERS", "ParameterSet", "SecurityLevel",
+        "builtin_params", "is_mersenne", "level_from_number"]
     assert _defined(kat) == [
         "KatError", "KatRecord", "generate_kat", "parse_kat", "verify_kat"]
