@@ -19,6 +19,7 @@ import re
 import sys
 
 from . import aesprg, fom, hwsim, kat
+from .hwsim.memory import DEFAULT_DEPTH
 from .params import LEVEL_NUMBERS, builtin_params, level_from_number
 from .sampler import FieldVector, rej_samp, rej_samp_prg, rejection_stats
 
@@ -181,8 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("sample", help="run the golden sampler")
     ps.add_argument("--level", type=int, choices=LEVEL_NUMBERS, required=True)
     ps.add_argument("--seed", type=_seed_arg, required=True,
-                    help="32 hex digits")
-    ps.add_argument("--iv", type=_iv_arg, required=True, help="4 hex digits")
+                    help=f"{2 * aesprg.KEY_BYTES} hex digits")
+    ps.add_argument("--iv", type=_iv_arg, required=True,
+                    help=f"{2 * aesprg.IV_BYTES} hex digits")
     ps.add_argument("--out", metavar="PATH")
     ps.add_argument("--format", choices=["bin", "csv", "json"], default="bin")
     ps.set_defaults(func=_cmd_sample)
@@ -197,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--iv", type=_iv_arg, required=True)
     pm.add_argument("--freq", type=float, default=222e6,
                     help="clock frequency in Hz (default 222e6)")
-    pm.add_argument("--mem-depth", type=int, default=1024)
+    pm.add_argument("--mem-depth", type=int, default=DEFAULT_DEPTH)
     pm.add_argument("--trace", metavar="PATH", help="write a CSV access trace")
     pm.add_argument("--out", metavar="PATH")
     pm.add_argument("--format", choices=["bin", "csv", "json"], default="bin")

@@ -54,8 +54,9 @@ def _check(field: str, value) -> None:
 class PlatformMetrics:
     """One platform's measured figures.
 
-    Exactly one of area_um2 (ASIC) / luts (FPGA) must be present, matching
-    kind, and every numeric field given meets its rule in _RULES.
+    kind must be a PlatformKind and name a string. Exactly one of
+    area_um2 (ASIC) / luts (FPGA) must be present, matching kind, and
+    every numeric field given meets its rule in _RULES.
     power_listed_w records a power figure whose source quoted watts;
     when it disagrees with power_mw by a factor of 1000 the report carries
     a unit-discrepancy warning instead of guessing the intent.
@@ -70,6 +71,11 @@ class PlatformMetrics:
     power_listed_w: float | None = None
 
     def __post_init__(self):
+        if not isinstance(self.kind, PlatformKind):
+            raise ValueError(f"kind must be a PlatformKind, got {self.kind!r}")
+        if not isinstance(self.name, str):
+            raise ValueError(f"platform name must be a string, got "
+                             f"{self.name!r}")
         size = _SIZE[self.kind][0]
         given = [f for f, _ in _SIZE.values() if getattr(self, f) is not None]
         if given != [size]:
@@ -144,9 +150,6 @@ def metrics_from_dict(entry: dict) -> PlatformMetrics:
     extra = set(entry) - {f.name for f in fields(PlatformMetrics)}
     if extra:
         raise ValueError(f"unknown metric field(s) {sorted(extra)}")
-    if not isinstance(entry.get("name", ""), str):
-        raise ValueError(f"platform name must be a string, got "
-                         f"{entry['name']!r}")
     missing = [f.name for f in fields(PlatformMetrics)
                if f.default is MISSING and f.name not in entry]
     if missing:
@@ -224,10 +227,9 @@ def report_from_doc(doc) -> dict:
                       lut_area_um2=doc.get("lut_area_um2", 1.0))
 
 
-def _csv_field(value) -> str:
-    """value as one RFC 4180 field: quoted, with doubled quotes, only when
+def _csv_field(text: str) -> str:
+    """text as one RFC 4180 field: quoted, with doubled quotes, only when
     it holds a comma, a quote or a line break."""
-    text = str(value)  # PlatformMetrics does not type-check its name
     if any(c in text for c in ',"\r\n'):
         return '"' + text.replace('"', '""') + '"'
     return text

@@ -8,8 +8,9 @@ additive cycle decomposition of the modeled core (SL-I: 4632 + 3893 =
                     output ready after aes_latency cycles, drained in 2
                     cycles as two 64-bit word writes (one per cycle), plus
                     per_block_overhead; one-time wrapper_setup_cycles
-                    covers seed staging and FSM warmup.  cycles = setup +
-                    blocks * (latency + 2 + overhead), blocks = ceil(tau/16).
+                    covers seed staging (its first 2 cycles) and FSM
+                    warmup.  cycles = setup + blocks * (latency + 2 +
+                    overhead), blocks = ceil(tau/16).
 
   RejSamp unit      per 16-byte group: 2 refill-read cycles + 1 parallel
                     validate cycle; 1 collect cycle per stream byte (tau
@@ -46,7 +47,7 @@ themselves; the wrapper adds an issue row per block and the sampler a
 done row at its last write.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .. import aesprg
 from ..packing import words_from_bytes, bytes_from_words
@@ -69,12 +70,13 @@ class TimingConfig:
     rejsamp_setup_cycles: int = 77
 
     def __post_init__(self):
-        if self.aes_latency < 1:
-            raise ValueError("aes_latency must be at least 1 cycle")
-        for name in ("per_block_overhead", "wrapper_setup_cycles",
-                     "rejsamp_setup_cycles"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+        # the wrapper's setup stages the seed in its first 2 cycles
+        least = {"aes_latency": 1, "wrapper_setup_cycles": 2}
+        for f in fields(self):
+            value, floor = getattr(self, f.name), least.get(f.name, 0)
+            if value < floor:
+                raise ValueError(f"{f.name} must be at least {floor}, got "
+                                 f"{value}")
 
 
 @dataclass(frozen=True)

@@ -41,10 +41,12 @@ class KatRecord:
     params: ParameterSet | None = None  # set on a field-vector record
 
 
-def _hex_field(value: str, want_len: int | None, line: int, col: int,
-               name: str) -> bytes:
-    if want_len is not None and len(value) != want_len:
-        raise KatError(line, col, f"{name} must be {want_len} hex digits")
+def _hex_field(fields: dict, cols: dict, name: str, n_bytes: int | None,
+               line: int) -> bytes:
+    """Field name's bytes; it must hold 2*n_bytes hex digits if given."""
+    value, col = fields[name], cols[name]
+    if n_bytes is not None and len(value) != 2 * n_bytes:
+        raise KatError(line, col, f"{name} must be {2 * n_bytes} hex digits")
     try:
         return bytes.fromhex(value)
     except ValueError:
@@ -85,10 +87,9 @@ def parse_kat(text: str) -> list[KatRecord]:
                 raise KatError(lineno, 1, f"missing field {required!r}")
         if ("n" in fields) == ("level" in fields):
             raise KatError(lineno, 1, "need exactly one of n= or level=")
-        key = _hex_field(fields["key"], 32, lineno, cols["key"], "key")
-        iv = _hex_field(fields["iv"], 4, lineno, cols["iv"], "iv")
-        out_hex = _hex_field(fields["out"], None, lineno, cols["out"],
-                             "out").hex()
+        key = _hex_field(fields, cols, "key", aesprg.KEY_BYTES, lineno)
+        iv = _hex_field(fields, cols, "iv", aesprg.IV_BYTES, lineno)
+        out_hex = _hex_field(fields, cols, "out", None, lineno).hex()
         if "n" in fields:
             try:
                 n = _decimal(fields["n"])
@@ -154,7 +155,8 @@ def generate_kat(key: bytes, iv: bytes, level: int, count: int = 1) -> str:
     iv0 = int.from_bytes(iv, "big")
     lines = []
     for i in range(count):
-        case_iv = ((iv0 + i) % (1 << 16)).to_bytes(2, "big")
+        case_iv = ((iv0 + i) % (1 << 8 * aesprg.IV_BYTES)).to_bytes(
+            aesprg.IV_BYTES, "big")
         ks = aesprg.keystream(key, case_iv, p.tau)
         fv = rej_samp(ks, p.tau, p.n_prime, p.q)
         lines.append(f"key={key.hex()} iv={case_iv.hex()} n={p.tau} "

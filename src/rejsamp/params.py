@@ -1,12 +1,13 @@
 """QR-UOV sampling parameters and derived size quantities.
 
-Every other module pulls its symbols from here: the field modulus q, the
-block structure (l, V, M), the raw-stream length tau and the target output
-length n_prime = l*V*M, plus the 8-bytes-per-word address counts used by
-the memory model.
+A ParameterSet stores only the paper's inputs: the field modulus q, the
+block structure (l, V, M), the raw-stream length tau and lambda. The rest
+is derived when read: n_prime = l*V*M, v = l*V, m = l*M and the
+8-bytes-per-word address counts of the memory model. The three built-in
+sets are built once, at import.
 """
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from enum import Enum
 
 # Bytes packed into one 64-bit memory word.
@@ -41,21 +42,19 @@ class ParameterSet:
     l: int            # extension degree
     V: int            # vinegar block count
     M: int            # oil block count
-    v: int            # vinegar variables, l*V
-    m: int            # oil variables, l*M
     tau: int          # pseudorandom stream length in bytes
-    n_prime: int      # target output length in field elements, l*V*M
     lambda_bits: int  # security level; tau keeps P[zero-fill] < 2^-lambda
 
     def __post_init__(self):
-        if self.v != self.l * self.V or self.m != self.l * self.M:
-            raise ValueError("v and m must equal l*V and l*M")
-        if self.n_prime != self.l * self.V * self.M:
-            raise ValueError("n_prime must equal l*V*M")
         if not is_mersenne(self.q):
             raise ValueError(f"q={self.q} is not a Mersenne prime of form 2^k-1")
         if self.tau < self.n_prime:
             raise ValueError("tau must be >= n_prime (no spare bytes otherwise)")
+
+    @property
+    def n_prime(self) -> int:
+        """Target output length in field elements, l*V*M."""
+        return self.l * self.V * self.M
 
     @property
     def tau_addrs(self) -> int:
@@ -71,17 +70,14 @@ class ParameterSet:
         return -(-self.n_prime // BYTES_PER_WORD)
 
     def to_dict(self) -> dict:
-        """Fields, then word counts; required_mem_words is tau_addrs."""
-        return {**asdict(self), "sec_level": self.sec_level.value,
-                "tau_addrs": self.tau_addrs, "out_addrs": self.out_addrs,
+        """The inputs with v = l*V and m = l*M after M and n_prime after
+        tau, then the word counts; required_mem_words is tau_addrs."""
+        return {"sec_level": self.sec_level.value, "q": self.q, "l": self.l,
+                "V": self.V, "M": self.M, "v": self.l * self.V,
+                "m": self.l * self.M, "tau": self.tau, "n_prime": self.n_prime,
+                "lambda_bits": self.lambda_bits, "tau_addrs": self.tau_addrs,
+                "out_addrs": self.out_addrs,
                 "required_mem_words": self.tau_addrs}
-
-
-_BUILTIN = {
-    SecurityLevel.SL1: dict(q=127, l=3, V=52, M=18, tau=2916, lambda_bits=128),
-    SecurityLevel.SL3: dict(q=127, l=3, V=76, M=26, tau=6123, lambda_bits=192),
-    SecurityLevel.SL5: dict(q=127, l=3, V=102, M=35, tau=11018, lambda_bits=256),
-}
 
 
 def is_mersenne(q: int) -> bool:
@@ -89,16 +85,17 @@ def is_mersenne(q: int) -> bool:
     return q >= 1 and (q & (q + 1)) == 0
 
 
+_BUILTIN = {level: ParameterSet(level, q=127, l=3, V=V, M=M, tau=tau,
+                                lambda_bits=lam)
+            for level, V, M, tau, lam in (
+                (SecurityLevel.SL1, 52, 18, 2916, 128),
+                (SecurityLevel.SL3, 76, 26, 6123, 192),
+                (SecurityLevel.SL5, 102, 35, 11018, 256))}
+
+
 def builtin_params(level: SecurityLevel) -> ParameterSet:
     """Fixed parameter set for one of the three built-in security levels."""
-    base = _BUILTIN[SecurityLevel(level)]
-    return ParameterSet(
-        sec_level=SecurityLevel(level),
-        v=base["l"] * base["V"],
-        m=base["l"] * base["M"],
-        n_prime=base["l"] * base["V"] * base["M"],
-        **base,
-    )
+    return _BUILTIN[SecurityLevel(level)]
 
 
 def level_from_number(n: int) -> SecurityLevel:

@@ -103,7 +103,6 @@ def rej_samp_prg(seed: bytes, iv: bytes, p: ParameterSet) -> FieldVector:
 class RejectionStats:
     """Bookkeeping for one sampling run, for reporting only."""
     tau: int
-    n_prime: int
     masked_to_q: int      # bytes that masked to q anywhere in the stream
     replaced: int         # rejected head positions patched from the tail
     zero_filled: int      # rejected head positions left over after the tail
@@ -122,10 +121,5 @@ def rejection_stats(raw: bytes, tau: int, n_prime: int, q: int) -> RejectionStat
         v == q for v in mask_bytes(bytes(range(256)), q)))
     head_rejects = rejected.count(1, 0, n_prime)
     replaced = min(head_rejects, rejected.count(0, n_prime))
-    return RejectionStats(
-        tau=tau,
-        n_prime=n_prime,
-        masked_to_q=rejected.count(1),
-        replaced=replaced,
-        zero_filled=head_rejects - replaced,
-    )
+    return RejectionStats(tau=tau, masked_to_q=rejected.count(1),
+                          replaced=replaced, zero_filled=head_rejects - replaced)

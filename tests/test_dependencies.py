@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import rejsamp
-from rejsamp import aesprg, fom, hwsim, kat, params
+from rejsamp import aesprg, fom, hwsim, kat, packing, params
 
 PACKAGE_DIR = Path(rejsamp.__file__).parent
 
@@ -57,13 +57,28 @@ def test_simulator_loads_no_layer_above_it():
     assert not {"rejsamp.fom", "rejsamp.kat", "rejsamp.cli"} & set(loaded)
 
 
+def _assigned(module):
+    """The names module assigns at its top level, read from its source."""
+    targets = []
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, ast.Assign):
+            targets += node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets.append(node.target)
+    return {n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name)}
+
+
 def _defined(module):
     """The public functions, classes and constants defined in module, not
-    imported into it."""
+    imported into it. A constant (an int, str or tuple has no __module__)
+    counts only where the module assigns it."""
+    assigned = _assigned(module)
     return sorted(
         name for name, value in vars(module).items()
         if not name.startswith("_") and not inspect.ismodule(value)
-        and getattr(value, "__module__", module.__name__) == module.__name__)
+        and getattr(value, "__module__", module.__name__ if name in assigned
+                    else None) == module.__name__)
 
 
 def test_public_surface_is_pinned():
@@ -80,6 +95,9 @@ def test_public_surface_is_pinned():
     assert [f.name for f in dataclasses.fields(hwsim.TimingConfig)] == [
         "aes_latency", "per_block_overhead", "wrapper_setup_cycles",
         "rejsamp_setup_cycles"]
+    # a parameter set stores only the paper's inputs; the rest is derived
+    assert [f.name for f in dataclasses.fields(params.ParameterSet)] == [
+        "sec_level", "q", "l", "V", "M", "tau", "lambda_bits"]
     assert _defined(aesprg) == [
         "BLOCK_BYTES", "IV_BYTES", "KEY_BYTES", "SBOX", "aes128_encrypt_block",
         "check_key", "ctr_blocks", "encrypt_block_expanded", "expand_key",
@@ -91,5 +109,6 @@ def test_public_surface_is_pinned():
     assert _defined(params) == [
         "BYTES_PER_WORD", "LEVEL_NUMBERS", "ParameterSet", "SecurityLevel",
         "builtin_params", "is_mersenne", "level_from_number"]
+    assert _defined(packing) == ["bytes_from_words", "words_from_bytes"]
     assert _defined(kat) == [
         "KatError", "KatRecord", "generate_kat", "parse_kat", "verify_kat"]

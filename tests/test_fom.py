@@ -131,6 +131,10 @@ def test_metrics_validation():
                          ("luts", True), ("cpd_ns", "x")]:
         with pytest.raises(ValueError, match=field):
             PlatformMetrics(**dict(fields, **{field: value}))
+    with pytest.raises(ValueError, match="platform name must be a string"):
+        PlatformMetrics(**fields, name=["a", 1])
+    with pytest.raises(ValueError, match="kind must be a PlatformKind"):
+        PlatformMetrics(**dict(fields, kind="FPGA"))
 
 
 def test_unit_warning_only_on_disagreement():
@@ -156,14 +160,14 @@ def test_empty_report():
     assert fom.report_to_csv(rep).count("\n") == 1  # header only
 
 
-@pytest.mark.parametrize("name", ["a,b", 'say "hi"', "two\nlines", "cr\rx", 5])
+@pytest.mark.parametrize("name", ["a,b", 'say "hi"', "two\nlines", "cr\rx"])
 def test_csv_quotes_the_platform_name(name):
     m = PlatformMetrics(kind=PlatformKind.ASIC, area_um2=1.0, cpd_ns=1.0,
                         power_mw=1.0, tech_nm=65, name=name)
     text = fom.report_to_csv(fom_report([m]))
     rows = list(csv.reader(io.StringIO(text, newline="")))
     assert len(rows) == 2 and len(rows[1]) == 7
-    assert rows[1][0] == str(name)
+    assert rows[1][0] == name
 
 
 def test_metrics_from_dict_schema():

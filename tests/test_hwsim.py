@@ -355,7 +355,7 @@ def test_run_program_reference_cycles():
 @pytest.mark.parametrize("cfg", [
     TimingConfig(),
     TimingConfig(aes_latency=1, per_block_overhead=0,
-                 wrapper_setup_cycles=0, rejsamp_setup_cycles=0),
+                 wrapper_setup_cycles=2, rejsamp_setup_cycles=0),
     TimingConfig(aes_latency=30, per_block_overhead=10,
                  wrapper_setup_cycles=11, rejsamp_setup_cycles=13),
 ])
@@ -415,7 +415,7 @@ def _split_program(level):
 @settings(max_examples=8, deadline=None)
 @given(cfg=st.builds(TimingConfig, aes_latency=st.integers(1, 40),
                      per_block_overhead=st.integers(0, 8),
-                     wrapper_setup_cycles=st.integers(0, 100),
+                     wrapper_setup_cycles=st.integers(2, 100),
                      rejsamp_setup_cycles=st.integers(0, 100)))
 def test_schedule_fits_the_memory_ports(program, level, cfg):
     res = hwsim.run_program(program(level), SEED, IV, cfg=cfg)
@@ -430,6 +430,9 @@ def test_schedule_fits_the_memory_ports(program, level, cfg):
     sampler = [row[0] for row in log if row[1] == "rejsamp"]
     assert start + report.wrapper_cycles <= min(sampler)
     assert max(sampler) < start + report.total_cycles
+    # the setup covers seed staging: no block issues before its key is read
+    staged = max(row[0] for row in log if row[1:3] == ("wrapper", "read"))
+    assert all(row[0] > staged for row in log if row[2] == "issue")
 
 
 def test_split_prg_then_rejsamp_equals_full():
@@ -596,6 +599,9 @@ def test_timing_config_validation():
         TimingConfig(aes_latency=0)
     with pytest.raises(ValueError):
         TimingConfig(per_block_overhead=-1)
+    for setup in (0, 1):  # block 0 would issue before the seed is staged
+        with pytest.raises(ValueError, match="wrapper_setup_cycles"):
+            TimingConfig(wrapper_setup_cycles=setup)
 
 
 def test_cycle_report_identity_enforced():

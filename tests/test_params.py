@@ -30,9 +30,10 @@ ADDR_PAIRS = {
 
 @pytest.mark.parametrize("level", list(SecurityLevel))
 def test_builtin_matches_published_values(level):
-    p = builtin_params(level)
+    # v and m are derived only for the `rejsamp params` JSON
+    d = builtin_params(level).to_dict()
     for field, want in PUBLISHED[level].items():
-        assert getattr(p, field) == want, field
+        assert d[field] == want, field
 
 
 @pytest.mark.parametrize("level", list(SecurityLevel))
@@ -64,12 +65,10 @@ def test_is_mersenne():
 
 
 def test_invariant_violations_rejected():
+    # v, m and n_prime are derived, so only q and tau can be inconsistent
     base = dict(sec_level=SecurityLevel.SL1, q=127, l=3, V=52, M=18,
-                v=156, m=54, tau=2916, n_prime=2808, lambda_bits=128)
-    with pytest.raises(ValueError):
-        ParameterSet(**{**base, "v": 155})
-    with pytest.raises(ValueError):
-        ParameterSet(**{**base, "n_prime": 2807})
+                tau=2916, lambda_bits=128)
+    assert ParameterSet(**base) == builtin_params(SecurityLevel.SL1)
     with pytest.raises(ValueError):
         ParameterSet(**{**base, "q": 126})
     with pytest.raises(ValueError):
@@ -114,3 +113,9 @@ def test_tau_is_shortest_stream_below_zero_fill_bound(level):
 def test_builtin_levels_follow_tau_rule(level):
     p = builtin_params(level)
     assert (p.tau, p.n_prime, p.lambda_bits) == TAU_RULE[level.value]
+
+
+@pytest.mark.parametrize("level", list(SecurityLevel))
+def test_builtin_sets_are_built_once(level):
+    assert builtin_params(level) is builtin_params(level)
+    assert builtin_params(level.value) is builtin_params(level)

@@ -202,8 +202,7 @@ def test_rejection_stats():
 
 def _toy(q, tau, n_prime):
     return ParameterSet(sec_level=SecurityLevel.SL1, q=q, l=1, V=1,
-                        M=n_prime, v=1, m=n_prime, tau=tau, n_prime=n_prime,
-                        lambda_bits=0)
+                        M=n_prime, tau=tau, lambda_bits=0)
 
 
 @pytest.mark.parametrize("q,tau,n_prime", [
