@@ -24,7 +24,7 @@ from collections.abc import Iterator
 
 KEY_BYTES = 16
 IV_BYTES = 2
-BLOCK_BYTES = 16
+_BLOCK_BYTES = 16
 
 _ZERO_PREFIX = bytes(8)
 _BLOCK_INDEX_BYTES = 6
@@ -57,7 +57,7 @@ def _build_tables():
     return bytes(sbox), bytes(xtime[s] for s in sbox), rcon
 
 
-SBOX, _SBOX2, _RCON = _build_tables()
+_SBOX, _SBOX2, _RCON = _build_tables()
 # ShiftRows: byte j (row j % 4) reads that row of column (j // 4 + j % 4) % 4
 _SHIFT_ROWS = tuple((j + 4 * (j % 4)) % 16 for j in range(16))
 
@@ -71,8 +71,9 @@ def expand_key(key: bytes) -> list[int]:
         t = w[i - 1]
         if i % 4 == 0:
             # SubWord(RotWord(t)) xor Rcon
-            t = (SBOX[t >> 16 & 255] << 24 ^ SBOX[t >> 8 & 255] << 16
-                 ^ SBOX[t & 255] << 8 ^ SBOX[t >> 24] ^ _RCON[i // 4 - 1] << 24)
+            t = (_SBOX[t >> 16 & 255] << 24 ^ _SBOX[t >> 8 & 255] << 16
+                 ^ _SBOX[t & 255] << 8 ^ _SBOX[t >> 24]
+                 ^ _RCON[i // 4 - 1] << 24)
         w.append(w[i - 4] ^ t)
     return w
 
@@ -80,44 +81,37 @@ def expand_key(key: bytes) -> list[int]:
 def encrypt_block_expanded(w: list[int], data: bytes) -> bytes:
     """AES-128 encryption of every 16-byte block of data with a
     precomputed key schedule, all blocks at once."""
-    n, rest = divmod(len(data), BLOCK_BYTES)
+    n, rest = divmod(len(data), _BLOCK_BYTES)
     if not n or rest:
-        raise ValueError(f"data must be a positive multiple of {BLOCK_BYTES} "
+        raise ValueError(f"data must be a positive multiple of {_BLOCK_BYTES} "
                          f"bytes, got {len(data)}")
     ones = int.from_bytes(b"\x01" * n, "little")  # broadcasts a key byte
     rk = _SCHEDULE.pack(*w)  # round r's key bytes are rk[16r:16r + 16]
     # lane j: state byte j (row j % 4, column j // 4) of every block
-    s = [int.from_bytes(data[j::BLOCK_BYTES], "little") ^ rk[j] * ones
-         for j in range(BLOCK_BYTES)]
+    s = [int.from_bytes(data[j::_BLOCK_BYTES], "little") ^ rk[j] * ones
+         for j in range(_BLOCK_BYTES)]
     for r in range(1, 10):
         lanes = [x.to_bytes(n, "little") for x in s]
-        a = [int.from_bytes(lane.translate(SBOX), "little") for lane in lanes]
+        a = [int.from_bytes(lane.translate(_SBOX), "little") for lane in lanes]
         a2 = [int.from_bytes(lane.translate(_SBOX2), "little")
               for lane in lanes]
         s = []
-        for c in range(0, BLOCK_BYTES, 4):
+        for c in range(0, _BLOCK_BYTES, 4):
             # MixColumns of the shifted column: a_r ^ t ^ 2a_r ^ 2a_(r+1)
             j0, j1, j2, j3 = _SHIFT_ROWS[c:c + 4]
             t = a[j0] ^ a[j1] ^ a[j2] ^ a[j3]
             d0, d1, d2, d3 = a2[j0], a2[j1], a2[j2], a2[j3]
-            k = BLOCK_BYTES * r + c
+            k = _BLOCK_BYTES * r + c
             s += (a[j0] ^ t ^ d0 ^ d1 ^ rk[k] * ones,
                   a[j1] ^ t ^ d1 ^ d2 ^ rk[k + 1] * ones,
                   a[j2] ^ t ^ d2 ^ d3 ^ rk[k + 2] * ones,
                   a[j3] ^ t ^ d3 ^ d0 ^ rk[k + 3] * ones)
     out = bytearray(len(data))
-    for j in range(BLOCK_BYTES):  # final round: no MixColumns
-        lane = s[_SHIFT_ROWS[j]].to_bytes(n, "little").translate(SBOX)
-        lane = int.from_bytes(lane, "little") ^ rk[10 * BLOCK_BYTES + j] * ones
-        out[j::BLOCK_BYTES] = lane.to_bytes(n, "little")
+    for j in range(_BLOCK_BYTES):  # final round: no MixColumns
+        lane = s[_SHIFT_ROWS[j]].to_bytes(n, "little").translate(_SBOX)
+        lane = int.from_bytes(lane, "little") ^ rk[10 * _BLOCK_BYTES + j] * ones
+        out[j::_BLOCK_BYTES] = lane.to_bytes(n, "little")
     return bytes(out)
-
-
-def aes128_encrypt_block(key: bytes, block: bytes) -> bytes:
-    """AES-128 ciphertext of one 16-byte block. Deterministic, unkeyed state."""
-    if len(block) != BLOCK_BYTES:
-        raise ValueError(f"block must be {BLOCK_BYTES} bytes, got {len(block)}")
-    return encrypt_block_expanded(expand_key(key), block)
 
 
 def check_key(key: bytes) -> bytes:
@@ -147,5 +141,5 @@ def keystream(key: bytes, iv: bytes, n_bytes: int) -> bytes:
     check_key(key)
     if n_bytes <= 0:
         raise ValueError("empty keystream request")
-    counters = b"".join(ctr_blocks(iv, -(-n_bytes // BLOCK_BYTES)))
+    counters = b"".join(ctr_blocks(iv, -(-n_bytes // _BLOCK_BYTES)))
     return encrypt_block_expanded(expand_key(key), counters)[:n_bytes]

@@ -18,7 +18,10 @@ import json
 import re
 import sys
 
-from . import aesprg, fom, hwsim, kat
+from . import aesprg, fom, kat
+from .hwsim.core import run_program
+from .hwsim.errors import CapacityError, HwSimError, UnsupportedLevelError
+from .hwsim.isa import default_program, parse_program
 from .hwsim.memory import DEFAULT_DEPTH
 from .params import LEVEL_NUMBERS, builtin_params, level_from_number
 from .sampler import FieldVector, rej_samp, rej_samp_prg, rejection_stats
@@ -97,11 +100,10 @@ def _cmd_sample(args) -> int:
 def _cmd_simulate(args) -> int:
     if args.program is not None:
         with open(args.program) as f:
-            words = hwsim.parse_program(f.read())
+            words = parse_program(f.read())
     else:
-        words = hwsim.default_program(level_from_number(args.level))
-    result = hwsim.run_program(words, args.seed, args.iv,
-                               mem_depth=args.mem_depth)
+        words = default_program(level_from_number(args.level))
+    result = run_program(words, args.seed, args.iv, mem_depth=args.mem_depth)
     report = result.report.to_json_dict()
     report["freq_hz"] = args.freq
     report["latency_us"] = fom.latency(report["total_cycles"], args.freq) * 1e6
@@ -235,14 +237,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except hwsim.UnsupportedLevelError as e:
+    except UnsupportedLevelError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_UNSUPPORTED_LEVEL
-    except hwsim.CapacityError as e:
+    except CapacityError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (hwsim.HwSimError, kat.KatError, ValueError, json.JSONDecodeError,
-            OSError) as e:
+    # kat.KatError and json.JSONDecodeError are ValueErrors too
+    except (HwSimError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -42,9 +42,9 @@ the required depth is exactly ceil(tau/8).  run_program alone knows this
 map: it checks the depth once, and the units assume the schedule (the
 wrapper writes every keystream word before the sampler reads one).
 
-Trace: the memory's log is the run's one trace.  Reads and writes log
-themselves; the wrapper adds an issue row per block and the sampler a
-done row at its last write.
+Trace: `ProgramResult.log` is the run's one trace, the memory's log.
+Reads and writes log themselves; the wrapper adds an issue row per block
+and the sampler a done row at its last write.
 """
 
 from dataclasses import dataclass, fields
@@ -58,7 +58,7 @@ from .errors import CapacityError, ProgramError
 from .isa import Instruction, Opcode, decode
 from .memory import DEFAULT_DEPTH, MemoryModel
 
-GROUP_BYTES = 16  # shift-register width: two 64-bit words
+_GROUP_BYTES = 16  # shift-register width: two 64-bit words
 
 
 @dataclass(frozen=True)
@@ -103,8 +103,8 @@ class CycleReport:
         }
 
 
-def block_count(p: ParameterSet) -> int:
-    return -(-p.tau // GROUP_BYTES)
+def _block_count(p: ParameterSet) -> int:
+    return -(-p.tau // _GROUP_BYTES)
 
 
 class AesCtrWrapper:
@@ -130,7 +130,7 @@ class AesCtrWrapper:
         round_keys = aesprg.expand_key(seed)
         per_block = cfg.aes_latency + 2 + cfg.per_block_overhead  # 2: drain
         issue0 = start_cycle + cfg.wrapper_setup_cycles
-        blocks = block_count(p)
+        blocks = _block_count(p)
         counters = b"".join(aesprg.ctr_blocks(iv, blocks))  # checks the iv
         mem.log.extend((issue0 + b * per_block, "wrapper", "issue", b, None)
                        for b in range(blocks))
@@ -165,8 +165,8 @@ class RejSampUnit:
         mask = bytes(b & q for b in range(256))
         cycle = start_cycle + self.cfg.rejsamp_setup_cycles
         words = []
-        for g in range(block_count(p)):
-            in_group = min(GROUP_BYTES, p.tau - g * GROUP_BYTES)
+        for g in range(_block_count(p)):
+            in_group = min(_GROUP_BYTES, p.tau - g * _GROUP_BYTES)
             for i in range(-(-in_group // BYTES_PER_WORD)):  # refill
                 words.append(mem.read(2 * g + i, cycle=cycle + i,
                                       unit="rejsamp"))
@@ -191,13 +191,12 @@ class RejSampUnit:
 class ProgramResult:
     report: CycleReport
     vector: FieldVector
-    mem: MemoryModel
+    log: list[tuple]  # (cycle, unit, event, addr, data) rows, as logged
     params: ParameterSet
 
     def trace_rows(self) -> list[tuple]:
-        """The memory log's (cycle, unit, event, addr, data) rows, in
-        cycle order."""
-        return sorted(self.mem.log, key=lambda r: (r[0], r[1], r[2]))
+        """The log's rows in cycle order."""
+        return sorted(self.log, key=lambda r: (r[0], r[1], r[2]))
 
 
 # The op sequences, NOPs dropped, that produce a sampled vector.
@@ -245,8 +244,8 @@ def run_program(words: list[int], seed: bytes, iv: bytes,
                 mem_depth: int = DEFAULT_DEPTH) -> ProgramResult:
     """Decode and check a program of instruction words, then run the one
     schedule every accepted program has (see the module docstring).
-    Returns the cycle report, the sampled vector, the memory with its
-    trace log and the parameter set the program ran."""
+    Returns the cycle report, the sampled vector, the trace log and the
+    parameter set the program ran."""
     cfg = cfg or TimingConfig()
     level, seed_addr = _validate_program([decode(w) for w in words])
     p = builtin_params(level)
@@ -273,4 +272,4 @@ def run_program(words: list[int], seed: bytes, iv: bytes,
     vector = FieldVector(tuple(bytes_from_words(drain, p.n_prime)), p.q)
     report = CycleReport(wrapper_cycles=wrapper_cycles,
                          rejsamp_cycles=rejsamp_cycles)
-    return ProgramResult(report=report, vector=vector, mem=mem, params=p)
+    return ProgramResult(report=report, vector=vector, log=mem.log, params=p)

@@ -27,8 +27,8 @@ from .errors import InvalidInstructionError, UnsupportedLevelError
 
 _LEVELS = tuple(SecurityLevel)  # a level's code is its place here
 
-INSTRUCTION_BITS = 26
-ADDR_BITS = 10
+_INSTRUCTION_BITS = 26
+_ADDR_BITS = 10
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
@@ -52,9 +52,9 @@ class Instruction:
     def __post_init__(self):
         if not 0 <= self.sec_level < 4:
             raise InvalidInstructionError("sec_level field is 2 bits")
-        if not 0 <= self.raddr < (1 << ADDR_BITS):
+        if not 0 <= self.raddr < (1 << _ADDR_BITS):
             raise InvalidInstructionError("raddr field is 10 bits")
-        if not 0 <= self.waddr < (1 << ADDR_BITS):
+        if not 0 <= self.waddr < (1 << _ADDR_BITS):
             raise InvalidInstructionError("waddr field is 10 bits")
         if self.wen not in (0, 1):
             raise InvalidInstructionError("wen field is 1 bit")
@@ -75,7 +75,7 @@ def encode(ins: Instruction) -> int:
 
 
 def decode(word: int) -> Instruction:
-    if not 0 <= word < (1 << INSTRUCTION_BITS):
+    if not 0 <= word < (1 << _INSTRUCTION_BITS):
         raise InvalidInstructionError(f"word {word:#x} does not fit in 26 bits")
     opval = word >> 23 & 0b111
     try:
@@ -107,10 +107,6 @@ def default_program(level: SecurityLevel) -> list[int]:
     ]
 
 
-def format_program(words) -> str:
-    return "".join(f"{w:07x}\n" for w in words)
-
-
 def parse_program(text: str) -> list[int]:
     words = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -125,7 +121,7 @@ def parse_program(text: str) -> list[int]:
             raise InvalidInstructionError(
                 f"line {lineno}: {stripped!r} has more than 7 hex digits")
         word = int(stripped, 16)
-        if word >= 1 << INSTRUCTION_BITS:
+        if word >= 1 << _INSTRUCTION_BITS:
             raise InvalidInstructionError(
                 f"line {lineno}: {stripped!r} exceeds 26 bits")
         words.append(word)

@@ -17,8 +17,8 @@ from collections import deque
 from .errors import AddressError, SimulationFault
 
 DEFAULT_DEPTH = 1024
-WORD_BITS = 64
-_WORD_LIMIT = 1 << WORD_BITS
+_WORD_BITS = 64
+_WORD_LIMIT = 1 << _WORD_BITS
 
 
 class MemoryModel:
@@ -40,7 +40,8 @@ class MemoryModel:
         if not 0 <= addr < self.depth:
             raise self._range_error(addr)
         if not 0 <= word < _WORD_LIMIT:
-            raise ValueError(f"word {word:#x} does not fit in {WORD_BITS} bits")
+            raise ValueError(
+                f"word {word:#x} does not fit in {_WORD_BITS} bits")
         if cycle < self._read_cycle:
             raise SimulationFault(f"write to cycle {cycle} after cycle "
                                   f"{self._read_cycle} was read")

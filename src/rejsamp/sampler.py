@@ -12,6 +12,7 @@ replacement pointer starts at index n_prime (the pseudocode's n'+1) and
 exhaustion is k == tau (the pseudocode's k = tau+1).
 """
 
+import functools
 from dataclasses import dataclass
 
 from . import aesprg
@@ -112,13 +113,18 @@ class RejectionStats:
         return self.masked_to_q / self.tau
 
 
+@functools.lru_cache(maxsize=8)  # one per Mersenne q below 256
+def _reject_table(q: int) -> bytes:
+    """Translation table: 1 for each byte that masks to q, else 0."""
+    return bytes(v == q for v in mask_bytes(bytes(range(256)), q))
+
+
 def rejection_stats(raw: bytes, tau: int, n_prime: int, q: int) -> RejectionStats:
     """The counts behind rej_samp(raw, tau, n_prime, q), which checks the
     same arguments."""
     _check_shape(raw, tau, n_prime)
     # one copy of raw holding 1 where a byte masks to q and 0 elsewhere
-    rejected = raw.translate(bytes(
-        v == q for v in mask_bytes(bytes(range(256)), q)))
+    rejected = raw.translate(_reject_table(q))
     head_rejects = rejected.count(1, 0, n_prime)
     replaced = min(head_rejects, rejected.count(0, n_prime))
     return RejectionStats(tau=tau, masked_to_q=rejected.count(1),

@@ -2,9 +2,13 @@
 
 Everything here is written from the underlying definitions on purpose and
 must stay decoupled from the package: a literal 1-based transcription of
-the rejection-sampling pseudocode, and a self-contained AES-128 with both
-cipher directions for round-trip checks.
+the rejection-sampling pseudocode, a self-contained AES-128 with both
+cipher directions for round-trip checks, closed-form cycle counts, a
+program-file writer and a scoreboard that replays a run's trace.
 """
+
+import collections
+import functools
 
 
 def rej_samp_naive(raw, tau, n_prime, q):
@@ -134,12 +138,17 @@ def aes128_decrypt_oracle(key, block):
     return bytes(s)
 
 
+# the scoreboard replays many runs of one (seed, iv): encrypt each counter
+# block once
+_ctr_block_oracle = functools.lru_cache(maxsize=2048)(aes128_encrypt_oracle)
+
+
 def keystream_oracle(key, iv, n_bytes, nonce=b"\x00" * 8):
     """CTR keystream: nonce || iv || 6-byte big-endian block index."""
     out = bytearray()
     idx = 0
     while len(out) < n_bytes:
-        out += aes128_encrypt_oracle(key, nonce + iv + idx.to_bytes(6, "big"))
+        out += _ctr_block_oracle(key, nonce + iv + idx.to_bytes(6, "big"))
         idx += 1
     return bytes(out[:n_bytes])
 
@@ -181,3 +190,65 @@ def zero_fill_weight(tau, n_prime, q=127):
         lower += term
         term = term * (tau - r) // ((r + 1) * q)
     return (q + 1) ** tau - lower
+
+
+# ---------------------------------------------------------------------------
+# Program files, from the format's definition: one instruction word per
+# line as 7 hex digits.
+
+
+def format_program(words):
+    return "".join(f"{w:07x}\n" for w in words)
+
+
+# ---------------------------------------------------------------------------
+# A scoreboard for a run's trace: the (cycle, unit, event, addr, data) rows
+# of ProgramResult.trace_rows(), replayed against the dual-port memory's
+# rules and the oracles above.  The wrapper writes the keystream from word
+# 0, the rejsamp unit reads it back, and the host drains the output from
+# word 0.
+
+
+def _unpacked(accesses):
+    """The data of (addr, data) word accesses to addresses 0, 1, ... in
+    order, as big-endian bytes."""
+    assert [a for a, _ in accesses] == list(range(len(accesses))), \
+        "accesses do not cover words 0, 1, ... in order"
+    return b"".join(d.to_bytes(8, "big") for _, d in accesses)
+
+
+def replay_trace(rows, seed, iv, tau, n_prime, q):
+    """Raise AssertionError unless the rows come in cycle order, each port
+    takes at most one access per cycle, every read returns the latest write
+    to its address at an earlier cycle (or 0), the wrapper's writes and the
+    rejsamp unit's reads both hold the keystream, and the host drains the
+    sampled vector, each zero-padded to whole 64-bit words."""
+    stream = keystream_oracle(seed, iv, tau)
+    last = {}  # addr -> (cycle, data, the data before it) of its last write
+    port_cycle = {"read": -1, "write": -1}
+    accesses = collections.defaultdict(list)  # (unit, event): (addr, data)s
+    now = -1
+    for cycle, unit, event, addr, data in rows:
+        assert cycle >= now, f"row at cycle {cycle} after cycle {now}"
+        now = cycle
+        if event not in port_cycle:
+            continue  # issue and done rows touch no port
+        assert cycle > port_cycle[event], \
+            f"second {event} in cycle {cycle} or out of cycle order"
+        port_cycle[event] = cycle
+        w_cycle, w_data, before = last.get(addr, (-1, 0, 0))
+        visible = w_data if w_cycle < cycle else before
+        if event == "write":
+            last[addr] = (cycle, data, visible)
+        else:
+            assert data == visible, (f"read of word {addr} in cycle {cycle} "
+                                     f"returned {data:#x}, not {visible:#x}")
+        accesses[unit, event].append((addr, data))
+    padded = stream + bytes(-tau % 8)
+    assert _unpacked(accesses["wrapper", "write"]) == padded, \
+        "wrapper wrote another stream"
+    assert _unpacked(accesses["rejsamp", "read"]) == padded, \
+        "rejsamp read another stream"
+    out = bytes(rej_samp_naive(stream, tau, n_prime, q)) + bytes(-n_prime % 8)
+    assert _unpacked(accesses["host", "read"]) == out, \
+        "host drained another vector"

@@ -17,16 +17,19 @@ ZEROS_CT = bytes.fromhex("66e94bd4ef8a2c3b884cfa59ca342b2e")
 
 
 def test_fips_known_answer():
-    assert aesprg.aes128_encrypt_block(KEY, PT) == CT
+    assert aesprg.encrypt_block_expanded(aesprg.expand_key(KEY), PT) == CT
 
 
 def test_all_zero_known_answer():
-    assert aesprg.aes128_encrypt_block(b"\x00" * 16, b"\x00" * 16) == ZEROS_CT
+    w = aesprg.expand_key(bytes(16))
+    assert aesprg.encrypt_block_expanded(w, bytes(16)) == ZEROS_CT
 
 
 def test_encrypt_deterministic():
     blk = bytes(range(16, 32))
-    assert aesprg.aes128_encrypt_block(KEY, blk) == aesprg.aes128_encrypt_block(KEY, blk)
+    w = aesprg.expand_key(KEY)
+    assert aesprg.encrypt_block_expanded(w, blk) == \
+        aesprg.encrypt_block_expanded(aesprg.expand_key(KEY), blk)
 
 
 def test_final_round_key_frozen():
@@ -37,10 +40,10 @@ def test_final_round_key_frozen():
 
 
 def test_bad_lengths_rejected():
-    with pytest.raises(ValueError):
-        aesprg.aes128_encrypt_block(KEY[:-1], PT)
-    with pytest.raises(ValueError):
-        aesprg.aes128_encrypt_block(KEY, PT[:-1])
+    with pytest.raises(ValueError, match="key must be 16 bytes"):
+        aesprg.expand_key(KEY[:-1])
+    with pytest.raises(ValueError, match="multiple of 16"):
+        aesprg.encrypt_block_expanded(aesprg.expand_key(KEY), PT[:-1])
     with pytest.raises(ValueError):
         aesprg.keystream(KEY, b"\x00", 8)
     with pytest.raises(ValueError):
@@ -52,7 +55,8 @@ def test_roundtrip_against_independent_decryptor():
     for _ in range(200):
         k = rng.randbytes(16)
         b = rng.randbytes(16)
-        assert aes128_decrypt_oracle(k, aesprg.aes128_encrypt_block(k, b)) == b
+        ct = aesprg.encrypt_block_expanded(aesprg.expand_key(k), b)
+        assert aes128_decrypt_oracle(k, ct) == b
 
 
 def test_against_openssl():
@@ -64,7 +68,8 @@ def test_against_openssl():
         k = rng.randbytes(16)
         b = rng.randbytes(16)
         enc = Cipher(algorithms.AES(k), modes.ECB()).encryptor()
-        assert aesprg.aes128_encrypt_block(k, b) == enc.update(b) + enc.finalize()
+        assert aesprg.encrypt_block_expanded(aesprg.expand_key(k), b) == \
+            enc.update(b) + enc.finalize()
 
 
 @pytest.mark.parametrize("n", [0, 1, 256, 257])
@@ -91,7 +96,8 @@ def test_keystream_rejects_bad_nonce_and_iv(iv):
 
 def test_single_block_keystream_is_one_encryption():
     iv = b"\x00\x01"
-    want = aesprg.aes128_encrypt_block(KEY, bytes(8) + iv + bytes(6))
+    want = aesprg.encrypt_block_expanded(aesprg.expand_key(KEY),
+                                         bytes(8) + iv + bytes(6))
     assert aesprg.keystream(KEY, iv, 16) == want
 
 

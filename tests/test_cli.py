@@ -4,10 +4,13 @@ import json
 
 import pytest
 
-from rejsamp import cli, hwsim, kat
+from rejsamp import cli, kat
+from rejsamp.hwsim.isa import (Instruction, Opcode, assemble, default_program,
+                               encode)
 from rejsamp.params import SecurityLevel
 from rejsamp.sampler import rej_samp_prg
 from rejsamp.params import builtin_params
+from oracles import format_program
 
 SEED_HEX = "000102030405060708090a0b0c0d0e0f"
 SEED = bytes.fromhex(SEED_HEX)
@@ -120,15 +123,15 @@ def test_simulate_trace_pinned(tmp_path, capsys):
 
 def test_simulate_split_program_trace_pinned(tmp_path, capsys):
     # separate RUN_PRG and RUN_REJSAMP runs at SL3 with the seed at words 3-4
-    L, op = SecurityLevel.SL3, hwsim.Opcode
+    L, op = SecurityLevel.SL3, Opcode
     prog = tmp_path / "prog.hex"
-    prog.write_text(hwsim.format_program([
-        hwsim.assemble(op.LOAD_SEED, L, waddr=3, wen=1),
-        hwsim.assemble(op.LOAD_SEED, L, waddr=4, wen=1),
-        hwsim.assemble(op.NOP, L),
-        hwsim.assemble(op.RUN_PRG, L),
-        hwsim.assemble(op.RUN_REJSAMP, L),
-        hwsim.assemble(op.READ_RESULT, L, raddr=0),
+    prog.write_text(format_program([
+        assemble(op.LOAD_SEED, L, waddr=3, wen=1),
+        assemble(op.LOAD_SEED, L, waddr=4, wen=1),
+        assemble(op.NOP, L),
+        assemble(op.RUN_PRG, L),
+        assemble(op.RUN_REJSAMP, L),
+        assemble(op.READ_RESULT, L, raddr=0),
     ]))
     trace = tmp_path / "trace.csv"
     assert run_cli("simulate", "--program", str(prog), "--seed", SEED_HEX,
@@ -159,8 +162,7 @@ def test_simulate_sl5_with_mem_depth(capsys):
 
 def test_simulate_custom_program_file(tmp_path, capsys):
     prog = tmp_path / "prog.hex"
-    prog.write_text(hwsim.format_program(
-        hwsim.default_program(SecurityLevel.SL1)))
+    prog.write_text(format_program(default_program(SecurityLevel.SL1)))
     assert run_cli("simulate", "--program", str(prog), "--seed", SEED_HEX,
                    "--iv", "0001") == 0
     assert json.loads(capsys.readouterr().out)["total_cycles"] == 8525
@@ -169,8 +171,7 @@ def test_simulate_custom_program_file(tmp_path, capsys):
 def test_simulate_level_and_program_usage(tmp_path, capsys):
     # --level would otherwise be ignored and the SL1 program run
     prog = tmp_path / "prog.hex"
-    prog.write_text(hwsim.format_program(
-        hwsim.default_program(SecurityLevel.SL1)))
+    prog.write_text(format_program(default_program(SecurityLevel.SL1)))
     with pytest.raises(SystemExit) as ei:
         run_cli("simulate", "--level", "3", "--program", str(prog),
                 "--seed", SEED_HEX, "--iv", "0001")
@@ -179,12 +180,12 @@ def test_simulate_level_and_program_usage(tmp_path, capsys):
 
 
 def test_simulate_reserved_level_program_exit3(tmp_path, capsys):
-    words = [hwsim.encode(hwsim.Instruction(3, 0, w, 1, hwsim.Opcode.LOAD_SEED))
+    words = [encode(Instruction(3, 0, w, 1, Opcode.LOAD_SEED))
              for w in (0, 1)]
-    words += [hwsim.encode(hwsim.Instruction(3, 0, 0, 0, hwsim.Opcode.RUN_FULL)),
-              hwsim.encode(hwsim.Instruction(3, 0, 0, 0, hwsim.Opcode.READ_RESULT))]
+    words += [encode(Instruction(3, 0, 0, 0, Opcode.RUN_FULL)),
+              encode(Instruction(3, 0, 0, 0, Opcode.READ_RESULT))]
     prog = tmp_path / "prog.hex"
-    prog.write_text(hwsim.format_program(words))
+    prog.write_text(format_program(words))
     assert run_cli("simulate", "--program", str(prog), "--seed", SEED_HEX,
                    "--iv", "0001") == 3
 
@@ -227,8 +228,8 @@ def test_simulate_bad_freq_exit2(freq, capsys):
         "second-keystream-run", "drain-at-word-5", "drain-at-word-400"])
 def test_simulate_faulting_program_exit2(ops, tmp_path, capsys):
     prog = tmp_path / "prog.hex"
-    prog.write_text(hwsim.format_program([
-        hwsim.encode(hwsim.Instruction(sl, r, w, wen, hwsim.Opcode[op]))
+    prog.write_text(format_program([
+        encode(Instruction(sl, r, w, wen, Opcode[op]))
         for sl, r, w, wen, op in ops]))
     assert run_cli("simulate", "--program", str(prog), "--seed", SEED_HEX,
                    "--iv", "0001", "--mem-depth", "1023") == 2

@@ -16,7 +16,9 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rejsamp import cli, hwsim, kat
+from rejsamp import cli, kat
+from rejsamp.hwsim.isa import Instruction, Opcode, encode
+from oracles import format_program
 
 EXIT_CODES = {0, 2, 3, 4, 5}
 VALID_KAT = kat.generate_kat(bytes(16), b"\x00\x01", 1).splitlines()
@@ -41,11 +43,10 @@ out_path = st.sampled_from(["{tmp}/o", "{tmp}/o", "{missing}/o", "{dir}"])
 
 
 def _program(lines):
-    return hwsim.format_program([hwsim.encode(hwsim.Instruction(*f))
-                                 for f in lines])
+    return format_program([encode(Instruction(*f)) for f in lines])
 
 
-Op = hwsim.Opcode
+Op = Opcode
 any_instruction = st.tuples(st.integers(0, 3), st.integers(0, 1023),
                             st.integers(0, 1023), st.integers(0, 1),
                             st.sampled_from(list(Op)))

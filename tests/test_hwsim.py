@@ -4,16 +4,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rejsamp import aesprg, hwsim
-from rejsamp.hwsim import (CapacityError, Instruction, InvalidInstructionError,
-                           MemoryModel, Opcode, ProgramError, SimulationFault,
-                           TimingConfig, UnsupportedLevelError)
-from rejsamp.hwsim.core import AesCtrWrapper, RejSampUnit
+from rejsamp import aesprg
+from rejsamp.hwsim.core import (AesCtrWrapper, CycleReport, RejSampUnit,
+                                TimingConfig, run_program)
+from rejsamp.hwsim.errors import (CapacityError, InvalidInstructionError,
+                                  ProgramError, SimulationFault,
+                                  UnsupportedLevelError)
+from rejsamp.hwsim.isa import (Instruction, Opcode, assemble, decode,
+                               default_program, encode, parse_program)
+from rejsamp.hwsim.memory import MemoryModel
 from rejsamp.packing import bytes_from_words, words_from_bytes
 from rejsamp.params import SecurityLevel, builtin_params
 from rejsamp.sampler import rej_samp, rej_samp_prg, rejection_stats
-from oracles import (keystream_oracle, rejsamp_cycles_oracle,
-                     wrapper_cycles_oracle)
+from oracles import (format_program, keystream_oracle, rejsamp_cycles_oracle,
+                     replay_trace, wrapper_cycles_oracle)
 
 SEED = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
 IV = b"\x00\x01"
@@ -34,13 +38,13 @@ def peek_range(mem, start, count):
 
 
 def test_decode_zero_word():
-    ins = hwsim.decode(0)
+    ins = decode(0)
     assert ins == Instruction(sec_level=0, raddr=0, waddr=0, wen=0, op=Opcode.NOP)
 
 
 def test_encode_bit_positions():
-    word = hwsim.encode(Instruction(sec_level=0b01, raddr=0x3FF, waddr=0,
-                                    wen=1, op=Opcode.RUN_PRG))
+    word = encode(Instruction(sec_level=0b01, raddr=0x3FF, waddr=0,
+                              wen=1, op=Opcode.RUN_PRG))
     assert word & 0b11 == 0b01
     assert word >> 2 & 0x3FF == 0x3FF
     assert word >> 12 & 0x3FF == 0
@@ -54,7 +58,7 @@ def test_encode_bit_positions():
        op=st.sampled_from(list(Opcode)))
 def test_roundtrip_property(sl, raddr, waddr, wen, op):
     ins = Instruction(sl, raddr, waddr, wen, op)
-    assert hwsim.decode(hwsim.encode(ins)) == ins
+    assert decode(encode(ins)) == ins
 
 
 def test_roundtrip_bulk_random():
@@ -63,41 +67,41 @@ def test_roundtrip_bulk_random():
         ins = Instruction(rng.randrange(4), rng.randrange(1024),
                           rng.randrange(1024), rng.randrange(2),
                           Opcode(rng.randrange(6)))
-        assert hwsim.decode(hwsim.encode(ins)) == ins
+        assert decode(encode(ins)) == ins
 
 
 @pytest.mark.parametrize("opval", [6, 7])
 def test_unknown_opcode_rejected(opval):
     with pytest.raises(InvalidInstructionError, match="opcode"):
-        hwsim.decode(opval << 23)
+        decode(opval << 23)
 
 
 def test_overwide_word_rejected():
     with pytest.raises(InvalidInstructionError):
-        hwsim.decode(1 << 26)
+        decode(1 << 26)
 
 
 def test_program_file_roundtrip():
-    words = hwsim.default_program(SecurityLevel.SL3)
-    text = hwsim.format_program(words)
+    words = default_program(SecurityLevel.SL3)
+    text = format_program(words)
     assert all(len(line) == 7 for line in text.split())
-    assert hwsim.parse_program(text) == words
-    assert hwsim.parse_program("# comment\n\n" + text) == words
+    assert parse_program(text) == words
+    assert parse_program("# comment\n\n" + text) == words
 
 
 def test_program_file_errors():
     with pytest.raises(InvalidInstructionError, match="line 1"):
-        hwsim.parse_program("xyz\n")
+        parse_program("xyz\n")
     # int(_, 16) would take these; a program word is hex digits only
     for word in ("-1", "+5", "1_0", "0x5"):
         with pytest.raises(InvalidInstructionError, match="line 2"):
-            hwsim.parse_program(f"0000000\n{word}\n")
+            parse_program(f"0000000\n{word}\n")
     with pytest.raises(InvalidInstructionError, match="26 bits"):
-        hwsim.parse_program("4000000\n")
+        parse_program("4000000\n")
     # a word is at most 7 hex digits, leading zeros included
     for word in ("00000005", "000000000000000005"):
         with pytest.raises(InvalidInstructionError, match="line 2"):
-            hwsim.parse_program(f"0000000\n{word}\n")
+            parse_program(f"0000000\n{word}\n")
 
 
 def test_reserved_level_field():
@@ -345,7 +349,7 @@ def test_rejsamp_unit_matches_golden_adversarial(level, density):
 
 
 def test_run_program_reference_cycles():
-    res = hwsim.run_program(hwsim.default_program(SecurityLevel.SL1), SEED, IV)
+    res = run_program(default_program(SecurityLevel.SL1), SEED, IV)
     r = res.report
     assert (r.total_cycles, r.wrapper_cycles, r.rejsamp_cycles) == (8525, 4632, 3893)
     assert res.vector.elems == rej_samp_prg(SEED, IV, SL1).elems
@@ -361,7 +365,7 @@ def test_run_program_reference_cycles():
 ])
 @pytest.mark.parametrize("level", [SecurityLevel.SL1, SecurityLevel.SL3])
 def test_cycle_decomposition_identity(cfg, level):
-    res = hwsim.run_program(hwsim.default_program(level), SEED, IV, cfg=cfg)
+    res = run_program(default_program(level), SEED, IV, cfg=cfg)
     r, p = res.report, builtin_params(level)
     assert r.wrapper_cycles == wrapper_cycles_oracle(p.tau, cfg)
     assert r.rejsamp_cycles == rejsamp_cycles_oracle(p.tau, p.n_prime, cfg)
@@ -373,42 +377,42 @@ def test_schedule_ignores_seed(level):
     # the paper's cycle counts are data-independent: only the data column
     # of the trace may change with the seed
     rng = random.Random(7)
-    prog = hwsim.default_program(level)
+    prog = default_program(level)
     schedules = set()
     for _ in range(4):
-        res = hwsim.run_program(prog, rng.randbytes(16), rng.randbytes(2))
+        res = run_program(prog, rng.randbytes(16), rng.randbytes(2))
         schedules.add(tuple(row[:4] for row in res.trace_rows()))
     assert len(schedules) == 1
 
 
 def test_run_program_determinism():
-    prog = hwsim.default_program(SecurityLevel.SL1)
-    a = hwsim.run_program(prog, SEED, IV)
-    b = hwsim.run_program(prog, SEED, IV)
+    prog = default_program(SecurityLevel.SL1)
+    a = run_program(prog, SEED, IV)
+    b = run_program(prog, SEED, IV)
     assert a.vector.elems == b.vector.elems
     assert a.report == b.report
-    assert a.mem.log == b.mem.log  # the wrapper's issue rows included
+    assert a.log == b.log  # the wrapper's issue rows included
 
 
 def test_no_write_write_conflicts_in_full_run():
-    res = hwsim.run_program(hwsim.default_program(SecurityLevel.SL1), SEED, IV)
-    writes = [(r[0], r[3]) for r in res.mem.log if r[2] == "write"]
+    res = run_program(default_program(SecurityLevel.SL1), SEED, IV)
+    writes = [(r[0], r[3]) for r in res.log if r[2] == "write"]
     assert len(writes) == len(set(writes))
 
 
 def _split_program(level):
     """Separate RUN_PRG and RUN_REJSAMP runs, seed at words 3-4, one NOP."""
     return [
-        hwsim.assemble(Opcode.LOAD_SEED, level, waddr=3, wen=1),
-        hwsim.assemble(Opcode.LOAD_SEED, level, waddr=4, wen=1),
-        hwsim.assemble(Opcode.NOP, level),
-        hwsim.assemble(Opcode.RUN_PRG, level),
-        hwsim.assemble(Opcode.RUN_REJSAMP, level),
-        hwsim.assemble(Opcode.READ_RESULT, level, raddr=0),
+        assemble(Opcode.LOAD_SEED, level, waddr=3, wen=1),
+        assemble(Opcode.LOAD_SEED, level, waddr=4, wen=1),
+        assemble(Opcode.NOP, level),
+        assemble(Opcode.RUN_PRG, level),
+        assemble(Opcode.RUN_REJSAMP, level),
+        assemble(Opcode.READ_RESULT, level, raddr=0),
     ]
 
 
-@pytest.mark.parametrize("program", [hwsim.default_program, _split_program],
+@pytest.mark.parametrize("program", [default_program, _split_program],
                          ids=["default", "split"])
 @pytest.mark.parametrize("level", [SecurityLevel.SL1, SecurityLevel.SL3],
                          ids=lambda l: l.value)
@@ -418,8 +422,8 @@ def _split_program(level):
                      wrapper_setup_cycles=st.integers(2, 100),
                      rejsamp_setup_cycles=st.integers(0, 100)))
 def test_schedule_fits_the_memory_ports(program, level, cfg):
-    res = hwsim.run_program(program(level), SEED, IV, cfg=cfg)
-    log, report = res.mem.log, res.report
+    res = run_program(program(level), SEED, IV, cfg=cfg)
+    log, report = res.log, res.report
     accesses = [(row[0], row[2]) for row in log
                 if row[2] in ("read", "write")]
     assert len(accesses) == len(set(accesses))  # one read, one write a cycle
@@ -433,19 +437,21 @@ def test_schedule_fits_the_memory_ports(program, level, cfg):
     # the setup covers seed staging: no block issues before its key is read
     staged = max(row[0] for row in log if row[1:3] == ("wrapper", "read"))
     assert all(row[0] > staged for row in log if row[2] == "issue")
+    p = builtin_params(level)
+    replay_trace(res.trace_rows(), SEED, IV, p.tau, p.n_prime, p.q)
 
 
 def test_split_prg_then_rejsamp_equals_full():
     level = SecurityLevel.SL1
     split = [
-        hwsim.assemble(Opcode.LOAD_SEED, level, waddr=0, wen=1),
-        hwsim.assemble(Opcode.LOAD_SEED, level, waddr=1, wen=1),
-        hwsim.assemble(Opcode.RUN_PRG, level),
-        hwsim.assemble(Opcode.RUN_REJSAMP, level),
-        hwsim.assemble(Opcode.READ_RESULT, level, raddr=0),
+        assemble(Opcode.LOAD_SEED, level, waddr=0, wen=1),
+        assemble(Opcode.LOAD_SEED, level, waddr=1, wen=1),
+        assemble(Opcode.RUN_PRG, level),
+        assemble(Opcode.RUN_REJSAMP, level),
+        assemble(Opcode.READ_RESULT, level, raddr=0),
     ]
-    a = hwsim.run_program(split, SEED, IV)
-    b = hwsim.run_program(hwsim.default_program(level), SEED, IV)
+    a = run_program(split, SEED, IV)
+    b = run_program(default_program(level), SEED, IV)
     assert a.vector.elems == b.vector.elems
     assert a.report == b.report
     assert a.params == builtin_params(level)
@@ -453,14 +459,14 @@ def test_split_prg_then_rejsamp_equals_full():
 
 def test_nops_are_free():
     level = SecurityLevel.SL1
-    nop = hwsim.assemble(Opcode.NOP, level)
-    prog = hwsim.default_program(level)
-    res = hwsim.run_program([nop] + prog[:2] + [nop] + prog[2:], SEED, IV)
+    nop = assemble(Opcode.NOP, level)
+    prog = default_program(level)
+    res = run_program([nop] + prog[:2] + [nop] + prog[2:], SEED, IV)
     assert res.report.total_cycles == 8525
 
 
 def test_sl3_runs_at_default_depth():
-    res = hwsim.run_program(hwsim.default_program(SecurityLevel.SL3), SEED, IV)
+    res = run_program(default_program(SecurityLevel.SL3), SEED, IV)
     p3 = builtin_params(SecurityLevel.SL3)
     assert len(res.vector) == 5928
     assert res.vector.elems == rej_samp_prg(SEED, IV, p3).elems
@@ -468,17 +474,17 @@ def test_sl3_runs_at_default_depth():
 
 
 def test_sl5_capacity_and_enlarged_run():
-    prog = hwsim.default_program(SecurityLevel.SL5)
+    prog = default_program(SecurityLevel.SL5)
     with pytest.raises(CapacityError, match="1378"):
-        hwsim.run_program(prog, SEED, IV)
-    res = hwsim.run_program(prog, SEED, IV, mem_depth=1378)
+        run_program(prog, SEED, IV)
+    res = run_program(prog, SEED, IV, mem_depth=1378)
     p5 = builtin_params(SecurityLevel.SL5)
     assert res.vector.elems == rej_samp_prg(SEED, IV, p5).elems
     assert res.params == p5
 
 
 def _prog(*ops):
-    return [hwsim.encode(i) for i in ops]
+    return [encode(i) for i in ops]
 
 
 SHAPE_ERROR = "a program is 2 LOAD_SEED, then RUN_FULL or RUN_PRG, RUN_REJSAMP"
@@ -491,60 +497,60 @@ def test_program_order_errors():
     run = Instruction(0, 0, 0, 0, Opcode.RUN_FULL)
     rd = Instruction(0, 0, 0, 0, Opcode.READ_RESULT)
     with pytest.raises(ProgramError, match="runs LOAD_SEED, RUN_FULL, READ"):
-        hwsim.run_program(_prog(ld0, run, rd), SEED, IV)
+        run_program(_prog(ld0, run, rd), SEED, IV)
     with pytest.raises(ProgramError, match=SHAPE_ERROR):
-        hwsim.run_program(_prog(ld0, run, ld1, rd), SEED, IV)
+        run_program(_prog(ld0, run, ld1, rd), SEED, IV)
     with pytest.raises(ProgramError, match=SHAPE_ERROR):
-        hwsim.run_program(_prog(ld0, ld1, rd, run), SEED, IV)
+        run_program(_prog(ld0, ld1, rd, run), SEED, IV)
     with pytest.raises(ProgramError, match=SHAPE_ERROR):
-        hwsim.run_program(_prog(ld0, ld1, run), SEED, IV)
+        run_program(_prog(ld0, ld1, run), SEED, IV)
     with pytest.raises(ProgramError, match="consecutive"):
-        hwsim.run_program(_prog(ld0, Instruction(0, 0, 5, 1, Opcode.LOAD_SEED),
-                                run, rd), SEED, IV)
+        run_program(_prog(ld0, Instruction(0, 0, 5, 1, Opcode.LOAD_SEED),
+                          run, rd), SEED, IV)
     with pytest.raises(ProgramError, match="wen=1"):
-        hwsim.run_program(_prog(Instruction(0, 0, 0, 0, Opcode.LOAD_SEED),
-                                ld1, run, rd), SEED, IV)
+        run_program(_prog(Instruction(0, 0, 0, 0, Opcode.LOAD_SEED),
+                          ld1, run, rd), SEED, IV)
     with pytest.raises(ProgramError, match="wen set"):
-        hwsim.run_program(_prog(ld0, ld1,
-                                Instruction(0, 0, 0, 1, Opcode.RUN_FULL), rd),
-                          SEED, IV)
+        run_program(_prog(ld0, ld1,
+                          Instruction(0, 0, 0, 1, Opcode.RUN_FULL), rd),
+                    SEED, IV)
     with pytest.raises(ProgramError, match="mixed"):
-        hwsim.run_program(_prog(ld0, Instruction(1, 0, 1, 1, Opcode.LOAD_SEED),
-                                run, rd), SEED, IV)
+        run_program(_prog(ld0, Instruction(1, 0, 1, 1, Opcode.LOAD_SEED),
+                          run, rd), SEED, IV)
     with pytest.raises(ProgramError, match="empty"):
-        hwsim.run_program([], SEED, IV)
+        run_program([], SEED, IV)
     with pytest.raises(ProgramError, match="NOP"):
-        hwsim.run_program(_prog(Instruction(0, 0, 0, 0, Opcode.NOP)), SEED, IV)
+        run_program(_prog(Instruction(0, 0, 0, 0, Opcode.NOP)), SEED, IV)
     with pytest.raises(ProgramError, match=SHAPE_ERROR):
-        hwsim.run_program(_prog(ld0, ld1,
-                                Instruction(0, 0, 0, 0, Opcode.RUN_PRG), rd),
-                          SEED, IV)
+        run_program(_prog(ld0, ld1,
+                          Instruction(0, 0, 0, 0, Opcode.RUN_PRG), rd),
+                    SEED, IV)
     # the result sits at word 0: any other drain address is a program error
     with pytest.raises(ProgramError, match="READ_RESULT raddr is 5"):
-        hwsim.run_program(_prog(ld0, ld1, run,
-                                Instruction(0, 5, 0, 0, Opcode.READ_RESULT)),
-                          SEED, IV)
+        run_program(_prog(ld0, ld1, run,
+                          Instruction(0, 5, 0, 0, Opcode.READ_RESULT)),
+                    SEED, IV)
 
 
 def test_reserved_level_program():
-    prog = [hwsim.encode(Instruction(3, 0, 0, 1, Opcode.LOAD_SEED)),
-            hwsim.encode(Instruction(3, 0, 1, 1, Opcode.LOAD_SEED)),
-            hwsim.encode(Instruction(3, 0, 0, 0, Opcode.RUN_FULL)),
-            hwsim.encode(Instruction(3, 0, 0, 0, Opcode.READ_RESULT))]
+    prog = [encode(Instruction(3, 0, 0, 1, Opcode.LOAD_SEED)),
+            encode(Instruction(3, 0, 1, 1, Opcode.LOAD_SEED)),
+            encode(Instruction(3, 0, 0, 0, Opcode.RUN_FULL)),
+            encode(Instruction(3, 0, 0, 0, Opcode.READ_RESULT))]
     with pytest.raises(UnsupportedLevelError):
-        hwsim.run_program(prog, SEED, IV)
+        run_program(prog, SEED, IV)
 
 
 def test_rejsamp_without_keystream_faults():
     L = SecurityLevel.SL1
     prog = [
-        hwsim.assemble(Opcode.LOAD_SEED, L, waddr=0, wen=1),
-        hwsim.assemble(Opcode.LOAD_SEED, L, waddr=1, wen=1),
-        hwsim.assemble(Opcode.RUN_REJSAMP, L),
-        hwsim.assemble(Opcode.READ_RESULT, L, raddr=0),
+        assemble(Opcode.LOAD_SEED, L, waddr=0, wen=1),
+        assemble(Opcode.LOAD_SEED, L, waddr=1, wen=1),
+        assemble(Opcode.RUN_REJSAMP, L),
+        assemble(Opcode.READ_RESULT, L, raddr=0),
     ]
     with pytest.raises(ProgramError, match=SHAPE_ERROR):
-        hwsim.run_program(prog, SEED, IV)
+        run_program(prog, SEED, IV)
 
 
 # the only op sequences, NOPs dropped, that produce a sampled vector
@@ -563,7 +569,7 @@ _shaped_ops = st.builds(
 
 @pytest.fixture(scope="module")
 def sl1_reference():
-    return hwsim.run_program(hwsim.default_program(SecurityLevel.SL1), SEED, IV)
+    return run_program(default_program(SecurityLevel.SL1), SEED, IV)
 
 
 @settings(max_examples=60, deadline=None)
@@ -574,24 +580,66 @@ def test_program_shape_property(sl1_reference, ops, seed_base):
     # the k-th LOAD_SEED targets seed_base + k, so the seed words are
     # consecutive and no other rule than the op sequence can fail
     L, loads = SecurityLevel.SL1, iter(range(seed_base, seed_base + len(ops)))
-    words = [hwsim.assemble(op, L, waddr=next(loads), wen=1)
-             if op == Opcode.LOAD_SEED else hwsim.assemble(op, L)
+    words = [assemble(op, L, waddr=next(loads), wen=1)
+             if op == Opcode.LOAD_SEED else assemble(op, L)
              for op in ops]
     if tuple(op for op in ops if op != Opcode.NOP) not in PROGRAM_SHAPES:
         with pytest.raises(ProgramError):
-            hwsim.run_program(words, SEED, IV)
+            run_program(words, SEED, IV)
         return
-    res = hwsim.run_program(words, SEED, IV)
+    res = run_program(words, SEED, IV)
     assert res.report == sl1_reference.report
     assert res.vector == sl1_reference.vector
 
 
 def test_trace_rows_are_chronological():
-    res = hwsim.run_program(hwsim.default_program(SecurityLevel.SL1), SEED, IV)
+    res = run_program(default_program(SecurityLevel.SL1), SEED, IV)
     rows = res.trace_rows()
     assert [r[0] for r in rows] == sorted(r[0] for r in rows)
     kinds = {r[2] for r in rows}
     assert {"read", "write", "issue", "done"} <= kinds
+
+
+@pytest.mark.parametrize("level", list(SecurityLevel), ids=lambda l: l.value)
+def test_trace_replays_against_the_oracles(level):
+    p = builtin_params(level)
+    res = run_program(default_program(level), SEED, IV,
+                      mem_depth=max(1024, p.tau_addrs))
+    replay_trace(res.trace_rows(), SEED, IV, p.tau, p.n_prime, p.q)
+
+
+def _nth(rows, unit, event, n):
+    """The index in rows of the unit's n-th row of the event."""
+    return [i for i, r in enumerate(rows) if r[1:3] == (unit, event)][n]
+
+
+def _change_drained_word(rows):
+    i = _nth(rows, "host", "read", 100)
+    cycle, unit, event, addr, data = rows[i]
+    rows[i] = (cycle, unit, event, addr, data ^ 1)
+
+
+def _drop_refill_read(rows):
+    del rows[_nth(rows, "rejsamp", "read", 100)]
+
+
+def _move_write_onto_a_write(rows):
+    # a block's second word drained in the cycle of its first
+    i = _nth(rows, "wrapper", "write", 101)
+    rows[i] = (rows[i - 1][0],) + rows[i][1:]
+
+
+@pytest.mark.parametrize("mutate,error", [
+    (_change_drained_word, "read of word 100"),
+    (_drop_refill_read, "do not cover"),
+    (_move_write_onto_a_write, "second write"),
+], ids=["drained-word-changed", "refill-read-dropped", "write-onto-a-write"])
+def test_trace_scoreboard_catches_mutations(sl1_reference, mutate, error):
+    rows = sl1_reference.trace_rows()
+    mutate(rows)
+    rows.sort(key=lambda r: r[:3])  # as trace_rows orders them
+    with pytest.raises(AssertionError, match=error):
+        replay_trace(rows, SEED, IV, SL1.tau, SL1.n_prime, SL1.q)
 
 
 def test_timing_config_validation():
@@ -605,7 +653,7 @@ def test_timing_config_validation():
 
 
 def test_cycle_report_identity_enforced():
-    r = hwsim.CycleReport(wrapper_cycles=5, rejsamp_cycles=4)
+    r = CycleReport(wrapper_cycles=5, rejsamp_cycles=4)
     assert r.total_cycles == 9 == r.to_json_dict()["total_cycles"]
     with pytest.raises(TypeError):  # the total is derived, never stored
-        hwsim.CycleReport(total_cycles=10, wrapper_cycles=5, rejsamp_cycles=4)
+        CycleReport(total_cycles=10, wrapper_cycles=5, rejsamp_cycles=4)

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rejsamp import aesprg
-from rejsamp.hwsim import MemoryModel, TimingConfig
-from rejsamp.hwsim.core import RejSampUnit
+from rejsamp.hwsim.core import RejSampUnit, TimingConfig
+from rejsamp.hwsim.memory import MemoryModel
 from rejsamp.packing import bytes_from_words, words_from_bytes
 from rejsamp.params import ParameterSet, SecurityLevel, builtin_params
 from rejsamp.sampler import (FieldVector, mask_bytes, rej_samp, rej_samp_prg,
