@@ -21,10 +21,18 @@ additive cycle decomposition of the modeled core (SL-I: 4632 + 3893 =
 The per-state costs are a calibrated model, not measured RTL: the setup
 defaults are solved so the SL-I totals reproduce the reference cycle
 counts exactly.  The unit scans the full stream (no data-dependent early
-stop), so no cycle depends on the data.  Each unit's loop is therefore
-only its schedule, per block or group (issue rows, reads and writes at
-their cycles); its datapath runs once over the whole stream, with
-`packing` turning bytes into words, and its output is a per-block run's.
+stop), so no cycle depends on the data.
+
+Compiled schedule.  That independence makes cycle-based compiled
+simulation (the idea behind Verilator) sound: the schedule depends on the
+configuration alone, so MemoryModel checks it once per key of a small
+cache, (level, seed address, TimingConfig, memory depth).  Each unit has
+a `schedule` (its rows without data and the cycles they span) and a `run`
+(its datapath: input words in, output words out).  A cache miss plays the
+rows through MemoryModel with symbolic data: the k-th write stores k, and
+each read returns the k of the write it sees, or 0.  A run then only
+checks its inputs, computes its words and gathers each read's word by its
+k.  test_schedule_ignores_seed checks the condition.
 
 Program: two LOAD_SEED, then RUN_FULL or RUN_PRG, RUN_REJSAMP, then
 READ_RESULT with raddr 0, with NOPs anywhere (they cost nothing).  Every
@@ -39,26 +47,29 @@ before the keystream [0, ceil(tau/8)) overwrites them; the packed output
 [0, ceil(n'/8)) then overwrites the consumed stream head, and the host
 drains it from word 0.  The largest region ever live is the keystream, so
 the required depth is exactly ceil(tau/8).  run_program alone knows this
-map: it checks the depth once, and the units assume the schedule (the
-wrapper writes every keystream word before the sampler reads one).
+map: it checks the depth on every run, and the units assume the schedule
+(the wrapper writes every keystream word before the sampler reads one).
 
-Trace: `ProgramResult.log` is the run's one trace, the memory's log.
-Reads and writes log themselves; the wrapper adds an issue row per block
-and the sampler a done row at its last write.
+Trace: `ProgramResult.trace_rows()` joins the cached rows with the run's
+words when it is called.  Reads and writes come from the memory's log;
+the wrapper adds an issue row per block and the sampler a done row at its
+last write.
 """
 
-from dataclasses import dataclass, fields
+import functools
+import itertools
+from dataclasses import dataclass, field, fields
 
 from .. import aesprg
 from ..packing import words_from_bytes, bytes_from_words
-from ..params import (BYTES_PER_WORD, ParameterSet, SecurityLevel,
-                      builtin_params)
+from ..params import ParameterSet, SecurityLevel, builtin_params
 from ..sampler import FieldVector
 from .errors import CapacityError, ProgramError
 from .isa import Instruction, Opcode, decode
 from .memory import DEFAULT_DEPTH, MemoryModel
 
 _GROUP_BYTES = 16  # shift-register width: two 64-bit words
+_SCHEDULES = 8  # compiled schedules kept: the three levels, and spares
 
 
 @dataclass(frozen=True)
@@ -122,24 +133,29 @@ class AesCtrWrapper:
     def __init__(self, cfg: TimingConfig):
         self.cfg = cfg
 
-    def run(self, seed: bytes, iv: bytes, p: ParameterSet, mem: MemoryModel,
-            start_cycle: int = 0) -> int:
-        """Generate and store the keystream, logging an issue row per block;
-        returns the cycles the block schedule spans from start_cycle."""
+    def schedule(self, p: ParameterSet,
+                 start_cycle: int = 0) -> tuple[list[tuple], int]:
+        """The (cycle, unit, event, addr) rows of the block schedule, an
+        issue per block and a write per keystream word, and the cycles
+        they span from start_cycle."""
         cfg = self.cfg
-        round_keys = aesprg.expand_key(seed)
         per_block = cfg.aes_latency + 2 + cfg.per_block_overhead  # 2: drain
         issue0 = start_cycle + cfg.wrapper_setup_cycles
-        blocks = _block_count(p)
-        counters = b"".join(aesprg.ctr_blocks(iv, blocks))  # checks the iv
-        mem.log.extend((issue0 + b * per_block, "wrapper", "issue", b, None)
-                       for b in range(blocks))
-        stream = aesprg.encrypt_block_expanded(round_keys, counters)
         ready0 = issue0 + cfg.aes_latency
-        for a, word in enumerate(words_from_bytes(stream[:p.tau])):
-            mem.write(a, word, cycle=ready0 + (a // 2) * per_block + a % 2,
-                      unit="wrapper")
-        return issue0 + blocks * per_block - start_cycle
+        blocks = _block_count(p)
+        rows = [(issue0 + b * per_block, "wrapper", "issue", b)
+                for b in range(blocks)]
+        rows += [(ready0 + (a // 2) * per_block + a % 2, "wrapper", "write", a)
+                 for a in range(p.tau_addrs)]
+        return rows, issue0 + blocks * per_block - start_cycle
+
+    def run(self, seed: bytes, iv: bytes, p: ParameterSet) -> list[int]:
+        """The keystream words, in the order the schedule writes them."""
+        round_keys = aesprg.expand_key(seed)
+        # ctr_blocks checks the iv
+        counters = b"".join(aesprg.ctr_blocks(iv, _block_count(p)))
+        stream = aesprg.encrypt_block_expanded(round_keys, counters)
+        return words_from_bytes(stream[:p.tau])
 
 
 class RejSampUnit:
@@ -157,20 +173,29 @@ class RejSampUnit:
     def __init__(self, cfg: TimingConfig):
         self.cfg = cfg
 
-    def run(self, p: ParameterSet, mem: MemoryModel, start_cycle: int = 0) -> int:
-        """Sample the stored keystream into packed output words in place,
-        logging a done row at the last write; returns the cycles the
-        schedule spans from start_cycle."""
+    def schedule(self, p: ParameterSet,
+                 start_cycle: int = 0) -> tuple[list[tuple], int]:
+        """The (cycle, unit, event, addr) rows of the sampling schedule,
+        the refill reads, a write per packed output word and a done row at
+        the last, and the cycles they span from start_cycle."""
+        refill0 = start_cycle + self.cfg.rejsamp_setup_cycles
+        per_group = 3 + _GROUP_BYTES  # refill, validate, a collect per byte
+        # word a is refill read a % 2 of group a // 2; only the last group
+        # can be short, so every group starts per_group after the one before
+        rows = [(refill0 + (a // 2) * per_group + a % 2, "rejsamp", "read", a)
+                for a in range(p.tau_addrs)]
+        # 3 refill and validate cycles per group, then a collect per byte
+        write0 = refill0 + 3 * _block_count(p) + p.tau
+        rows += [(write0 + w, "rejsamp", "write", w)
+                 for w in range(p.out_addrs)]
+        rows.append((write0 + p.out_addrs - 1, "rejsamp", "done", None))
+        return rows, write0 + p.out_addrs - start_cycle
+
+    def run(self, p: ParameterSet, words: list[int]) -> list[int]:
+        """Sample the keystream words the refill reads return into the
+        packed output words, in the order the schedule writes them."""
         q = p.q
         mask = bytes(b & q for b in range(256))
-        cycle = start_cycle + self.cfg.rejsamp_setup_cycles
-        words = []
-        for g in range(_block_count(p)):
-            in_group = min(_GROUP_BYTES, p.tau - g * _GROUP_BYTES)
-            for i in range(-(-in_group // BYTES_PER_WORD)):  # refill
-                words.append(mem.read(2 * g + i, cycle=cycle + i,
-                                      unit="rejsamp"))
-            cycle += 3 + in_group    # refill, validate, one collect per byte
         masked = bytes_from_words(words, p.tau).translate(mask)  # validate
         out = bytearray(masked[:p.n_prime])  # collect: the first n' values
         spares = masked[p.n_prime:].replace(bytes([q]), b"")  # valid tail
@@ -180,23 +205,64 @@ class RejSampUnit:
             out[j] = spares[used] if used < len(spares) else 0
             used += 1
             j = out.find(q, j + 1)
-        for w, word in enumerate(words_from_bytes(out)):
-            mem.write(w, word, cycle=cycle, unit="rejsamp")
-            cycle += 1
-        mem.log.append((cycle - 1, "rejsamp", "done", None, None))
-        return cycle - start_cycle
+        return words_from_bytes(out)
+
+
+@functools.lru_cache(maxsize=_SCHEDULES)
+def _compiled(level: SecurityLevel, seed_addr: int, cfg: TimingConfig,
+              depth: int) -> tuple:
+    """Build the one schedule of a run and play it through a memory of
+    depth words with symbolic data, raising the memory's faults.
+
+    Returns the rows (cycle, unit, event, addr, k) in cycle order, the
+    cycle report, and the k that each B1 staging read, refill read and
+    host drain read returns.  k indexes the run's words, 0 for a word
+    never written: the k-th write stores the k-th word the run computes
+    (the seed, the keystream, then the output), as each unit writes its
+    words in cycle order.
+    """
+    p = builtin_params(level)
+    wrapper_rows, wrapper_cycles = AesCtrWrapper(cfg).schedule(p, 2)
+    cycle = 2 + wrapper_cycles
+    rejsamp_rows, rejsamp_cycles = RejSampUnit(cfg).schedule(p, cycle)
+    cycle += rejsamp_cycles
+    rows = [(i, "ctrl", "write", seed_addr + i) for i in range(2)]  # LOAD_SEED
+    rows += [(2 + i, "wrapper", "read", seed_addr + i)  # B1 staging
+             for i in range(2)]
+    rows += wrapper_rows + rejsamp_rows
+    rows += [(cycle + w, "host", "read", w) for w in range(p.out_addrs)]
+    # each unit's writes take its words' k in turn: 2 seed words from 1
+    ks = {"ctrl": itertools.count(1), "wrapper": itertools.count(3),
+          "rejsamp": itertools.count(3 + p.tau_addrs)}
+    mem = MemoryModel(depth)
+    reads = {"wrapper": [], "rejsamp": [], "host": []}
+    # rows sort by (cycle, unit, event): no two rows share all three
+    for cycle, unit, event, addr in sorted(rows):
+        if event == "write":
+            mem.write(addr, next(ks[unit]), cycle=cycle, unit=unit)
+        elif event == "read":
+            reads[unit].append(mem.read(addr, cycle=cycle, unit=unit))
+        else:
+            mem.log.append((cycle, unit, event, addr, None))
+    return (tuple(mem.log), CycleReport(wrapper_cycles, rejsamp_cycles),
+            tuple(reads["wrapper"]), tuple(reads["rejsamp"]),
+            tuple(reads["host"]))
 
 
 @dataclass(frozen=True)
 class ProgramResult:
     report: CycleReport
     vector: FieldVector
-    log: list[tuple]  # (cycle, unit, event, addr, data) rows, as logged
     params: ParameterSet
+    _rows: tuple = field(repr=False, compare=False)  # _compiled's rows
+    _words: list = field(repr=False, compare=False)  # 0, then each k's word
 
     def trace_rows(self) -> list[tuple]:
-        """The log's rows in cycle order."""
-        return sorted(self.log, key=lambda r: (r[0], r[1], r[2]))
+        """The run's (cycle, unit, event, addr, data) rows in cycle order,
+        as a new list on each call."""
+        words = self._words
+        return [(cycle, unit, event, addr, None if k is None else words[k])
+                for cycle, unit, event, addr, k in self._rows]
 
 
 # The op sequences, NOPs dropped, that produce a sampled vector.
@@ -244,32 +310,25 @@ def run_program(words: list[int], seed: bytes, iv: bytes,
                 mem_depth: int = DEFAULT_DEPTH) -> ProgramResult:
     """Decode and check a program of instruction words, then run the one
     schedule every accepted program has (see the module docstring).
-    Returns the cycle report, the sampled vector, the trace log and the
-    parameter set the program ran."""
+    Returns the cycle report, the sampled vector and the parameter set the
+    program ran; trace_rows() gives its trace."""
     cfg = cfg or TimingConfig()
     level, seed_addr = _validate_program([decode(w) for w in words])
     p = builtin_params(level)
-    mem = MemoryModel(mem_depth)  # rejects a depth that is not positive
     if mem_depth < p.tau_addrs:
+        MemoryModel(mem_depth)  # rejects a depth that is not positive first
         raise CapacityError(
             f"{level.value} needs {p.tau_addrs} memory words for "
             f"the keystream region but the memory holds {mem_depth}; rerun "
             f"with depth >= {p.tau_addrs}")
-    aesprg.check_key(seed)
-
-    for i, word in enumerate(words_from_bytes(seed)):  # LOAD_SEED
-        mem.write(seed_addr + i, word, cycle=i, unit="ctrl")
-    # B1 staging: the wrapper pulls the seed back out of memory.
-    staged = bytes_from_words(
-        [mem.read(seed_addr + i, cycle=2 + i, unit="wrapper")
-         for i in range(2)], aesprg.KEY_BYTES)
-    wrapper_cycles = AesCtrWrapper(cfg).run(staged, iv, p, mem, start_cycle=2)
-    cycle = 2 + wrapper_cycles
-    rejsamp_cycles = RejSampUnit(cfg).run(p, mem, start_cycle=cycle)
-    cycle += rejsamp_cycles
-    drain = [mem.read(w, cycle=cycle + w, unit="host")
-             for w in range(p.out_addrs)]
-    vector = FieldVector(tuple(bytes_from_words(drain, p.n_prime)), p.q)
-    report = CycleReport(wrapper_cycles=wrapper_cycles,
-                         rejsamp_cycles=rejsamp_cycles)
-    return ProgramResult(report=report, vector=vector, log=mem.log, params=p)
+    aesprg.check_key(seed)  # before the faults of the schedule
+    rows, report, staging, refill, drain = _compiled(level, seed_addr, cfg,
+                                                     mem_depth)
+    run_words = [0, *words_from_bytes(seed)]  # LOAD_SEED
+    staged = bytes_from_words([run_words[k] for k in staging],
+                              aesprg.KEY_BYTES)
+    run_words += AesCtrWrapper(cfg).run(staged, iv, p)
+    run_words += RejSampUnit(cfg).run(p, [run_words[k] for k in refill])
+    out = bytes_from_words([run_words[k] for k in drain], p.n_prime)
+    return ProgramResult(report=report, vector=FieldVector(tuple(out), p.q),
+                         params=p, _rows=rows, _words=run_words)

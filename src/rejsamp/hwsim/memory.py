@@ -1,4 +1,4 @@
-"""Dual-port 64-bit word memory with the run's trace log.
+"""Dual-port 64-bit word memory with an access log.
 
 Port A writes and port B reads, each at most once per cycle and in cycle
 order, so one read and one write may share a cycle. A write or read not
@@ -8,8 +8,10 @@ to reads from the following cycle onward. Words are held sparsely, so a
 deep memory costs nothing until it is written.
 
 `log` holds trace rows (cycle, unit, event, addr, data) in the order they
-were logged: every read and write, plus the rows the functional units
-append for their own events.
+were logged: every read and write, plus the rows its caller appends for
+other events. The simulator plays each schedule through a memory once,
+with symbolic data, and keeps that log as the schedule's rows (see
+`core`).
 """
 
 from collections import deque

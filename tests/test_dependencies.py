@@ -97,6 +97,9 @@ def test_public_surface_is_pinned():
     assert [f.name for f in dataclasses.fields(core.TimingConfig)] == [
         "aes_latency", "per_block_overhead", "wrapper_setup_cycles",
         "rejsamp_setup_cycles"]
+    # a run carries no log: trace_rows() joins its schedule's rows and words
+    assert [f.name for f in dataclasses.fields(core.ProgramResult)] == [
+        "report", "vector", "params", "_rows", "_words"]
     # a parameter set stores only the paper's inputs; the rest is derived
     assert [f.name for f in dataclasses.fields(params.ParameterSet)] == [
         "sec_level", "q", "l", "V", "M", "tau", "lambda_bits"]

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from rejsamp import aesprg
 from rejsamp.hwsim.core import (AesCtrWrapper, CycleReport, RejSampUnit,
-                                TimingConfig, run_program)
-from rejsamp.hwsim.errors import (CapacityError, InvalidInstructionError,
-                                  ProgramError, SimulationFault,
-                                  UnsupportedLevelError)
+                                TimingConfig, _compiled, run_program)
+from rejsamp.hwsim.errors import (AddressError, CapacityError,
+                                  InvalidInstructionError, ProgramError,
+                                  SimulationFault, UnsupportedLevelError)
 from rejsamp.hwsim.isa import (Instruction, Opcode, assemble, decode,
                                default_program, encode, parse_program)
 from rejsamp.hwsim.memory import MemoryModel
@@ -228,22 +228,26 @@ def test_port_rule_faults(accesses):
 # AES-CTR wrapper
 
 
-def _keystream_mem(seed=SEED, iv=IV, p=SL1):
-    """Memory holding the keystream, and the wrapper's cycle count."""
-    mem = MemoryModel(max(1024, p.tau_addrs))
-    cycles = AesCtrWrapper(TimingConfig()).run(seed, iv, p, mem)
-    return mem, cycles
+def _wrapper(p=SL1, seed=SEED, iv=IV):
+    """The wrapper's schedule rows, the cycles they span and its keystream
+    words."""
+    unit = AesCtrWrapper(TimingConfig())
+    rows, cycles = unit.schedule(p)
+    return rows, cycles, unit.run(seed, iv, p)
 
 
-def _output_bytes(mem):
-    return bytes_from_words(peek_range(mem, 0, SL1.out_addrs), SL1.n_prime)
+def _sampled_bytes(words, p=SL1):
+    """The n' bytes the rejsamp unit samples from the keystream words."""
+    out = RejSampUnit(TimingConfig()).run(p, words)
+    assert len(out) == p.out_addrs
+    return bytes_from_words(out, p.n_prime)
 
 
 def test_wrapper_cycles_and_writes():
-    mem, cycles = _keystream_mem()
+    rows, cycles, words = _wrapper()
     assert cycles == 4632
-    writes = [r for r in mem.log if r[2] == "write"]
-    assert len(writes) == 365
+    writes = [r for r in rows if r[2] == "write"]
+    assert len(writes) == len(words) == 365
     assert sorted(r[3] for r in writes) == list(range(365))
 
 
@@ -251,8 +255,8 @@ def test_wrapper_memory_matches_keystream():
     # the final word keeps tau mod 8 = 4, 3 and 2 stream bytes
     for level in SecurityLevel:
         p = builtin_params(level)
-        mem, _ = _keystream_mem(p=p)
-        words = peek_range(mem, 0, p.tau_addrs)
+        _, _, words = _wrapper(p)
+        assert len(words) == p.tau_addrs
         stream = bytes_from_words(words, p.tau)
         assert stream == aesprg.keystream(SEED, IV, p.tau)
         # final word zero-padded past tau
@@ -263,30 +267,26 @@ def test_wrapper_memory_matches_keystream():
 
 
 def test_wrapper_block_count_events():
-    mem = MemoryModel(1024)
-    AesCtrWrapper(TimingConfig()).run(SEED, IV, SL1, mem)
-    issues = [r for r in mem.log if r[2] == "issue"]
+    rows, _, _ = _wrapper()
+    issues = [r for r in rows if r[2] == "issue"]
     assert len(issues) == 183
 
 
 def test_pipeline_latency_from_log():
-    mem = MemoryModel(1024)
     cfg = TimingConfig()
-    AesCtrWrapper(cfg).run(SEED, IV, SL1, mem, start_cycle=0)
-    first_issue = min(r[0] for r in mem.log if r[2] == "issue")
-    first_write = min(r[0] for r in mem.log if r[2] == "write")
+    rows, _ = AesCtrWrapper(cfg).schedule(SL1, start_cycle=0)
+    first_issue = min(r[0] for r in rows if r[2] == "issue")
+    first_write = min(r[0] for r in rows if r[2] == "write")
     assert first_write - first_issue == cfg.aes_latency
     # B2 drains as two word writes on consecutive cycles
-    w0, w1 = sorted(r for r in mem.log if r[2] == "write")[:2]
+    w0, w1 = sorted(r for r in rows if r[2] == "write")[:2]
     assert (w1[0] - w0[0], w1[3] - w0[3]) == (1, 1)
 
 
 @pytest.mark.parametrize("iv", [b"\x01", b"\x00\x01\x02"], ids=["iv1", "iv3"])
 def test_wrapper_rejects_bad_nonce_and_iv(iv):
-    mem = MemoryModel(1024)
     with pytest.raises(ValueError, match="iv"):
-        AesCtrWrapper(TimingConfig()).run(SEED, iv, SL1, mem)
-    assert mem.log == []
+        AesCtrWrapper(TimingConfig()).run(SEED, iv, SL1)
 
 
 # ---------------------------------------------------------------------------
@@ -294,32 +294,27 @@ def test_wrapper_rejects_bad_nonce_and_iv(iv):
 
 
 def test_rejsamp_unit_cycles_and_oracle():
-    mem, start = _keystream_mem()
-    raw = bytes_from_words(peek_range(mem, 0, SL1.tau_addrs), SL1.tau)
-    cycles = RejSampUnit(TimingConfig()).run(SL1, mem, start_cycle=start)
+    _, _, words = _wrapper()
+    raw = bytes_from_words(words, SL1.tau)
+    rows, cycles = RejSampUnit(TimingConfig()).schedule(SL1)
     assert cycles == 3893
-    out_writes = [r for r in mem.log if r[1:3] == ("rejsamp", "write")]
+    out_writes = [r for r in rows if r[1:3] == ("rejsamp", "write")]
     assert len(out_writes) == 351
-    assert _output_bytes(mem) == rej_samp(raw, SL1.tau, SL1.n_prime, SL1.q).to_bytes()
+    assert _sampled_bytes(words) == rej_samp(raw, SL1.tau, SL1.n_prime, SL1.q).to_bytes()
 
 
 @pytest.mark.parametrize("case", range(10))
 def test_rejsamp_unit_matches_golden_random_seeds(case):
     rng = random.Random(1000 + case)
     seed, iv = rng.randbytes(16), rng.randbytes(2)
-    mem, start = _keystream_mem(seed, iv)
-    RejSampUnit(TimingConfig()).run(SL1, mem, start_cycle=start)
-    assert _output_bytes(mem) == rej_samp_prg(seed, iv, SL1).to_bytes()
+    _, _, words = _wrapper(seed=seed, iv=iv)
+    assert _sampled_bytes(words) == rej_samp_prg(seed, iv, SL1).to_bytes()
 
 
 def test_rejsamp_unit_zero_fill_path():
     # a stream of 0xFF everywhere: every byte masks to q, output all zero
-    mem = MemoryModel(1024)
     stream = b"\xff" * SL1.tau
-    for a, w in enumerate(words_from_bytes(stream)):
-        mem.write(a, w, cycle=a)
-    RejSampUnit(TimingConfig()).run(SL1, mem, start_cycle=SL1.tau_addrs)
-    assert set(_output_bytes(mem)) == {0}
+    assert set(_sampled_bytes(words_from_bytes(stream))) == {0}
 
 
 @pytest.mark.parametrize("density", [0, 0.05, 0.3, 0.9, 1.0])
@@ -333,11 +328,7 @@ def test_rejsamp_unit_matches_golden_adversarial(level, density):
     for _ in range(8):
         raw = bytes(rng.choice((0x7F, 0xFF)) if rng.random() < density
                     else rng.randrange(256) for _ in range(p.tau))
-        mem = MemoryModel(p.tau_addrs)
-        for a, w in enumerate(words_from_bytes(raw)):
-            mem.write(a, w, cycle=a)
-        RejSampUnit(TimingConfig()).run(p, mem, start_cycle=p.tau_addrs)
-        out = bytes_from_words(peek_range(mem, 0, p.out_addrs), p.n_prime)
+        out = _sampled_bytes(words_from_bytes(raw), p)
         assert out == rej_samp(raw, p.tau, p.n_prime, p.q).to_bytes()
         # the spare tail runs dry (zero-fill) whenever q-bytes are dense
         assert (rejection_stats(raw, p.tau, p.n_prime, p.q).zero_filled > 0) \
@@ -391,12 +382,12 @@ def test_run_program_determinism():
     b = run_program(prog, SEED, IV)
     assert a.vector.elems == b.vector.elems
     assert a.report == b.report
-    assert a.log == b.log  # the wrapper's issue rows included
+    assert a.trace_rows() == b.trace_rows()  # the wrapper's issue rows included
 
 
 def test_no_write_write_conflicts_in_full_run():
     res = run_program(default_program(SecurityLevel.SL1), SEED, IV)
-    writes = [(r[0], r[3]) for r in res.log if r[2] == "write"]
+    writes = [(r[0], r[3]) for r in res.trace_rows() if r[2] == "write"]
     assert len(writes) == len(set(writes))
 
 
@@ -423,7 +414,7 @@ def _split_program(level):
                      rejsamp_setup_cycles=st.integers(0, 100)))
 def test_schedule_fits_the_memory_ports(program, level, cfg):
     res = run_program(program(level), SEED, IV, cfg=cfg)
-    log, report = res.log, res.report
+    log, report = res.trace_rows(), res.report
     accesses = [(row[0], row[2]) for row in log
                 if row[2] in ("read", "write")]
     assert len(accesses) == len(set(accesses))  # one read, one write a cycle
@@ -640,6 +631,105 @@ def test_trace_scoreboard_catches_mutations(sl1_reference, mutate, error):
     rows.sort(key=lambda r: r[:3])  # as trace_rows orders them
     with pytest.raises(AssertionError, match=error):
         replay_trace(rows, SEED, IV, SL1.tau, SL1.n_prime, SL1.q)
+
+
+# ---------------------------------------------------------------------------
+# compiled schedule cache
+
+SLOW_CFG = TimingConfig(aes_latency=30, per_block_overhead=10,
+                        wrapper_setup_cycles=11, rejsamp_setup_cycles=13)
+
+
+@pytest.mark.parametrize("level,cfg,depth", [
+    (SecurityLevel.SL1, TimingConfig(), 1024),
+    (SecurityLevel.SL3, TimingConfig(), 1024),
+    (SecurityLevel.SL5, TimingConfig(), 1378),
+    (SecurityLevel.SL3, SLOW_CFG, 5000),
+], ids=["SL1", "SL3", "SL5", "SL3-slow-deep"])
+def test_cache_hit_equals_miss(level, cfg, depth):
+    p, prog = builtin_params(level), default_program(level)
+    _compiled.cache_clear()
+    miss = run_program(prog, SEED, IV, cfg=cfg, mem_depth=depth)
+    hit = run_program(prog, SEED, IV, cfg=cfg, mem_depth=depth)
+    info = _compiled.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert hit.trace_rows() == miss.trace_rows()
+    assert (hit.vector, hit.report) == (miss.vector, miss.report)
+    for res in (miss, hit):
+        replay_trace(res.trace_rows(), SEED, IV, p.tau, p.n_prime, p.q)
+
+
+def test_interleaved_keys_keep_their_own_schedules():
+    # each part of the key changes the schedule or whether it fits
+    L = SecurityLevel.SL1
+    far = [assemble(Opcode.LOAD_SEED, L, waddr=1000, wen=1),
+           assemble(Opcode.LOAD_SEED, L, waddr=1001, wen=1),
+           *default_program(L)[2:]]
+    runs = [(default_program(L), TimingConfig(), 1024),
+            (default_program(L), SLOW_CFG, 1024),
+            (far, TimingConfig(), 1024),
+            (default_program(SecurityLevel.SL3), TimingConfig(), 1024)]
+    for words, cfg, depth in runs + runs[::-1]:
+        res = run_program(words, SEED, IV, cfg=cfg, mem_depth=depth)
+        p = res.params
+        assert res.report.wrapper_cycles == wrapper_cycles_oracle(p.tau, cfg)
+        assert res.report.rejsamp_cycles == rejsamp_cycles_oracle(
+            p.tau, p.n_prime, cfg)
+        rows = res.trace_rows()
+        seed_addr = decode(words[0]).waddr
+        assert [r[3] for r in rows if r[1] == "ctrl"] == [seed_addr,
+                                                         seed_addr + 1]
+        replay_trace(rows, SEED, IV, p.tau, p.n_prime, p.q)
+        with pytest.raises(AddressError):  # the far seed needs depth 1002
+            run_program(far, SEED, IV, cfg=cfg, mem_depth=1001)
+
+
+def test_trace_rows_hands_out_a_new_list():
+    res = run_program(default_program(SecurityLevel.SL1), SEED, IV)
+    rows = res.trace_rows()
+    for mutate in (_change_drained_word, _drop_refill_read,
+                   _move_write_onto_a_write):
+        mutate(rows)
+    rows.clear()
+    again = run_program(default_program(SecurityLevel.SL1), SEED, IV)
+    for res in (res, again):
+        replay_trace(res.trace_rows(), SEED, IV, SL1.tau, SL1.n_prime, SL1.q)
+
+
+def test_errors_after_a_good_run_keep_their_order():
+    # precedence: program, then depth, then capacity, then key, then iv;
+    # an error is raised again on every call, never cached
+    L = SecurityLevel.SL1
+    prog = default_program(L)
+    reserved = [encode(Instruction(3, 0, 0, 1, Opcode.LOAD_SEED)),
+                encode(Instruction(3, 0, 1, 1, Opcode.LOAD_SEED)),
+                encode(Instruction(3, 0, 0, 0, Opcode.RUN_FULL)),
+                encode(Instruction(3, 0, 0, 0, Opcode.READ_RESULT))]
+    mixed = [prog[0], assemble(Opcode.LOAD_SEED, SecurityLevel.SL3,
+                               waddr=1, wen=1), *prog[2:]]
+    far = [assemble(Opcode.LOAD_SEED, L, waddr=500, wen=1),
+           assemble(Opcode.LOAD_SEED, L, waddr=501, wen=1), *prog[2:]]
+    key, iv = SEED[:15], IV + b"\x00"
+    cases = [
+        (reserved, key, iv, 0, UnsupportedLevelError, "reserved"),
+        (mixed, key, iv, 0, ProgramError, "mixed"),
+        (prog, key, iv, 0, ValueError, "depth must be positive"),
+        (prog, key, iv, -5, ValueError, "depth must be positive"),
+        (prog, key, iv, 364, CapacityError, "needs 365"),
+        (prog, key, iv, 1024, ValueError, "key must be 16 bytes"),
+        (prog, SEED, iv, 1024, ValueError, "iv must be 2 bytes"),
+        (prog, SEED, IV[:1], 1024, ValueError, "iv must be 2 bytes"),
+        (far, key, iv, 400, ValueError, "key must be 16 bytes"),
+        (far, SEED, iv, 400, AddressError, "address 500"),
+    ]
+    good = run_program(prog, SEED, IV)
+    for _ in range(2):
+        for words, seed, iv_, depth, error, match in cases:
+            with pytest.raises(error, match=match):
+                run_program(words, seed, iv_, mem_depth=depth)
+        again = run_program(prog, SEED, IV)
+        assert again.vector == good.vector
+        assert again.trace_rows() == good.trace_rows()
 
 
 def test_timing_config_validation():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from rejsamp import aesprg
 from rejsamp.hwsim.core import RejSampUnit, TimingConfig
-from rejsamp.hwsim.memory import MemoryModel
 from rejsamp.packing import bytes_from_words, words_from_bytes
 from rejsamp.params import ParameterSet, SecurityLevel, builtin_params
 from rejsamp.sampler import (FieldVector, mask_bytes, rej_samp, rej_samp_prg,
@@ -228,10 +227,10 @@ def test_rejsamp_unit_matches_golden_on_every_toy_stream():
     # tau = 6 fills less than one 16-byte group and one memory word
     p = _toy(3, 6, 2)
     unit = RejSampUnit(TimingConfig())
+    rows, _ = unit.schedule(p)
+    assert [r[2:4] for r in rows if r[2] != "done"] == [("read", 0),
+                                                        ("write", 0)]
     for stream in itertools.product(range(p.q + 1), repeat=p.tau):
         raw = bytes(stream)
-        mem = MemoryModel(p.tau_addrs)
-        mem.write(0, words_from_bytes(raw)[0], cycle=0)
-        cycles = unit.run(p, mem, start_cycle=1)
-        out = bytes_from_words([mem.read(0, cycle=1 + cycles)], p.n_prime)
+        out = bytes_from_words(unit.run(p, words_from_bytes(raw)), p.n_prime)
         assert out == rej_samp(raw, p.tau, p.n_prime, p.q).to_bytes()
