@@ -114,10 +114,9 @@ def encrypt_block_expanded(w: list[int], data: bytes) -> bytes:
     return bytes(out)
 
 
-def check_key(key: bytes) -> bytes:
+def check_key(key: bytes) -> None:
     if len(key) != KEY_BYTES:
         raise ValueError(f"key must be {KEY_BYTES} bytes, got {len(key)}")
-    return key
 
 
 def ctr_blocks(iv: bytes, count: int) -> Iterator[bytes]:
@@ -138,8 +137,8 @@ def keystream(key: bytes, iv: bytes, n_bytes: int) -> bytes:
     Consumes exactly ceil(n_bytes/16) block encryptions; trailing bytes of
     the final block are discarded.
     """
-    check_key(key)
+    round_keys = expand_key(key)  # checks the key
     if n_bytes <= 0:
         raise ValueError("empty keystream request")
     counters = b"".join(ctr_blocks(iv, -(-n_bytes // _BLOCK_BYTES)))
-    return encrypt_block_expanded(expand_key(key), counters)[:n_bytes]
+    return encrypt_block_expanded(round_keys, counters)[:n_bytes]

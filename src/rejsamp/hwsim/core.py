@@ -50,10 +50,11 @@ the required depth is exactly ceil(tau/8).  run_program alone knows this
 map: it checks the depth on every run, and the units assume the schedule
 (the wrapper writes every keystream word before the sampler reads one).
 
-Trace: `ProgramResult.trace_rows()` joins the cached rows with the run's
-words when it is called.  Reads and writes come from the memory's log;
-the wrapper adds an issue row per block and the sampler a done row at its
-last write.
+Trace: `_compiled` is the one place that builds trace rows.  Its pass
+records (cycle, unit, event, addr, k) per row: k is the word a write
+stores or a read returns, None for the wrapper's issue row per block and
+the sampler's done row at its last write.  `ProgramResult.trace_rows()`
+puts the run's words in place of the k when it is called.
 """
 
 import functools
@@ -235,16 +236,18 @@ def _compiled(level: SecurityLevel, seed_addr: int, cfg: TimingConfig,
     ks = {"ctrl": itertools.count(1), "wrapper": itertools.count(3),
           "rejsamp": itertools.count(3 + p.tau_addrs)}
     mem = MemoryModel(depth)
-    reads = {"wrapper": [], "rejsamp": [], "host": []}
+    trace, reads = [], {"wrapper": [], "rejsamp": [], "host": []}
     # rows sort by (cycle, unit, event): no two rows share all three
     for cycle, unit, event, addr in sorted(rows):
+        k = None  # an issue or done row carries no word
         if event == "write":
-            mem.write(addr, next(ks[unit]), cycle=cycle, unit=unit)
+            k = next(ks[unit])
+            mem.write(addr, k, cycle=cycle)
         elif event == "read":
-            reads[unit].append(mem.read(addr, cycle=cycle, unit=unit))
-        else:
-            mem.log.append((cycle, unit, event, addr, None))
-    return (tuple(mem.log), CycleReport(wrapper_cycles, rejsamp_cycles),
+            k = mem.read(addr, cycle=cycle)
+            reads[unit].append(k)
+        trace.append((cycle, unit, event, addr, k))
+    return (tuple(trace), CycleReport(wrapper_cycles, rejsamp_cycles),
             tuple(reads["wrapper"]), tuple(reads["rejsamp"]),
             tuple(reads["host"]))
 

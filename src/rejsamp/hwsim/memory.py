@@ -1,17 +1,12 @@
-"""Dual-port 64-bit word memory with an access log.
+"""Dual-port 64-bit word memory.
 
 Port A writes and port B reads, each at most once per cycle and in cycle
 order, so one read and one write may share a cycle. A write or read not
 after its port's last cycle is a simulation fault, and so is a write to a
 cycle before the latest cycle already read. A written word becomes visible
 to reads from the following cycle onward. Words are held sparsely, so a
-deep memory costs nothing until it is written.
-
-`log` holds trace rows (cycle, unit, event, addr, data) in the order they
-were logged: every read and write, plus the rows its caller appends for
-other events. The simulator plays each schedule through a memory once,
-with symbolic data, and keeps that log as the schedule's rows (see
-`core`).
+deep memory costs nothing until it is written. It only checks and
+stores, and keeps no log: `core` builds the trace rows.
 """
 
 from collections import deque
@@ -29,7 +24,6 @@ class MemoryModel:
             raise ValueError("memory depth must be positive")
         self.depth = depth
         self.words: dict[int, int] = {}  # sparse: a word never written reads 0
-        self.log: list[tuple] = []  # (cycle, unit, event, addr, data) rows
         self._pending = deque()  # (cycle, addr, word), in cycle order
         self._write_cycle = float("-inf")  # latest cycle written so far
         self._read_cycle = float("-inf")  # latest cycle read so far
@@ -37,8 +31,7 @@ class MemoryModel:
     def _range_error(self, addr: int) -> AddressError:
         return AddressError(f"address {addr} out of range for depth {self.depth}")
 
-    def write(self, addr: int, word: int, cycle: int,
-              unit: str = "ctrl") -> None:
+    def write(self, addr: int, word: int, cycle: int) -> None:
         if not 0 <= addr < self.depth:
             raise self._range_error(addr)
         if not 0 <= word < _WORD_LIMIT:
@@ -52,9 +45,8 @@ class MemoryModel:
                                   f"write to cycle {self._write_cycle}")
         self._write_cycle = cycle
         self._pending.append((cycle, addr, word))
-        self.log.append((cycle, unit, "write", addr, word))
 
-    def read(self, addr: int, cycle: int, unit: str = "ctrl") -> int:
+    def read(self, addr: int, cycle: int) -> int:
         if not 0 <= addr < self.depth:
             raise self._range_error(addr)
         if cycle <= self._read_cycle:
@@ -64,6 +56,4 @@ class MemoryModel:
         while self._pending and self._pending[0][0] < cycle:  # in cycle order
             _, a, w = self._pending.popleft()
             self.words[a] = w
-        word = self.words.get(addr, 0)
-        self.log.append((cycle, unit, "read", addr, word))
-        return word
+        return self.words.get(addr, 0)

@@ -35,9 +35,6 @@ class FieldVector:
     def __len__(self):
         return len(self.elems)
 
-    def __iter__(self):
-        return iter(self.elems)
-
     def to_bytes(self) -> bytes:
         """One byte per element, in order."""
         return bytes(self.elems)

@@ -206,15 +206,26 @@ def format_program(words):
 # of ProgramResult.trace_rows(), replayed against the dual-port memory's
 # rules and the oracles above.  The wrapper writes the keystream from word
 # 0, the rejsamp unit reads it back, and the host drains the output from
-# word 0.
+# word 0.  The shape checks hold for every timing configuration: the only
+# cycle cost they name is a 16-byte group's fixed 3 + 16 cycles.
 
 
 def _unpacked(accesses):
-    """The data of (addr, data) word accesses to addresses 0, 1, ... in
-    order, as big-endian bytes."""
-    assert [a for a, _ in accesses] == list(range(len(accesses))), \
+    """The data of (cycle, addr, data) word accesses to addresses 0, 1, ...
+    in order, as big-endian bytes."""
+    assert [a for _, a, _ in accesses] == list(range(len(accesses))), \
         "accesses do not cover words 0, 1, ... in order"
-    return b"".join(d.to_bytes(8, "big") for _, d in accesses)
+    return b"".join(d.to_bytes(8, "big") for _, _, d in accesses)
+
+
+def _steps(cycles):
+    """The set of gaps between consecutive cycles."""
+    return {b - a for a, b in zip(cycles, cycles[1:])}
+
+
+def _pairs_adjacent(cycles):
+    """Whether words 2i and 2i + 1 fall on consecutive cycles."""
+    return all(b == a + 1 for a, b in zip(cycles[::2], cycles[1::2]))
 
 
 def replay_trace(rows, seed, iv, tau, n_prime, q):
@@ -222,15 +233,23 @@ def replay_trace(rows, seed, iv, tau, n_prime, q):
     takes at most one access per cycle, every read returns the latest write
     to its address at an earlier cycle (or 0), the wrapper's writes and the
     rejsamp unit's reads both hold the keystream, and the host drains the
-    sampled vector, each zero-padded to whole 64-bit words."""
+    sampled vector, each zero-padded to whole 64-bit words.
+
+    Then check the schedule's shape: a block's two writes and a group's two
+    refill reads fall on consecutive cycles, blocks issue evenly spaced and
+    one constant latency before their first write, groups start 3 + 16
+    cycles apart, the host drains on consecutive cycles, and the done row
+    shares the cycle of the sampler's last write."""
     stream = keystream_oracle(seed, iv, tau)
     last = {}  # addr -> (cycle, data, the data before it) of its last write
     port_cycle = {"read": -1, "write": -1}
-    accesses = collections.defaultdict(list)  # (unit, event): (addr, data)s
+    # (unit, event) -> its (cycle, addr, data) rows
+    rows_of = collections.defaultdict(list)
     now = -1
     for cycle, unit, event, addr, data in rows:
         assert cycle >= now, f"row at cycle {cycle} after cycle {now}"
         now = cycle
+        rows_of[unit, event].append((cycle, addr, data))
         if event not in port_cycle:
             continue  # issue and done rows touch no port
         assert cycle > port_cycle[event], \
@@ -243,12 +262,32 @@ def replay_trace(rows, seed, iv, tau, n_prime, q):
         else:
             assert data == visible, (f"read of word {addr} in cycle {cycle} "
                                      f"returned {data:#x}, not {visible:#x}")
-        accesses[unit, event].append((addr, data))
     padded = stream + bytes(-tau % 8)
-    assert _unpacked(accesses["wrapper", "write"]) == padded, \
+    assert _unpacked(rows_of["wrapper", "write"]) == padded, \
         "wrapper wrote another stream"
-    assert _unpacked(accesses["rejsamp", "read"]) == padded, \
+    assert _unpacked(rows_of["rejsamp", "read"]) == padded, \
         "rejsamp read another stream"
     out = bytes(rej_samp_naive(stream, tau, n_prime, q)) + bytes(-n_prime % 8)
-    assert _unpacked(accesses["host", "read"]) == out, \
+    assert _unpacked(rows_of["host", "read"]) == out, \
         "host drained another vector"
+
+    def cycles(unit, event):
+        return [c for c, _, _ in rows_of[unit, event]]
+
+    writes, issues = cycles("wrapper", "write"), cycles("wrapper", "issue")
+    refills, drain = cycles("rejsamp", "read"), cycles("host", "read")
+    blocks = -(-tau // 16)
+    assert [a for _, a, _ in rows_of["wrapper", "issue"]] == \
+        list(range(blocks)), "issue rows do not name blocks 0, 1, ... in order"
+    assert _pairs_adjacent(writes), \
+        "a block's two keystream writes are not on consecutive cycles"
+    assert len(_steps(issues)) <= 1, "issue rows are not evenly spaced"
+    assert len({w - i for i, w in zip(issues, writes[::2])}) == 1, \
+        "issue rows are not one constant latency before their first write"
+    assert _pairs_adjacent(refills), \
+        "a refill group's reads are not on consecutive cycles"
+    assert _steps(refills[::2]) <= {3 + 16}, \
+        "refill groups do not start 3 + 16 cycles apart"
+    assert _steps(drain) <= {1}, "host drain reads are not on consecutive cycles"
+    assert cycles("rejsamp", "done") == cycles("rejsamp", "write")[-1:], \
+        "the done row is not in the cycle of the sampler's last write"

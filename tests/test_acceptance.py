@@ -51,7 +51,7 @@ def test_c02_brute_force_equivalence_small_tau():
     for tau in range(1, 5):
         for raw in itertools.product(alphabet, repeat=tau):
             for n_prime in range(1, tau + 1):
-                got = list(rej_samp(bytes(raw), tau, n_prime, 127))
+                got = list(rej_samp(bytes(raw), tau, n_prime, 127).elems)
                 assert got == rej_samp_naive(raw, tau, n_prime, 127)
                 cases += 1
     elapsed = time.monotonic() - t0

@@ -44,10 +44,16 @@ def test_bad_lengths_rejected():
         aesprg.expand_key(KEY[:-1])
     with pytest.raises(ValueError, match="multiple of 16"):
         aesprg.encrypt_block_expanded(aesprg.expand_key(KEY), PT[:-1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="iv must be 2 bytes"):
         aesprg.keystream(KEY, b"\x00", 8)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty keystream request"):
         aesprg.keystream(KEY, b"\x00\x00", 0)
+    # precedence: the key, then the empty request, then the iv
+    for iv, n_bytes in ((b"\x00\x00", 0), (b"\x00", 8), (b"\x00", 0)):
+        with pytest.raises(ValueError, match="key must be 16 bytes"):
+            aesprg.keystream(KEY[:-1], iv, n_bytes)
+    with pytest.raises(ValueError, match="empty keystream request"):
+        aesprg.keystream(KEY, b"\x00", 0)
 
 
 def test_roundtrip_against_independent_decryptor():

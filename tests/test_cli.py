@@ -121,6 +121,19 @@ def test_simulate_trace_pinned(tmp_path, capsys):
         "601ea6a549877ff789c744770b2dc75c07c7d313650888902f6a30a084700e72"
 
 
+@pytest.mark.parametrize("args,digest", [
+    (("--level", "3"),
+     "b9d54a6109d58cc77bdcbad573a5262c2f8258c2f0b5f8fb3eafe0764ab460e4"),
+    (("--level", "5", "--mem-depth", "1378"),
+     "d361ca1ebeefe4099a188758f70f7760641c531d489151508097be2e54e66fdc"),
+], ids=["SL3", "SL5"])
+def test_simulate_trace_pinned_at_sl3_and_sl5(args, digest, tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    assert run_cli("simulate", *args, "--seed", SEED_HEX, "--iv", "1234",
+                   "--trace", str(trace)) == 0
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == digest
+
+
 def test_simulate_split_program_trace_pinned(tmp_path, capsys):
     # separate RUN_PRG and RUN_REJSAMP runs at SL3 with the seed at words 3-4
     L, op = SecurityLevel.SL3, Opcode

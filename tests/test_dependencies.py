@@ -100,6 +100,11 @@ def test_public_surface_is_pinned():
     # a run carries no log: trace_rows() joins its schedule's rows and words
     assert [f.name for f in dataclasses.fields(core.ProgramResult)] == [
         "report", "vector", "params", "_rows", "_words"]
+    # the memory only checks and stores: no unit, no log row
+    assert list(inspect.signature(memory.MemoryModel.read).parameters) == [
+        "self", "addr", "cycle"]
+    assert list(inspect.signature(memory.MemoryModel.write).parameters) == [
+        "self", "addr", "word", "cycle"]
     # a parameter set stores only the paper's inputs; the rest is derived
     assert [f.name for f in dataclasses.fields(params.ParameterSet)] == [
         "sec_level", "q", "l", "V", "M", "tau", "lambda_bits"]

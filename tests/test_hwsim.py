@@ -133,8 +133,7 @@ def test_dual_port_same_cycle_write_and_read():
     mem.write(7, 3, cycle=1)
     mem.write(5, 9, cycle=2)
     assert mem.read(7, cycle=2) == 3
-    assert [r[:3] for r in mem.log[-2:]] == [(2, "ctrl", "write"),
-                                             (2, "ctrl", "read")]
+    assert mem.read(5, cycle=3) == 9  # the same-cycle write took port A
 
 
 def test_write_write_conflict_faults():
@@ -213,15 +212,19 @@ def test_port_rule_faults(accesses):
         mem.write(addr, 1, cycle=cycle)
     else:
         mem.read(addr, cycle=cycle)
+    ports = (mem._write_cycle, mem._read_cycle)
     with pytest.raises(SimulationFault):
         if bad_kind == "write":
             mem.write(bad_addr, 2, cycle=bad_cycle)
         else:
             mem.read(bad_addr, cycle=bad_cycle)
-    # the faulting access leaves no trace
-    assert len(mem.log) == 1
+    # the faulting access leaves no trace: no port moved, no word stored
+    assert (mem._write_cycle, mem._read_cycle) == ports
     assert peek_range(mem, 0, 16) == [int(kind == "write" and a == addr)
                                       for a in range(16)]
+    # and the next legal accesses still go through
+    mem.write(9, 3, cycle=cycle + 1)
+    assert mem.read(9, cycle=cycle + 2) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -620,11 +623,27 @@ def _move_write_onto_a_write(rows):
     rows[i] = (rows[i - 1][0],) + rows[i][1:]
 
 
+def _one_cycle_late(unit, event, n):
+    """A mutant that moves the unit's n-th row of the event a cycle later,
+    keeping its data."""
+    def mutate(rows):
+        i = _nth(rows, unit, event, n)
+        rows[i] = (rows[i][0] + 1,) + rows[i][1:]
+    return mutate
+
+
 @pytest.mark.parametrize("mutate,error", [
     (_change_drained_word, "read of word 100"),
     (_drop_refill_read, "do not cover"),
     (_move_write_onto_a_write, "second write"),
-], ids=["drained-word-changed", "refill-read-dropped", "write-onto-a-write"])
+    (_one_cycle_late("host", "read", -1), "drain reads"),
+    (_one_cycle_late("wrapper", "write", 101), "two keystream writes"),
+    (_one_cycle_late("rejsamp", "read", 101), "refill group's reads"),
+    (_one_cycle_late("wrapper", "issue", 50), "issue rows"),
+    (_one_cycle_late("rejsamp", "done", 0), "done row"),
+], ids=["drained-word-changed", "refill-read-dropped", "write-onto-a-write",
+        "last-drain-late", "second-write-late", "second-refill-read-late",
+        "issue-moved", "done-moved"])
 def test_trace_scoreboard_catches_mutations(sl1_reference, mutate, error):
     rows = sl1_reference.trace_rows()
     mutate(rows)
