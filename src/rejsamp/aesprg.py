@@ -9,8 +9,9 @@ per-lane idea of Hamburg ("Accelerating AES with Vector Permute
 Instructions", CHES 2009). SubBytes translates a lane through the S-box
 and through 2*S(x), which MixColumns needs; ShiftRows is the choice of
 lanes each output column reads; AddRoundKey XORs a key byte broadcast
-across the lane. The hwsim wrapper and keystream call expand_key once per
-run and encrypt_block_expanded once over all of the run's counter blocks.
+across the lane. keystream, which the hwsim wrapper also calls, runs
+expand_key once and encrypt_block_expanded once over all of a run's
+counter blocks.
 No hardcoded lookup tables: the S-box, its doubled copy and the round
 constants are derived from the field arithmetic at import.
 

@@ -124,9 +124,8 @@ class AesCtrWrapper:
 
     Schedule, per block: issue into the core, then aes_latency cycles
     later drain its cipher output (B2) as two 64-bit words on consecutive
-    cycles.  Datapath, once over the stream: one cipher call encrypts
-    every counter block of the run, and the first tau bytes of its output
-    are packed into words, the final one zero-padded.  It fills
+    cycles.  Datapath: the golden keystream (aesprg.keystream) of the run,
+    tau bytes packed into words, the final one zero-padded.  It fills
     words [0, ceil(tau/8)), which run_program has checked the memory
     holds.
     """
@@ -152,11 +151,7 @@ class AesCtrWrapper:
 
     def run(self, seed: bytes, iv: bytes, p: ParameterSet) -> list[int]:
         """The keystream words, in the order the schedule writes them."""
-        round_keys = aesprg.expand_key(seed)
-        # ctr_blocks checks the iv
-        counters = b"".join(aesprg.ctr_blocks(iv, _block_count(p)))
-        stream = aesprg.encrypt_block_expanded(round_keys, counters)
-        return words_from_bytes(stream[:p.tau])
+        return words_from_bytes(aesprg.keystream(seed, iv, p.tau))
 
 
 class RejSampUnit:

@@ -2,14 +2,12 @@
 
 rej_samp turns a tau-byte pseudorandom string into n_prime field elements:
 each byte is masked down to [0, q] with a bitwise AND (valid only because
-q is Mersenne), values equal to q among the first n_prime positions are
-rejected and replaced by the next unused valid value from the spare tail,
-and positions whose tail ran out are zero-filled. rej_samp_prg feeds it
-from the AES-CTR keystream.
-
-The pseudocode is 1-based; this implementation stores 0-based, so the
-replacement pointer starts at index n_prime (the pseudocode's n'+1) and
-exhaustion is k == tau (the pseudocode's k = tau+1).
+q is Mersenne), the valid values of the spare tail (the bytes after the
+first n_prime) queue up in order, and each of the first n_prime values
+equal to q is replaced by the next queued spare, or by 0 once the spares
+run out.  rej_samp_prg feeds it from the AES-CTR keystream.  The
+line-by-line transcription of the paper's pseudocode is
+tests/oracles.py::rej_samp_naive.
 """
 
 import functools
@@ -75,20 +73,9 @@ def rej_samp(raw: bytes, tau: int, n_prime: int, q: int) -> FieldVector:
     """Rejection-sample n_prime field elements from a tau-byte string."""
     _check_shape(raw, tau, n_prime)
     masked = mask_bytes(raw, q)
-    out = masked[:n_prime]
-    k = n_prime
-    while k < tau and masked[k] == q:
-        k += 1
-    for j in range(n_prime):
-        if out[j] == q:
-            if k < tau:
-                out[j] = masked[k]
-                k += 1
-                while k < tau and masked[k] == q:
-                    k += 1
-            else:
-                out[j] = 0
-    return FieldVector(tuple(out), q)
+    tail = iter([v for v in masked[n_prime:] if v != q])
+    return FieldVector(tuple(next(tail, 0) if v == q else v
+                             for v in masked[:n_prime]), q)
 
 
 def rej_samp_prg(seed: bytes, iv: bytes, p: ParameterSet) -> FieldVector:

@@ -10,14 +10,13 @@ import math
 import random
 import time
 
-import numpy as np
 import pytest
 
 from rejsamp import aesprg, fom
 from rejsamp.hwsim.core import TimingConfig, run_program
 from rejsamp.hwsim.isa import default_program
 from rejsamp.params import SecurityLevel, builtin_params
-from rejsamp.sampler import rej_samp, rej_samp_prg
+from rejsamp.sampler import rej_samp, rej_samp_prg, rejection_stats
 from oracles import (aes128_decrypt_oracle, rejsamp_cycles_oracle,
                      rej_samp_naive, wrapper_cycles_oracle)
 
@@ -143,11 +142,13 @@ def test_c08_fom_table_reproduction():
 
 
 def test_c09_rejection_rate_statistic():
-    rng = np.random.default_rng(9)
-    data = rng.integers(0, 256, size=10**6, dtype=np.uint8)
-    rate = float(np.mean((data & 127) == 127))
+    n = 10**6
+    data = aesprg.keystream(bytes(range(16)), b"\x00\x09", n)
+    rejected = sum(1 for b in data if b & 127 == 127)
+    assert rejection_stats(data, n, 1, 127).masked_to_q == rejected
+    rate = rejected / n
     p = 1 / 128
-    sigma = math.sqrt(p * (1 - p) / 10**6)
+    sigma = math.sqrt(p * (1 - p) / n)
     assert abs(rate - p) < 5 * sigma, f"rate {rate}, bound {5 * sigma}"
     _report(9, "masked-to-q rate within 5 sigma of 1/128 over 1e6 bytes",
             f"rate {rate:.6f}")

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rejsamp import aesprg
 from rejsamp.hwsim.core import (AesCtrWrapper, CycleReport, RejSampUnit,
                                 TimingConfig, _compiled, run_program)
 from rejsamp.hwsim.errors import (AddressError, CapacityError,
@@ -16,8 +15,9 @@ from rejsamp.hwsim.memory import MemoryModel
 from rejsamp.packing import bytes_from_words, words_from_bytes
 from rejsamp.params import SecurityLevel, builtin_params
 from rejsamp.sampler import rej_samp, rej_samp_prg, rejection_stats
-from oracles import (format_program, keystream_oracle, rejsamp_cycles_oracle,
-                     replay_trace, wrapper_cycles_oracle)
+from oracles import (format_program, keystream_oracle, rej_samp_naive,
+                     rejsamp_cycles_oracle, replay_trace,
+                     wrapper_cycles_oracle)
 
 SEED = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
 IV = b"\x00\x01"
@@ -261,12 +261,10 @@ def test_wrapper_memory_matches_keystream():
         _, _, words = _wrapper(p)
         assert len(words) == p.tau_addrs
         stream = bytes_from_words(words, p.tau)
-        assert stream == aesprg.keystream(SEED, IV, p.tau)
+        assert stream == keystream_oracle(SEED, IV, p.tau)
         # final word zero-padded past tau
         pad_bits = 8 * (8 * p.tau_addrs - p.tau)
         assert words[-1] & ((1 << pad_bits) - 1) == 0
-    # and the SL5 stream's first tau(SL1) bytes against the independent oracle
-    assert stream[:SL1.tau] == keystream_oracle(SEED, IV, SL1.tau)
 
 
 def test_wrapper_block_count_events():
@@ -332,7 +330,9 @@ def test_rejsamp_unit_matches_golden_adversarial(level, density):
         raw = bytes(rng.choice((0x7F, 0xFF)) if rng.random() < density
                     else rng.randrange(256) for _ in range(p.tau))
         out = _sampled_bytes(words_from_bytes(raw), p)
-        assert out == rej_samp(raw, p.tau, p.n_prime, p.q).to_bytes()
+        golden = rej_samp(raw, p.tau, p.n_prime, p.q).to_bytes()
+        assert out == golden
+        assert list(golden) == rej_samp_naive(raw, p.tau, p.n_prime, p.q)
         # the spare tail runs dry (zero-fill) whenever q-bytes are dense
         assert (rejection_stats(raw, p.tau, p.n_prime, p.q).zero_filled > 0) \
             == (density > 0)
@@ -388,12 +388,6 @@ def test_run_program_determinism():
     assert a.trace_rows() == b.trace_rows()  # the wrapper's issue rows included
 
 
-def test_no_write_write_conflicts_in_full_run():
-    res = run_program(default_program(SecurityLevel.SL1), SEED, IV)
-    writes = [(r[0], r[3]) for r in res.trace_rows() if r[2] == "write"]
-    assert len(writes) == len(set(writes))
-
-
 def _split_program(level):
     """Separate RUN_PRG and RUN_REJSAMP runs, seed at words 3-4, one NOP."""
     return [
@@ -418,9 +412,6 @@ def _split_program(level):
 def test_schedule_fits_the_memory_ports(program, level, cfg):
     res = run_program(program(level), SEED, IV, cfg=cfg)
     log, report = res.trace_rows(), res.report
-    accesses = [(row[0], row[2]) for row in log
-                if row[2] in ("read", "write")]
-    assert len(accesses) == len(set(accesses))  # one read, one write a cycle
     # each unit's rows lie inside the span it reports, the drain included
     start = min(row[0] for row in log if row[1] == "wrapper")
     last_write = max(row[0] for row in log if row[1:3] == ("wrapper", "write"))
@@ -432,7 +423,7 @@ def test_schedule_fits_the_memory_ports(program, level, cfg):
     staged = max(row[0] for row in log if row[1:3] == ("wrapper", "read"))
     assert all(row[0] > staged for row in log if row[2] == "issue")
     p = builtin_params(level)
-    replay_trace(res.trace_rows(), SEED, IV, p.tau, p.n_prime, p.q)
+    replay_trace(log, SEED, IV, p.tau, p.n_prime, p.q)
 
 
 def test_split_prg_then_rejsamp_equals_full():
@@ -584,14 +575,6 @@ def test_program_shape_property(sl1_reference, ops, seed_base):
     res = run_program(words, SEED, IV)
     assert res.report == sl1_reference.report
     assert res.vector == sl1_reference.vector
-
-
-def test_trace_rows_are_chronological():
-    res = run_program(default_program(SecurityLevel.SL1), SEED, IV)
-    rows = res.trace_rows()
-    assert [r[0] for r in rows] == sorted(r[0] for r in rows)
-    kinds = {r[2] for r in rows}
-    assert {"read", "write", "issue", "done"} <= kinds
 
 
 @pytest.mark.parametrize("level", list(SecurityLevel), ids=lambda l: l.value)

@@ -17,6 +17,15 @@ from oracles import rej_samp_naive, zero_fill_weight
 SEED = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
 
 
+@st.composite
+def dense_in_rejects(draw, size):
+    """size bytes in which a drawn share, 0 to 8 eighths, is set to 0x7F or
+    0xFF, the two bytes that mask to q = 127."""
+    raw = draw(st.binary(min_size=size, max_size=size))
+    density = draw(st.integers(0, 8))
+    return bytes(b | 0x7F if b % 8 < density else b for b in raw)
+
+
 @pytest.mark.parametrize("raw,want", [
     (bytes([0xFF]), [127]),
     (bytes([0x80]), [0]),
@@ -55,7 +64,7 @@ def test_rej_samp_input_validation():
 def test_matches_naive_transcription(data):
     tau = data.draw(st.integers(min_value=1, max_value=64))
     n_prime = data.draw(st.integers(min_value=1, max_value=tau))
-    raw = data.draw(st.binary(min_size=tau, max_size=tau))
+    raw = data.draw(dense_in_rejects(tau))
     assert list(rej_samp(raw, tau, n_prime, 127).elems) == rej_samp_naive(raw, tau, n_prime, 127)
 
 
@@ -79,8 +88,7 @@ def test_zero_fill_exactly_when_rejects_exceed_spares(data):
     # the event the tau rule bounds: more q-bytes than the tau - n' spares
     tau = data.draw(st.integers(min_value=1, max_value=64))
     n_prime = data.draw(st.integers(min_value=1, max_value=tau))
-    byte = st.one_of(st.sampled_from([0x7F, 0xFF]), st.integers(0, 255))
-    raw = bytes(data.draw(st.lists(byte, min_size=tau, max_size=tau)))
+    raw = data.draw(dense_in_rejects(tau))
     s = rejection_stats(raw, tau, n_prime, 127)
     assert (s.zero_filled > 0) == (s.masked_to_q > tau - n_prime)
 
