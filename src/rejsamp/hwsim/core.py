@@ -64,7 +64,7 @@ from dataclasses import dataclass, field, fields
 from .. import aesprg
 from ..packing import words_from_bytes, bytes_from_words
 from ..params import ParameterSet, SecurityLevel, builtin_params
-from ..sampler import FieldVector
+from ..sampler import FieldVector, _sample
 from .errors import CapacityError, ProgramError
 from .isa import Instruction, Opcode, decode
 from .memory import DEFAULT_DEPTH, MemoryModel
@@ -159,11 +159,10 @@ class RejSampUnit:
 
     Schedule, per 16-byte group: two refill reads, one validate cycle
     (mask and compare against q) and one collect cycle per byte.
-    Datapath, once over the stream read back: valid bytes from the spare
-    tail queue up in arrival order and patch rejected head positions,
-    which keeps the result bit-identical to the literal
-    (position-preserving) algorithm.  It reads the keystream the wrapper
-    wrote earlier in run_program's schedule.
+    Datapath: `sampler`'s rule on the stream read back (sampler._sample,
+    which the golden rej_samp runs too), the output packed into words.
+    It reads the keystream the wrapper wrote earlier in run_program's
+    schedule.
     """
 
     def __init__(self, cfg: TimingConfig):
@@ -190,18 +189,8 @@ class RejSampUnit:
     def run(self, p: ParameterSet, words: list[int]) -> list[int]:
         """Sample the keystream words the refill reads return into the
         packed output words, in the order the schedule writes them."""
-        q = p.q
-        mask = bytes(b & q for b in range(256))
-        masked = bytes_from_words(words, p.tau).translate(mask)  # validate
-        out = bytearray(masked[:p.n_prime])  # collect: the first n' values
-        spares = masked[p.n_prime:].replace(bytes([q]), b"")  # valid tail
-        used = 0
-        j = out.find(q)
-        while j >= 0:            # patch rejected head positions in order
-            out[j] = spares[used] if used < len(spares) else 0
-            used += 1
-            j = out.find(q, j + 1)
-        return words_from_bytes(out)
+        return words_from_bytes(_sample(bytes_from_words(words, p.tau),
+                                        p.n_prime, p.q))
 
 
 @functools.lru_cache(maxsize=_SCHEDULES)

@@ -15,15 +15,23 @@ from rejsamp.sampler import (FieldVector, mask_bytes, rej_samp, rej_samp_prg,
 from oracles import rej_samp_naive, zero_fill_weight
 
 SEED = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
+MERSENNE_BELOW_256 = (1, 3, 7, 15, 31, 63, 127, 255)
 
 
 @st.composite
-def dense_in_rejects(draw, size):
-    """size bytes in which a drawn share, 0 to 8 eighths, is set to 0x7F or
-    0xFF, the two bytes that mask to q = 127."""
+def dense_in_rejects(draw, size, q=127):
+    """size bytes in which a drawn share, 0 to 8 eighths, is set to a byte
+    that masks to q (for q = 127, 0x7F or 0xFF)."""
     raw = draw(st.binary(min_size=size, max_size=size))
     density = draw(st.integers(0, 8))
-    return bytes(b | 0x7F if b % 8 < density else b for b in raw)
+    return bytes(b | q if b % 8 < density else b for b in raw)
+
+
+def _unit_sampled(raw, n_prime, q):
+    """The n' values the sampler unit makes of raw, read back as a list."""
+    p = _toy(q, len(raw), n_prime)
+    words = RejSampUnit(TimingConfig()).run(p, words_from_bytes(raw))
+    return list(bytes_from_words(words, n_prime))
 
 
 @pytest.mark.parametrize("raw,want", [
@@ -45,9 +53,20 @@ def test_mask_rejects_non_mersenne():
     (bytes([0x7F, 0x05, 0xFF, 0x10, 0x20, 0xFF]), 6, 4, (32, 5, 0, 16)),
     (bytes([0x01, 0x02, 0x03, 0x04]), 4, 4, (1, 2, 3, 4)),
     (bytes([0x7F] * 5), 5, 4, (0, 0, 0, 0)),
+    # n' = tau: no tail, so every head reject is zero-filled
+    (bytes([0x7F, 0x05, 0xFF]), 3, 3, (0, 5, 0)),
+    # rejects at head positions 0 and n' - 1
+    (bytes([0xFF, 0x01, 0x02, 0x7F, 0x10, 0x20]), 6, 4, (16, 1, 2, 32)),
+    # a run of head rejects patched in order, then zero-filled
+    (bytes([0x01, 0x7F, 0xFF, 0x7F, 0x02, 0x7F, 0x11, 0xFF, 0x12]), 9, 5,
+     (1, 17, 18, 0, 2)),
+    # a run of tail rejects is skipped
+    (bytes([0x7F, 0x03, 0xFF, 0x7F, 0x09]), 5, 2, (9, 3)),
 ])
 def test_rej_samp_examples(raw, tau, np_, want):
     assert rej_samp(raw, tau, np_, 127).elems == want
+    assert tuple(rej_samp_naive(raw, tau, np_, 127)) == want
+    assert tuple(_unit_sampled(raw, np_, 127)) == want
 
 
 def test_rej_samp_input_validation():
@@ -62,10 +81,14 @@ def test_rej_samp_input_validation():
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_matches_naive_transcription(data):
+    # the golden model and the sampler unit, at every Mersenne q of a byte
     tau = data.draw(st.integers(min_value=1, max_value=64))
     n_prime = data.draw(st.integers(min_value=1, max_value=tau))
-    raw = data.draw(dense_in_rejects(tau))
-    assert list(rej_samp(raw, tau, n_prime, 127).elems) == rej_samp_naive(raw, tau, n_prime, 127)
+    for q in MERSENNE_BELOW_256:
+        raw = data.draw(dense_in_rejects(tau, q))
+        want = rej_samp_naive(raw, tau, n_prime, q)
+        assert list(rej_samp(raw, tau, n_prime, q).elems) == want
+        assert _unit_sampled(raw, n_prime, q) == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -147,9 +170,29 @@ def test_field_vector_validates_range():
 
 
 def test_field_vector_error_counts_bad_elements():
-    with pytest.raises(ValueError) as ei:
-        FieldVector((5, 127, 0, -3, 126), 127)
-    assert str(ei.value) == "2 element(s) outside [0, 127)"
+    # all bytes: counted by one translate; else element by element
+    for elems, m, bad in [((5, 127, 200, 0), 127, 2),
+                          ((5, 127, 0, -3, 126), 127, 2),
+                          ((300, 5, 256), 256, 2), ((300,), 256, 1),
+                          ((1, 2), 0, 2), ((1.5, 127.0), 127, 1)]:
+        with pytest.raises(ValueError) as ei:
+            FieldVector(elems, m)
+        assert str(ei.value) == f"{bad} element(s) outside [0, {m})"
+
+
+@pytest.mark.parametrize("elems,m", [
+    ((300,), 301), ((255, 0), 256), ((0, 200), 1000), ((1.0, 126.5), 127),
+    ((), 127)])
+def test_field_vector_accepts_in_range(elems, m):
+    assert FieldVector(elems, m).elems == elems
+
+
+def test_mersenne_q_above_a_byte_rejects_nothing():
+    # 511 masks every byte to itself and no byte equals it
+    raw = bytes(range(256))
+    assert rej_samp(raw, 256, 200, 511).elems == tuple(range(200))
+    s = rejection_stats(raw, 256, 200, 511)
+    assert (s.masked_to_q, s.replaced, s.zero_filled) == (0, 0, 0)
 
 
 def test_field_vector_packing_roundtrip():
@@ -242,3 +285,4 @@ def test_rejsamp_unit_matches_golden_on_every_toy_stream():
         raw = bytes(stream)
         out = bytes_from_words(unit.run(p, words_from_bytes(raw)), p.n_prime)
         assert out == rej_samp(raw, p.tau, p.n_prime, p.q).to_bytes()
+        assert list(out) == rej_samp_naive(raw, p.tau, p.n_prime, p.q)
