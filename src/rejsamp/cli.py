@@ -120,7 +120,7 @@ def _cmd_simulate(args) -> int:
     sys.stdout.write(json.dumps(report) + "\n")
     if not args.no_self_check:
         golden = rej_samp_prg(args.seed, args.iv, result.params)
-        if result.vector.elems != golden.elems:
+        if result.vector != golden:
             print("self-check FAILED: simulator output differs from the "
                   "golden model", file=sys.stderr)
             return EXIT_MISMATCH

@@ -317,5 +317,5 @@ def run_program(words: list[int], seed: bytes, iv: bytes,
     run_words += AesCtrWrapper(cfg).run(staged, iv, p)
     run_words += RejSampUnit(cfg).run(p, [run_words[k] for k in refill])
     out = bytes_from_words([run_words[k] for k in drain], p.n_prime)
-    return ProgramResult(report=report, vector=FieldVector(tuple(out), p.q),
+    return ProgramResult(report=report, vector=FieldVector(out, p.q),
                          params=p, _rows=rows, _words=run_words)

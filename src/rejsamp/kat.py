@@ -36,7 +36,7 @@ class KatRecord:
     lineno: int
     key: bytes
     iv: bytes
-    out_hex: str
+    out: bytes
     n: int    # keystream bytes the record is recomputed from
     params: ParameterSet | None = None  # set on a field-vector record
 
@@ -89,7 +89,7 @@ def parse_kat(text: str) -> list[KatRecord]:
             raise KatError(lineno, 1, "need exactly one of n= or level=")
         key = _hex_field(fields, cols, "key", aesprg.KEY_BYTES, lineno)
         iv = _hex_field(fields, cols, "iv", aesprg.IV_BYTES, lineno)
-        out_hex = _hex_field(fields, cols, "out", None, lineno).hex()
+        out = _hex_field(fields, cols, "out", None, lineno)
         if "n" in fields:
             try:
                 n = _decimal(fields["n"])
@@ -108,10 +108,10 @@ def parse_kat(text: str) -> list[KatRecord]:
                                f"{_LEVEL_CHOICES}") from None
             n, out_len = p.tau, p.n_prime
             rule = f"level={fields['level']} needs n'={out_len}"
-        if len(out_hex) != 2 * out_len:
+        if len(out) != out_len:
             raise KatError(lineno, cols["out"],
-                           f"out has {len(out_hex) // 2} bytes, {rule}")
-        records.append(KatRecord(lineno, key, iv, out_hex, n, p))
+                           f"out has {len(out)} bytes, {rule}")
+        records.append(KatRecord(lineno, key, iv, out, n, p))
     return records
 
 
@@ -137,11 +137,11 @@ def verify_kat(records: list[KatRecord]) -> tuple[int, str] | None:
         ks = streams[group] if last[group] > i else streams.pop(group)
         p, got = rec.params, ks[:rec.n]
         if p is not None:
-            got = rej_samp(got, p.tau, p.n_prime, p.q).to_bytes()
-        if got.hex() != rec.out_hex:
+            got = rej_samp(got, p.tau, p.n_prime, p.q).elems
+        if got != rec.out:
             kind = "keystream" if p is None else "field vector"
             return rec.lineno, (f"{kind} mismatch at line {rec.lineno}: "
-                                f"expected {rec.out_hex[:32]}..., "
+                                f"expected {rec.out[:16].hex()}..., "
                                 f"recomputed {got[:16].hex()}...")
     return None
 
@@ -162,5 +162,5 @@ def generate_kat(key: bytes, iv: bytes, level: int, count: int = 1) -> str:
         lines.append(f"key={key.hex()} iv={case_iv.hex()} n={p.tau} "
                      f"out={ks.hex()}")
         lines.append(f"key={key.hex()} iv={case_iv.hex()} level={level} "
-                     f"out={fv.to_bytes().hex()}")
+                     f"out={fv.elems.hex()}")
     return "\n".join(lines) + "\n"

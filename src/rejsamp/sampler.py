@@ -22,37 +22,38 @@ _BYTES = bytes(range(256))
 
 @dataclass(frozen=True)
 class FieldVector:
-    """Validated vector over F_q: every element in [0, modulus)."""
-    elems: tuple
+    """Validated vector over F_q: one byte per element, each in
+    [0, modulus). Every artifact writes these bytes: bin pads them to whole
+    64-bit words, a KAT out= field hexes them, and csv and json give each
+    byte's decimal value."""
+    elems: bytes
     modulus: int
 
     def __post_init__(self):
-        object.__setattr__(self, "elems", tuple(self.elems))
-        elems, m = self.elems, self.modulus
-        try:  # elements that are all ints in 0..255: drop each below m
-            bad = len(bytes(elems).translate(None, _BYTES[:max(m, 0)]))
-        except (ValueError, TypeError):  # a float, or a value beyond a byte
-            bad = sum(1 for e in elems if not 0 <= e < m)
+        if not isinstance(self.elems, bytes):
+            raise TypeError(f"elems must be bytes, got "
+                            f"{type(self.elems).__name__}")
+        # drop each byte below the modulus; what is left is out of range
+        bad = len(self.elems.translate(None, _BYTES[:max(self.modulus, 0)]))
         if bad:
-            raise ValueError(f"{bad} element(s) outside [0, {m})")
+            raise ValueError(f"{bad} element(s) outside [0, {self.modulus})")
 
     def __len__(self):
         return len(self.elems)
 
     def to_bytes(self) -> bytes:
-        """One byte per element, in order."""
-        return bytes(self.elems)
+        """The field itself; bench/run.py reads the vector by this name."""
+        return self.elems
 
     def to_packed_bytes(self) -> bytes:
         """Packed binary artifact: the elements zero-padded to whole 64-bit
         words, which is the packed words (element 0 in the MSB of word 0)
         serialized big-endian."""
-        data = self.to_bytes()
-        return data + bytes(-len(data) % BYTES_PER_WORD)
+        return self.elems + bytes(-len(self.elems) % BYTES_PER_WORD)
 
     def to_csv(self) -> str:
         """Decimal CSV for inspection, one element per line."""
-        return "\n".join(str(e) for e in self.elems) + "\n"
+        return "\n".join(map(str, self.elems)) + "\n"
 
 
 @functools.lru_cache(maxsize=8)  # one per Mersenne q below 256
@@ -65,11 +66,6 @@ def _mask_table(q: int) -> bytes:
     if not is_mersenne(q):
         raise ValueError(f"unsupported modulus {q}: masking requires Mersenne q")
     return bytes(b & q for b in _BYTES)
-
-
-def mask_bytes(raw: bytes, q: int) -> list[int]:
-    """Mask every byte into [0, q] with a bitwise AND (Mersenne q only)."""
-    return list(raw.translate(_mask_table(q)))
 
 
 def _check_shape(raw: bytes, tau: int, n_prime: int) -> None:
@@ -101,7 +97,7 @@ def _sample(raw: bytes, n_prime: int, q: int) -> bytes:
 def rej_samp(raw: bytes, tau: int, n_prime: int, q: int) -> FieldVector:
     """Rejection-sample n_prime field elements from a tau-byte string."""
     _check_shape(raw, tau, n_prime)
-    return FieldVector(tuple(_sample(raw, n_prime, q)), q)
+    return FieldVector(_sample(raw, n_prime, q), q)
 
 
 def rej_samp_prg(seed: bytes, iv: bytes, p: ParameterSet) -> FieldVector:

@@ -53,6 +53,19 @@ def test_sample_artifacts_deterministic(tmp_path):
     assert a.read_bytes() == vec.to_packed_bytes()
 
 
+# sha256 of each SL1 artifact for SEED_HEX, iv 0001: the formats stay fixed
+ARTIFACT_SHA256 = {
+    ("sample", "bin"): "b32280c05f7cd3a7178225f365b59802"
+                       "578a01d37037fbd54a55c812041b5eb7",
+    ("sample", "csv"): "1831815b9670c7a79d6779dda3d49e12"
+                       "fe94984816c50910fafaa7edf7507af3",
+    ("sample", "json"): "1598ba6ee22bf60450dddb4b3b17fe6e"
+                        "7bc814bbf78886219f2ed1050ae56cf8",
+    ("simulate", "json"): "1598ba6ee22bf60450dddb4b3b17fe6e"
+                          "7bc814bbf78886219f2ed1050ae56cf8",
+}
+
+
 def test_sample_csv_and_json_formats(tmp_path):
     c = tmp_path / "v.csv"
     assert run_cli("sample", "--level", "1", "--seed", SEED_HEX, "--iv",
@@ -63,6 +76,12 @@ def test_sample_csv_and_json_formats(tmp_path):
     assert run_cli("sample", "--level", "1", "--seed", SEED_HEX, "--iv",
                    "0001", "--out", str(j), "--format", "json") == 0
     assert len(json.loads(j.read_text())) == 2808
+    for (cmd, fmt), digest in ARTIFACT_SHA256.items():
+        path = tmp_path / f"{cmd}.{fmt}"
+        assert run_cli(cmd, "--level", "1", "--seed", SEED_HEX, "--iv",
+                       "0001", "--out", str(path), "--format", fmt) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, \
+            (cmd, fmt)
 
 
 def test_bad_hex_is_usage_error(capsys):
@@ -264,7 +283,7 @@ def test_simulate_self_check_failure_exit5(monkeypatch, capsys):
     from rejsamp.sampler import FieldVector
 
     def wrong_golden(seed, iv, p):
-        return FieldVector((0,) * p.n_prime, p.q)
+        return FieldVector(bytes(p.n_prime), p.q)
 
     monkeypatch.setattr(cli, "rej_samp_prg", wrong_golden)
     assert run_cli("simulate", "--level", "1", "--seed", SEED_HEX,

@@ -303,7 +303,7 @@ def test_rejsamp_unit_cycles_and_oracle():
     assert len(out_writes) == 351
     out = _sampled_bytes(words)
     assert list(out) == rej_samp_naive(raw, SL1.tau, SL1.n_prime, SL1.q)
-    assert out == rej_samp(raw, SL1.tau, SL1.n_prime, SL1.q).to_bytes()
+    assert out == rej_samp(raw, SL1.tau, SL1.n_prime, SL1.q).elems
 
 
 @pytest.mark.parametrize("case", range(10))
@@ -314,7 +314,7 @@ def test_rejsamp_unit_matches_golden_random_seeds(case):
     out = _sampled_bytes(words)
     raw = keystream_oracle(seed, iv, SL1.tau)
     assert list(out) == rej_samp_naive(raw, SL1.tau, SL1.n_prime, SL1.q)
-    assert out == rej_samp_prg(seed, iv, SL1).to_bytes()
+    assert out == rej_samp_prg(seed, iv, SL1).elems
 
 
 def test_rejsamp_unit_zero_fill_path():
@@ -336,7 +336,7 @@ def test_rejsamp_unit_matches_golden_adversarial(level, density):
                     else rng.randrange(256) for _ in range(p.tau))
         out = _sampled_bytes(words_from_bytes(raw), p)
         assert list(out) == rej_samp_naive(raw, p.tau, p.n_prime, p.q)
-        assert out == rej_samp(raw, p.tau, p.n_prime, p.q).to_bytes()
+        assert out == rej_samp(raw, p.tau, p.n_prime, p.q).elems
         # the spare tail runs dry (zero-fill) whenever q-bytes are dense
         assert (rejection_stats(raw, p.tau, p.n_prime, p.q).zero_filled > 0) \
             == (density > 0)

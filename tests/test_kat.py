@@ -145,7 +145,7 @@ def test_level_record_carries_its_parameter_set():
     p = builtin_params(SecurityLevel.SL3)
     assert (ks.n, ks.params) == (p.tau, None)
     assert (fv.n, fv.params) == (p.tau, p)
-    assert len(fv.out_hex) == 2 * p.n_prime
+    assert len(fv.out) == p.n_prime
 
 
 def test_parse_error_carries_position():

@@ -10,7 +10,7 @@ from rejsamp import aesprg
 from rejsamp.hwsim.core import RejSampUnit, TimingConfig
 from rejsamp.packing import bytes_from_words, words_from_bytes
 from rejsamp.params import ParameterSet, SecurityLevel, builtin_params
-from rejsamp.sampler import (FieldVector, mask_bytes, rej_samp, rej_samp_prg,
+from rejsamp.sampler import (FieldVector, rej_samp, rej_samp_prg,
                              rejection_stats)
 from oracles import rej_samp_naive, zero_fill_weight
 
@@ -34,18 +34,9 @@ def _unit_sampled(raw, n_prime, q):
     return list(bytes_from_words(words, n_prime))
 
 
-@pytest.mark.parametrize("raw,want", [
-    (bytes([0xFF]), [127]),
-    (bytes([0x80]), [0]),
-    (bytes([0x7F, 0x05, 0xFF, 0x10]), [127, 5, 127, 16]),
-])
-def test_mask_bytes(raw, want):
-    assert mask_bytes(raw, 127) == want
-
-
 def test_mask_rejects_non_mersenne():
     with pytest.raises(ValueError, match="Mersenne"):
-        mask_bytes(b"\x01", 100)
+        rej_samp(b"\x01", 1, 1, 100)
 
 
 @pytest.mark.parametrize("raw,tau,np_,want", [
@@ -62,9 +53,13 @@ def test_mask_rejects_non_mersenne():
      (1, 17, 18, 0, 2)),
     # a run of tail rejects is skipped
     (bytes([0x7F, 0x03, 0xFF, 0x7F, 0x09]), 5, 2, (9, 3)),
+    # no byte masks to q: the vector is the masked head, tail unread
+    (bytes([0x80]), 1, 1, (0,)),
+    (bytes([0xFE, 0x05, 0x7E, 0x90]), 4, 4, (126, 5, 126, 16)),
+    (bytes([0x81, 0xFE, 0x00, 0x90]), 4, 3, (1, 126, 0)),
 ])
 def test_rej_samp_examples(raw, tau, np_, want):
-    assert rej_samp(raw, tau, np_, 127).elems == want
+    assert rej_samp(raw, tau, np_, 127).elems == bytes(want)
     assert tuple(rej_samp_naive(raw, tau, np_, 127)) == want
     assert tuple(_unit_sampled(raw, np_, 127)) == want
 
@@ -98,11 +93,10 @@ def test_positional_stability(data):
     tau = data.draw(st.integers(min_value=1, max_value=48))
     n_prime = data.draw(st.integers(min_value=1, max_value=tau))
     raw = data.draw(st.binary(min_size=tau, max_size=tau))
-    masked = mask_bytes(raw, 127)
     out = rej_samp(raw, tau, n_prime, 127)
     for j in range(n_prime):
-        if masked[j] != 127:
-            assert out.elems[j] == masked[j]
+        if raw[j] & 127 != 127:
+            assert out.elems[j] == raw[j] & 127
 
 
 @settings(max_examples=300, deadline=None)
@@ -164,45 +158,49 @@ def test_prg_is_keystream_plus_rej_samp():
 
 def test_field_vector_validates_range():
     with pytest.raises(ValueError):
-        FieldVector((0, 127), 127)
-    with pytest.raises(ValueError):
-        FieldVector((-1,), 127)
+        FieldVector(bytes((0, 127)), 127)
+    # a vector is its bytes: no other sequence is taken, even in range
+    for elems, m in [((-1,), 127), ((300,), 301), ((1.0, 126.5), 127),
+                     ([5], 127), (bytearray(b"\x05"), 127), ((0,), 127)]:
+        with pytest.raises(TypeError, match="elems must be bytes"):
+            FieldVector(elems, m)
 
 
 def test_field_vector_error_counts_bad_elements():
-    # all bytes: counted by one translate; else element by element
-    for elems, m, bad in [((5, 127, 200, 0), 127, 2),
-                          ((5, 127, 0, -3, 126), 127, 2),
-                          ((300, 5, 256), 256, 2), ((300,), 256, 1),
-                          ((1, 2), 0, 2), ((1.5, 127.0), 127, 1)]:
+    for elems, m, bad in [((5, 127, 200, 0), 127, 2), ((1, 2), 0, 2)]:
         with pytest.raises(ValueError) as ei:
-            FieldVector(elems, m)
+            FieldVector(bytes(elems), m)
         assert str(ei.value) == f"{bad} element(s) outside [0, {m})"
 
 
 @pytest.mark.parametrize("elems,m", [
-    ((300,), 301), ((255, 0), 256), ((0, 200), 1000), ((1.0, 126.5), 127),
+    ((255,), 301), ((255, 0), 256), ((0, 200), 1000), ((1, 126), 127),
     ((), 127)])
 def test_field_vector_accepts_in_range(elems, m):
-    assert FieldVector(elems, m).elems == elems
+    fv = FieldVector(bytes(elems), m)
+    assert list(fv.elems) == list(elems)
+    # both artifacts read back to the same vector
+    packed = fv.to_packed_bytes()
+    assert packed == bytes(elems) + bytes(-len(elems) % 8)
+    assert FieldVector(bytes(map(int, fv.to_csv().split())), m) == fv
 
 
 def test_mersenne_q_above_a_byte_rejects_nothing():
     # 511 masks every byte to itself and no byte equals it
     raw = bytes(range(256))
-    assert rej_samp(raw, 256, 200, 511).elems == tuple(range(200))
+    assert rej_samp(raw, 256, 200, 511).elems == bytes(range(200))
     s = rejection_stats(raw, 256, 200, 511)
     assert (s.masked_to_q, s.replaced, s.zero_filled) == (0, 0, 0)
 
 
 def test_field_vector_packing_roundtrip():
-    elems = tuple(range(20))
+    elems = bytes(range(20))
     fv = FieldVector(elems, 127)
     packed = fv.to_packed_bytes()
     assert len(packed) == 24  # 20 bytes padded to 3 words
-    assert packed[:20] == bytes(elems) and packed[20:] == b"\x00" * 4
+    assert packed[:20] == elems and packed[20:] == b"\x00" * 4
     back = bytes_from_words(words_from_bytes(packed), 20)
-    assert FieldVector(tuple(back), 127).elems == elems
+    assert FieldVector(back, 127).elems == elems
 
 
 @given(data=st.binary(max_size=64))
@@ -216,14 +214,14 @@ def test_packing_matches_chunk_oracle(data):
 
 
 def test_field_vector_packed_words_msb_first():
-    fv = FieldVector((1, 2, 3, 4, 5, 6, 7, 8, 9), 127)
+    fv = FieldVector(bytes((1, 2, 3, 4, 5, 6, 7, 8, 9)), 127)
     words = words_from_bytes(fv.to_packed_bytes())
     assert words[0] == 0x0102030405060708
     assert words[1] == 0x0900000000000000
 
 
 def test_field_vector_csv():
-    assert FieldVector((5, 0, 126), 127).to_csv() == "5\n0\n126\n"
+    assert FieldVector(bytes((5, 0, 126)), 127).to_csv() == "5\n0\n126\n"
 
 
 def test_rejection_stats_input_validation():
@@ -284,5 +282,5 @@ def test_rejsamp_unit_matches_golden_on_every_toy_stream():
     for stream in itertools.product(range(p.q + 1), repeat=p.tau):
         raw = bytes(stream)
         out = bytes_from_words(unit.run(p, words_from_bytes(raw)), p.n_prime)
-        assert out == rej_samp(raw, p.tau, p.n_prime, p.q).to_bytes()
+        assert out == rej_samp(raw, p.tau, p.n_prime, p.q).elems
         assert list(out) == rej_samp_naive(raw, p.tau, p.n_prime, p.q)
