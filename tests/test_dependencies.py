@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import mutants
 import rejsamp
 from rejsamp import aesprg, cli, fom, hwsim, kat, packing, params, sampler
 from rejsamp.hwsim import core, errors, isa, memory
@@ -40,6 +41,23 @@ def test_oracles_import_nothing_from_the_package():
     # an oracle that reused package code would agree with it by construction
     assert "rejsamp" not in set(_imported(
         Path(__file__).with_name("oracles.py")))
+
+
+def test_every_mutant_applies_once():
+    # an edit to src that defuses a mutant fails here, not in the harness
+    names = [name for name, *_ in mutants.MUTANTS]
+    assert len(set(names)) == len(names)
+    assert set(mutants.EQUIVALENT) <= set(names)
+    for name, file, old, new in mutants.MUTANTS:
+        assert old != new, name
+        assert (PACKAGE_DIR / file).read_text().count(old) == 1, name
+    assert {Path(file).stem for _, file, _, _ in mutants.MUTANTS} == {
+        path.stem for path in PACKAGE_DIR.rglob("*.py")} - {
+        "__init__", "errors"}
+
+
+def test_mutation_harness_imports_only_the_stdlib():
+    assert set(_imported(Path(mutants.__file__))) <= sys.stdlib_module_names
 
 
 def _loaded_by(module):

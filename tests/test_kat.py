@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from rejsamp import aesprg, kat
@@ -11,21 +13,6 @@ def test_generate_then_verify():
     text = kat.generate_kat(SEED, b"\x00\x01", 1, count=3)
     records = kat.parse_kat(text)
     assert len(records) == 6
-    assert kat.verify_kat(records) is None
-
-
-def test_verify_oracle_produced_file():
-    # build the KAT text from the independent oracles only, then check the
-    # package agrees with every line
-    p = builtin_params(SecurityLevel.SL1)
-    lines = []
-    for i in range(2):
-        iv = (1 + i).to_bytes(2, "big")
-        ks = keystream_oracle(SEED, iv, p.tau)
-        fv = bytes(rej_samp_naive(ks, p.tau, p.n_prime, p.q))
-        lines.append(f"key={SEED.hex()} iv={iv.hex()} n={p.tau} out={ks.hex()}")
-        lines.append(f"key={SEED.hex()} iv={iv.hex()} level=1 out={fv.hex()}")
-    records = kat.parse_kat("\n".join(lines) + "\n")
     assert kat.verify_kat(records) is None
 
 
@@ -100,6 +87,20 @@ def test_verify_stops_before_later_keystreams(keystream_calls):
     result = kat.verify_kat(kat.parse_kat("\n".join(lines) + "\n"))
     assert result is not None and result[0] == 1
     assert len(keystream_calls) == 1
+
+
+def test_verify_holds_one_keystream_at_a_time():
+    # 40 records, each with its own iv: keeping every keystream until the
+    # end would hold 40 x tau bytes
+    lines = kat.generate_kat(SEED, b"\x00\x00", 1, count=40).splitlines()
+    records = kat.parse_kat("\n".join(lines[::2]))
+    tracemalloc.start()
+    try:
+        assert kat.verify_kat(records) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * builtin_params(SecurityLevel.SL1).tau
 
 
 def test_mismatch_reports_line_number():

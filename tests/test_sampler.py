@@ -110,26 +110,6 @@ def test_zero_fill_exactly_when_rejects_exceed_spares(data):
     assert (s.zero_filled > 0) == (s.masked_to_q > tau - n_prime)
 
 
-def test_replacement_order_exhaustive_two_symbols():
-    # every valid/rejected pattern for small tau, against the transcription
-    valid, reject = 0x05, 0x7F
-    for tau in range(1, 11):
-        for pattern in itertools.product((valid, reject), repeat=tau):
-            raw = bytes(pattern)
-            for n_prime in range(1, tau + 1):
-                assert list(rej_samp(raw, tau, n_prime, 127).elems) == \
-                    rej_samp_naive(raw, tau, n_prime, 127)
-
-
-def test_matches_naive_on_1000_full_size_streams():
-    p = builtin_params(SecurityLevel.SL1)
-    rng = random.Random(5)
-    for _ in range(1000):
-        raw = rng.randbytes(p.tau)
-        assert list(rej_samp(raw, p.tau, p.n_prime, p.q).elems) == \
-            rej_samp_naive(raw, p.tau, p.n_prime, p.q)
-
-
 def test_output_range_random():
     rng = random.Random(3)
     for _ in range(2000):
@@ -191,16 +171,6 @@ def test_mersenne_q_above_a_byte_rejects_nothing():
     assert rej_samp(raw, 256, 200, 511).elems == bytes(range(200))
     s = rejection_stats(raw, 256, 200, 511)
     assert (s.masked_to_q, s.replaced, s.zero_filled) == (0, 0, 0)
-
-
-def test_field_vector_packing_roundtrip():
-    elems = bytes(range(20))
-    fv = FieldVector(elems, 127)
-    packed = fv.to_packed_bytes()
-    assert len(packed) == 24  # 20 bytes padded to 3 words
-    assert packed[:20] == elems and packed[20:] == b"\x00" * 4
-    back = bytes_from_words(words_from_bytes(packed), 20)
-    assert FieldVector(back, 127).elems == elems
 
 
 @given(data=st.binary(max_size=64))
