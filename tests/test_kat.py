@@ -90,8 +90,8 @@ def test_verify_stops_before_later_keystreams(keystream_calls):
 
 
 def test_verify_holds_one_keystream_at_a_time():
-    # 40 records, each with its own iv: keeping every keystream until the
-    # end would hold 40 x tau bytes
+    # 40 records, each with its own iv: one live keystream and the
+    # cipher's temporaries peak near 12 x tau, every keystream kept near 50
     lines = kat.generate_kat(SEED, b"\x00\x00", 1, count=40).splitlines()
     records = kat.parse_kat("\n".join(lines[::2]))
     tracemalloc.start()
