@@ -2,37 +2,35 @@
 
 Two timed functional units run strictly one after the other, matching the
 additive cycle decomposition of the modeled core (SL-I: 4632 + 3893 =
-8525 with the default calibration):
+8525):
 
   AES-CTR wrapper   per 16-byte block: issue into the pipelined core,
-                    output ready after aes_latency cycles, drained in 2
-                    cycles as two 64-bit word writes (one per cycle), plus
-                    per_block_overhead; one-time wrapper_setup_cycles
-                    covers seed staging (its first 2 cycles) and FSM
-                    warmup.  cycles = setup + blocks * (latency + 2 +
-                    overhead), blocks = ceil(tau/16).
+                    output ready 21 cycles later, drained in 2 cycles as
+                    two 64-bit word writes (one per cycle), plus 2 cycles
+                    of overhead; a one-time 57-cycle setup covers seed
+                    staging (its first 2 cycles) and FSM warmup.
+                    cycles = 57 + 25 * blocks, blocks = ceil(tau/16).
 
   RejSamp unit      per 16-byte group: 2 refill-read cycles + 1 parallel
                     validate cycle; 1 collect cycle per stream byte (tau
-                    total); 1 write per packed output word; one-time
-                    rejsamp_setup_cycles.  cycles = setup + 3*groups +
-                    tau + ceil(n'/8).
+                    total); 1 write per packed output word; a one-time
+                    77-cycle setup.  cycles = 77 + 3*groups + tau +
+                    ceil(n'/8).
 
-The per-state costs are a calibrated model, not measured RTL: the setup
-defaults are solved so the SL-I totals reproduce the reference cycle
-counts exactly.  The unit scans the full stream (no data-dependent early
-stop), so no cycle depends on the data.
+The per-state costs are a calibrated model, not measured RTL.  The unit
+scans the full stream (no data-dependent early stop), so no cycle depends
+on the data.
 
 Compiled schedule.  That independence makes cycle-based compiled
 simulation (the idea behind Verilator) sound: the schedule depends on the
-configuration alone, so MemoryModel checks it once per key of a small
-cache, (level, seed address, TimingConfig, memory depth).  Each unit has
-a `schedule` (its rows without data and the cycles they span) and a `run`
-(its datapath: input words in, output words out).  A cache miss plays the
-rows through MemoryModel with symbolic data: the k-th write stores k, and
-each read returns the k of the write it sees, or 0.  A run then only
-checks its inputs, computes its words and gathers each read's word by its
-k.  test_schedule_ignores_seed checks the condition.
+program alone, so MemoryModel checks it once per key of a small cache,
+(level, seed address, memory depth).  Each unit has a `schedule` (its
+rows without data and the cycles they span) and a `run` (its datapath:
+input words in, output words out).  A cache miss plays the rows through
+MemoryModel with symbolic data: the k-th write stores k, and each read
+returns the k of the write it sees, or 0.  A run then only checks its
+inputs, computes its words and gathers each read's word by its k.
+test_schedule_ignores_seed checks the condition.
 
 Program: two LOAD_SEED, then RUN_FULL or RUN_PRG, RUN_REJSAMP, then
 READ_RESULT with raddr 0, with NOPs anywhere (they cost nothing).  Every
@@ -59,7 +57,7 @@ puts the run's words in place of the k when it is called.
 
 import functools
 import itertools
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from .. import aesprg
 from ..packing import words_from_bytes, bytes_from_words
@@ -71,24 +69,12 @@ from .memory import DEFAULT_DEPTH, MemoryModel
 
 _GROUP_BYTES = 16  # shift-register width: two 64-bit words
 _SCHEDULES = 8  # compiled schedules kept: the three levels, and spares
-
-
-@dataclass(frozen=True)
-class TimingConfig:
-    """Cycle-cost knobs; the 2-cycle drain of a block is fixed, not a knob."""
-    aes_latency: int = 21
-    per_block_overhead: int = 2
-    wrapper_setup_cycles: int = 57
-    rejsamp_setup_cycles: int = 77
-
-    def __post_init__(self):
-        # the wrapper's setup stages the seed in its first 2 cycles
-        least = {"aes_latency": 1, "wrapper_setup_cycles": 2}
-        for f in fields(self):
-            value, floor = getattr(self, f.name), least.get(f.name, 0)
-            if value < floor:
-                raise ValueError(f"{f.name} must be at least {floor}, got "
-                                 f"{value}")
+# The calibrated cycle costs.  The two setups are solved so that SL-I gives
+# 4632 + 3893 = 8525: 57 + 183 * (21 + 2 + 2) and 77 + 3 * 183 + 2916 + 351.
+_AES_LATENCY = 21
+_BLOCK_OVERHEAD = 2
+_WRAPPER_SETUP = 57  # the seed is staged in its first 2 cycles
+_REJSAMP_SETUP = 77
 
 
 @dataclass(frozen=True)
@@ -122,7 +108,7 @@ def _block_count(p: ParameterSet) -> int:
 class AesCtrWrapper:
     """Block-serial CTR wrapper around the pipelined cipher core.
 
-    Schedule, per block: issue into the core, then aes_latency cycles
+    Schedule, per block: issue into the core, then _AES_LATENCY cycles
     later drain its cipher output (B2) as two 64-bit words on consecutive
     cycles.  Datapath: the golden keystream (aesprg.keystream) of the run,
     tau bytes packed into words, the final one zero-padded.  It fills
@@ -130,18 +116,14 @@ class AesCtrWrapper:
     holds.
     """
 
-    def __init__(self, cfg: TimingConfig):
-        self.cfg = cfg
-
     def schedule(self, p: ParameterSet,
                  start_cycle: int = 0) -> tuple[list[tuple], int]:
         """The (cycle, unit, event, addr) rows of the block schedule, an
         issue per block and a write per keystream word, and the cycles
         they span from start_cycle."""
-        cfg = self.cfg
-        per_block = cfg.aes_latency + 2 + cfg.per_block_overhead  # 2: drain
-        issue0 = start_cycle + cfg.wrapper_setup_cycles
-        ready0 = issue0 + cfg.aes_latency
+        per_block = _AES_LATENCY + 2 + _BLOCK_OVERHEAD  # 2: drain
+        issue0 = start_cycle + _WRAPPER_SETUP
+        ready0 = issue0 + _AES_LATENCY
         blocks = _block_count(p)
         rows = [(issue0 + b * per_block, "wrapper", "issue", b)
                 for b in range(blocks)]
@@ -165,15 +147,12 @@ class RejSampUnit:
     schedule.
     """
 
-    def __init__(self, cfg: TimingConfig):
-        self.cfg = cfg
-
     def schedule(self, p: ParameterSet,
                  start_cycle: int = 0) -> tuple[list[tuple], int]:
         """The (cycle, unit, event, addr) rows of the sampling schedule,
         the refill reads, a write per packed output word and a done row at
         the last, and the cycles they span from start_cycle."""
-        refill0 = start_cycle + self.cfg.rejsamp_setup_cycles
+        refill0 = start_cycle + _REJSAMP_SETUP
         per_group = 3 + _GROUP_BYTES  # refill, validate, a collect per byte
         # word a is refill read a % 2 of group a // 2; only the last group
         # can be short, so every group starts per_group after the one before
@@ -194,8 +173,7 @@ class RejSampUnit:
 
 
 @functools.lru_cache(maxsize=_SCHEDULES)
-def _compiled(level: SecurityLevel, seed_addr: int, cfg: TimingConfig,
-              depth: int) -> tuple:
+def _compiled(level: SecurityLevel, seed_addr: int, depth: int) -> tuple:
     """Build the one schedule of a run and play it through a memory of
     depth words with symbolic data, raising the memory's faults.
 
@@ -207,9 +185,9 @@ def _compiled(level: SecurityLevel, seed_addr: int, cfg: TimingConfig,
     words in cycle order.
     """
     p = builtin_params(level)
-    wrapper_rows, wrapper_cycles = AesCtrWrapper(cfg).schedule(p, 2)
+    wrapper_rows, wrapper_cycles = AesCtrWrapper().schedule(p, 2)
     cycle = 2 + wrapper_cycles
-    rejsamp_rows, rejsamp_cycles = RejSampUnit(cfg).schedule(p, cycle)
+    rejsamp_rows, rejsamp_cycles = RejSampUnit().schedule(p, cycle)
     cycle += rejsamp_cycles
     rows = [(i, "ctrl", "write", seed_addr + i) for i in range(2)]  # LOAD_SEED
     rows += [(2 + i, "wrapper", "read", seed_addr + i)  # B1 staging
@@ -293,13 +271,11 @@ def _validate_program(
 
 
 def run_program(words: list[int], seed: bytes, iv: bytes,
-                cfg: TimingConfig | None = None,
                 mem_depth: int = DEFAULT_DEPTH) -> ProgramResult:
     """Decode and check a program of instruction words, then run the one
     schedule every accepted program has (see the module docstring).
     Returns the cycle report, the sampled vector and the parameter set the
     program ran; trace_rows() gives its trace."""
-    cfg = cfg or TimingConfig()
     level, seed_addr = _validate_program([decode(w) for w in words])
     p = builtin_params(level)
     if mem_depth < p.tau_addrs:
@@ -309,13 +285,13 @@ def run_program(words: list[int], seed: bytes, iv: bytes,
             f"the keystream region but the memory holds {mem_depth}; rerun "
             f"with depth >= {p.tau_addrs}")
     aesprg.check_key(seed)  # before the faults of the schedule
-    rows, report, staging, refill, drain = _compiled(level, seed_addr, cfg,
+    rows, report, staging, refill, drain = _compiled(level, seed_addr,
                                                      mem_depth)
     run_words = [0, *words_from_bytes(seed)]  # LOAD_SEED
     staged = bytes_from_words([run_words[k] for k in staging],
                               aesprg.KEY_BYTES)
-    run_words += AesCtrWrapper(cfg).run(staged, iv, p)
-    run_words += RejSampUnit(cfg).run(p, [run_words[k] for k in refill])
+    run_words += AesCtrWrapper().run(staged, iv, p)
+    run_words += RejSampUnit().run(p, [run_words[k] for k in refill])
     out = bytes_from_words([run_words[k] for k in drain], p.n_prime)
     return ProgramResult(report=report, vector=FieldVector(out, p.q),
                          params=p, _rows=rows, _words=run_words)

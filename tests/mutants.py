@@ -2,11 +2,12 @@
 
 Each mutant in MUTANTS replaces an exact piece of one file under
 src/rejsamp.  The script applies it in a fresh temporary copy of src/,
-tests/, pyproject.toml and bench/tracing.py, runs the tier-1 command there
-once, one pytest process at a time, and reports the mutant as killed (with
-the failing test ids), equivalent (declared in EQUIVALENT) or survived.
-The exit status is 1 if a mutant survived, and 2 if the unmutated copy,
-run first, fails.  README ("Install and test") says more.
+tests/, pyproject.toml, bench/tracing.py and bench/workloads.py (which
+test_bench_tracing.py loads), runs the tier-1 command there once, one
+pytest process at a time, and reports the mutant as killed (with the
+failing test ids), equivalent (declared in EQUIVALENT) or survived.  The
+exit status is 1 if a mutant survived, and 2 if the unmutated copy, run
+first, fails.  README ("Install and test") says more.
 
 A test may leave the suite only if every mutant it kills is still killed,
 and each of its asserts is made, by a named test that stays; one that
@@ -64,26 +65,31 @@ MUTANTS = [
     ("kat-n-zero-accepted", "kat.py", "if n <= 0:", "if n < 0:"),
     ("kat-iv-wraps-mod-2-15", "kat.py", "% (1 << 8 *", "% (1 << -1 + 8 *"),
     ("kat-column-0-based", "kat.py", "tok.start() + 1", "tok.start()"),
+    ("kat-duplicate-field-accepted", "kat.py", "if name in fields:", "if False:"),
     ("adp-in-ns", "fom.py", "getattr(m, size) * cpd_s", "getattr(m, size) * m.cpd_ns"),
     ("tech-ratio-inverted", "fom.py", "= scale_to_nm / m.tech_nm",
      "= m.tech_nm / scale_to_nm"),
     ("csv-cr-unquoted", "fom.py", r"""',"\r\n'""", r"""',"\n'"""),
     ("warning-ignores-watts", "fom.py", "power_listed_w * 1000.0,", "power_listed_w,"),
     ("fractional-luts-accepted", "fom.py", "x > 0 and float(x).is_integer()", "x > 0"),
+    ("cpd-zero-accepted", "fom.py", '"cpd_ns": "positive"', '"cpd_ns": "non-negative"'),
+    ("unknown-metric-field-accepted", "fom.py",
+     "- {f.name for f in fields(PlatformMetrics)}", "- set(entry)"),
     ("exit-4-reported-as-2", "cli.py", "return EXIT_CAPACITY", "return EXIT_USAGE"),
     ("exit-3-reported-as-2", "cli.py", "return EXIT_UNSUPPORTED_LEVEL",
      "return EXIT_USAGE"),
     ("hex-arg-takes-spaces", "cli.py", 'r"[0-9a-fA-F]*"', 'r"[0-9a-fA-F ]*"'),
     ("self-check-skipped", "cli.py", "if result.vector != golden:", "if False:"),
     ("trace-data-unpadded", "cli.py", "{data:016x}", "{data:x}"),
+    ("empty-kat-file-verified", "cli.py", "if not records:", "if False:"),
+    ("unreadable-file-traceback", "cli.py", "(HwSimError, ValueError, OSError)",
+     "(HwSimError, ValueError)"),
     ("drain-read-a-cycle-late", "hwsim/core.py", '(cycle + w, "host"',
      '(cycle + w + (w == p.out_addrs - 1), "host"'),
     ("refill-words-reversed", "hwsim/core.py", "k in refill]", "k in refill[::-1]]"),
     ("sampler-writes-a-cycle-late", "hwsim/core.py", "_block_count(p) + p.tau",
      "_block_count(p) + p.tau + 1"),
     ("key-checked-after-schedule", "hwsim/core.py", "aesprg.check_key(seed)", "pass"),
-    ("timing-config-ignored", "hwsim/core.py", "_compiled(level, seed_addr, cfg,",
-     "_compiled(level, seed_addr, TimingConfig(),"),
     ("drain-address-unchecked", "hwsim/core.py", "raddr != 0:", "raddr < 0:"),
     ("program-word-of-8-digits", "hwsim/isa.py", "stripped) > 7", "stripped) > 8"),
     ("waddr-field-shifted", "hwsim/isa.py", "waddr << 12", "waddr << 13"),
@@ -109,7 +115,8 @@ def failed_tests(mutant=None) -> set[str]:
                             ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", tmp)
         (tmp / "bench").mkdir()
-        shutil.copy(ROOT / "bench" / "tracing.py", tmp / "bench")
+        for name in ("tracing.py", "workloads.py"):
+            shutil.copy(ROOT / "bench" / name, tmp / "bench")
         if mutant:
             name, file, old, new = mutant
             path = tmp / "src" / "rejsamp" / file

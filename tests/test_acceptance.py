@@ -13,7 +13,7 @@ import time
 import pytest
 
 from rejsamp import aesprg, fom
-from rejsamp.hwsim.core import TimingConfig, run_program
+from rejsamp.hwsim.core import run_program
 from rejsamp.hwsim.isa import default_program
 from rejsamp.params import SecurityLevel, builtin_params
 from rejsamp.sampler import rej_samp, rej_samp_prg, rejection_stats
@@ -100,21 +100,13 @@ def test_c06_reference_cycle_counts_and_identity():
     r = res.report
     assert (r.total_cycles, r.wrapper_cycles, r.rejsamp_cycles) == \
         (8525, 4632, 3893)
-    configs = [TimingConfig(),
-               TimingConfig(aes_latency=5, per_block_overhead=0,
-                            wrapper_setup_cycles=3,
-                            rejsamp_setup_cycles=9),
-               TimingConfig(aes_latency=40, per_block_overhead=8,
-                            wrapper_setup_cycles=100,
-                            rejsamp_setup_cycles=200)]
-    for cfg in configs:
-        for level in (SecurityLevel.SL1, SecurityLevel.SL3):
-            rr = run_program(default_program(level), seed,
-                             b"\x00\x01", cfg=cfg).report
-            p = builtin_params(level)
-            assert rr.wrapper_cycles == wrapper_cycles_oracle(p.tau, cfg)
-            assert rr.rejsamp_cycles == rejsamp_cycles_oracle(p.tau, p.n_prime, cfg)
-            assert rr.wrapper_cycles + rr.rejsamp_cycles == rr.total_cycles
+    for level in SecurityLevel:  # SL5 needs 1378 memory words
+        rr = run_program(default_program(level), seed, b"\x00\x01",
+                         mem_depth=1378).report
+        p = builtin_params(level)
+        assert rr.wrapper_cycles == wrapper_cycles_oracle(p.tau)
+        assert rr.rejsamp_cycles == rejsamp_cycles_oracle(p.tau, p.n_prime)
+        assert rr.wrapper_cycles + rr.rejsamp_cycles == rr.total_cycles
     _report(6, "cycle counts 8525 = 4632 + 3893 and decomposition identity")
 
 

@@ -2,26 +2,25 @@
 
 `bench/tracing.py` reports a target it cannot resolve as `absent` and
 leaves that layer's metrics out without failing, so a rename in the
-package would silently empty a per-layer figure of a traced run. This
-test fails on such a rename instead.
+package, or a module that the benchmark's imports no longer load, would
+silently empty a per-layer figure of a traced run.  This test builds the
+tracer as the benchmark does, in a fresh interpreter that has imported
+only the workloads, and fails on such a target instead.
 """
 
-import importlib
-import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-
-
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_trace_target_resolves():
-    tracing = _load_tracing()
-    for _, module, _ in tracing.TARGETS:
-        importlib.import_module(module)  # the tracer looks in sys.modules
-    assert tracing.Tracer().absent == []
+    path = os.pathsep.join(str(ROOT / part) for part in ("src", "bench"))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import workloads, tracing; print(tracing.Tracer().absent)"],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+        text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rejsamp.hwsim.core import (AesCtrWrapper, CycleReport, RejSampUnit,
-                                TimingConfig, _compiled, run_program)
+                                _compiled, run_program)
 from rejsamp.hwsim.errors import (AddressError, CapacityError,
                                   InvalidInstructionError, ProgramError,
                                   SimulationFault, UnsupportedLevelError)
@@ -225,14 +225,14 @@ def test_port_rule_faults(accesses):
 def _wrapper(p=SL1, seed=SEED, iv=IV):
     """The wrapper's schedule rows, the cycles they span and its keystream
     words."""
-    unit = AesCtrWrapper(TimingConfig())
+    unit = AesCtrWrapper()
     rows, cycles = unit.schedule(p)
     return rows, cycles, unit.run(seed, iv, p)
 
 
 def _sampled_bytes(words, p=SL1):
     """The n' bytes the rejsamp unit samples from the keystream words."""
-    out = RejSampUnit(TimingConfig()).run(p, words)
+    out = RejSampUnit().run(p, words)
     assert len(out) == p.out_addrs
     return bytes_from_words(out, p.n_prime)
 
@@ -252,11 +252,10 @@ def test_wrapper_block_count_events():
 
 
 def test_pipeline_latency_from_log():
-    cfg = TimingConfig()
-    rows, _ = AesCtrWrapper(cfg).schedule(SL1, start_cycle=0)
+    rows, _ = AesCtrWrapper().schedule(SL1, start_cycle=0)
     first_issue = min(r[0] for r in rows if r[2] == "issue")
     first_write = min(r[0] for r in rows if r[2] == "write")
-    assert first_write - first_issue == cfg.aes_latency
+    assert first_write - first_issue == 21  # the cipher core's latency
     # B2 drains as two word writes on consecutive cycles
     w0, w1 = sorted(r for r in rows if r[2] == "write")[:2]
     assert (w1[0] - w0[0], w1[3] - w0[3]) == (1, 1)
@@ -265,7 +264,7 @@ def test_pipeline_latency_from_log():
 @pytest.mark.parametrize("iv", [b"\x01", b"\x00\x01\x02"], ids=["iv1", "iv3"])
 def test_wrapper_rejects_bad_nonce_and_iv(iv):
     with pytest.raises(ValueError, match="iv"):
-        AesCtrWrapper(TimingConfig()).run(SEED, iv, SL1)
+        AesCtrWrapper().run(SEED, iv, SL1)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +274,7 @@ def test_wrapper_rejects_bad_nonce_and_iv(iv):
 def test_rejsamp_unit_cycles_and_oracle():
     _, _, words = _wrapper()
     raw = bytes_from_words(words, SL1.tau)
-    rows, cycles = RejSampUnit(TimingConfig()).schedule(SL1)
+    rows, cycles = RejSampUnit().schedule(SL1)
     assert cycles == 3893
     out_writes = [r for r in rows if r[1:3] == ("rejsamp", "write")]
     assert len(out_writes) == 351
@@ -332,22 +331,6 @@ def test_run_program_reference_cycles():
     assert res.params == builtin_params(SecurityLevel.SL1)
 
 
-@pytest.mark.parametrize("cfg", [
-    TimingConfig(),
-    TimingConfig(aes_latency=1, per_block_overhead=0,
-                 wrapper_setup_cycles=2, rejsamp_setup_cycles=0),
-    TimingConfig(aes_latency=30, per_block_overhead=10,
-                 wrapper_setup_cycles=11, rejsamp_setup_cycles=13),
-])
-@pytest.mark.parametrize("level", [SecurityLevel.SL1, SecurityLevel.SL3])
-def test_cycle_decomposition_identity(cfg, level):
-    res = run_program(default_program(level), SEED, IV, cfg=cfg)
-    r, p = res.report, builtin_params(level)
-    assert r.wrapper_cycles == wrapper_cycles_oracle(p.tau, cfg)
-    assert r.rejsamp_cycles == rejsamp_cycles_oracle(p.tau, p.n_prime, cfg)
-    assert r.total_cycles == r.wrapper_cycles + r.rejsamp_cycles
-
-
 @pytest.mark.parametrize("level", [SecurityLevel.SL1, SecurityLevel.SL3])
 def test_schedule_ignores_seed(level):
     # the paper's cycle counts are data-independent: only the data column
@@ -375,15 +358,9 @@ def _split_program(level):
 
 @pytest.mark.parametrize("program", [default_program, _split_program],
                          ids=["default", "split"])
-@pytest.mark.parametrize("level", [SecurityLevel.SL1, SecurityLevel.SL3],
-                         ids=lambda l: l.value)
-@settings(max_examples=8, deadline=None)
-@given(cfg=st.builds(TimingConfig, aes_latency=st.integers(1, 40),
-                     per_block_overhead=st.integers(0, 8),
-                     wrapper_setup_cycles=st.integers(2, 100),
-                     rejsamp_setup_cycles=st.integers(0, 100)))
-def test_schedule_fits_the_memory_ports(program, level, cfg):
-    res = run_program(program(level), SEED, IV, cfg=cfg)
+@pytest.mark.parametrize("level", list(SecurityLevel), ids=lambda l: l.value)
+def test_schedule_fits_the_memory_ports(program, level):
+    res = run_program(program(level), SEED, IV, mem_depth=1378)
     log, report = res.trace_rows(), res.report
     # each unit's rows lie inside the span it reports, the drain included
     start = min(row[0] for row in log if row[1] == "wrapper")
@@ -586,21 +563,17 @@ def test_trace_scoreboard_catches_mutations(sl1_reference, mutate, error):
 # ---------------------------------------------------------------------------
 # compiled schedule cache
 
-SLOW_CFG = TimingConfig(aes_latency=30, per_block_overhead=10,
-                        wrapper_setup_cycles=11, rejsamp_setup_cycles=13)
-
-
-@pytest.mark.parametrize("level,cfg,depth", [
-    (SecurityLevel.SL1, TimingConfig(), 1024),
-    (SecurityLevel.SL3, TimingConfig(), 1024),
-    (SecurityLevel.SL5, TimingConfig(), 1378),
-    (SecurityLevel.SL3, SLOW_CFG, 5000),
+@pytest.mark.parametrize("level,depth", [
+    (SecurityLevel.SL1, 1024),
+    (SecurityLevel.SL3, 1024),
+    (SecurityLevel.SL5, 1378),
+    (SecurityLevel.SL3, 5000),
 ], ids=["SL1", "SL3", "SL5", "SL3-slow-deep"])
-def test_cache_hit_equals_miss(level, cfg, depth):
+def test_cache_hit_equals_miss(level, depth):
     p, prog = builtin_params(level), default_program(level)
     _compiled.cache_clear()
-    miss = run_program(prog, SEED, IV, cfg=cfg, mem_depth=depth)
-    hit = run_program(prog, SEED, IV, cfg=cfg, mem_depth=depth)
+    miss = run_program(prog, SEED, IV, mem_depth=depth)
+    hit = run_program(prog, SEED, IV, mem_depth=depth)
     info = _compiled.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert hit.trace_rows() == miss.trace_rows()
@@ -615,23 +588,23 @@ def test_interleaved_keys_keep_their_own_schedules():
     far = [assemble(Opcode.LOAD_SEED, L, waddr=1000, wen=1),
            assemble(Opcode.LOAD_SEED, L, waddr=1001, wen=1),
            *default_program(L)[2:]]
-    runs = [(default_program(L), TimingConfig(), 1024),
-            (default_program(L), SLOW_CFG, 1024),
-            (far, TimingConfig(), 1024),
-            (default_program(SecurityLevel.SL3), TimingConfig(), 1024)]
-    for words, cfg, depth in runs + runs[::-1]:
-        res = run_program(words, SEED, IV, cfg=cfg, mem_depth=depth)
+    runs = [(default_program(L), 1024),
+            (default_program(L), 5000),
+            (far, 1024),
+            (default_program(SecurityLevel.SL3), 1024)]
+    for words, depth in runs + runs[::-1]:
+        res = run_program(words, SEED, IV, mem_depth=depth)
         p = res.params
-        assert res.report.wrapper_cycles == wrapper_cycles_oracle(p.tau, cfg)
+        assert res.report.wrapper_cycles == wrapper_cycles_oracle(p.tau)
         assert res.report.rejsamp_cycles == rejsamp_cycles_oracle(
-            p.tau, p.n_prime, cfg)
+            p.tau, p.n_prime)
         rows = res.trace_rows()
         seed_addr = decode(words[0]).waddr
         assert [r[3] for r in rows if r[1] == "ctrl"] == [seed_addr,
                                                          seed_addr + 1]
         replay_trace(rows, SEED, IV, p.tau, p.n_prime, p.q)
         with pytest.raises(AddressError):  # the far seed needs depth 1002
-            run_program(far, SEED, IV, cfg=cfg, mem_depth=1001)
+            run_program(far, SEED, IV, mem_depth=1001)
 
 
 def test_trace_rows_hands_out_a_new_list():
@@ -680,16 +653,6 @@ def test_errors_after_a_good_run_keep_their_order():
         again = run_program(prog, SEED, IV)
         assert again.vector == good.vector
         assert again.trace_rows() == good.trace_rows()
-
-
-def test_timing_config_validation():
-    with pytest.raises(ValueError):
-        TimingConfig(aes_latency=0)
-    with pytest.raises(ValueError):
-        TimingConfig(per_block_overhead=-1)
-    for setup in (0, 1):  # block 0 would issue before the seed is staged
-        with pytest.raises(ValueError, match="wrapper_setup_cycles"):
-            TimingConfig(wrapper_setup_cycles=setup)
 
 
 def test_cycle_report_identity_enforced():

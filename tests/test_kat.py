@@ -126,6 +126,7 @@ def test_parse_accepts_comments_and_blanks():
     (f"key={'0' * 32} iv=0001 level=2 out=00", "level must be"),
     (f"key={'0' * 32} iv=0001 n=1 out=0g", "not valid hex"),
     (f"key={'0' * 32} iv=0001 n=1 out=00 x=1", "unknown field"),
+    (f"key={'0' * 32} iv=0001 iv=0002 n=1 out=00", "duplicate field 'iv'"),
     ("garbage", "key=value"),
     (f"iv=0001 n=1 out=00", "missing field 'key'"),
     # numbers are ASCII decimal digits only

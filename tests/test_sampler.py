@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rejsamp import aesprg
-from rejsamp.hwsim.core import RejSampUnit, TimingConfig
+from rejsamp.hwsim.core import RejSampUnit
 from rejsamp.packing import bytes_from_words, words_from_bytes
 from rejsamp.params import ParameterSet, SecurityLevel, builtin_params
 from rejsamp.sampler import (FieldVector, rej_samp, rej_samp_prg,
@@ -30,7 +30,7 @@ def dense_in_rejects(draw, size, q=127):
 def _unit_sampled(raw, n_prime, q):
     """The n' values the sampler unit makes of raw, read back as a list."""
     p = _toy(q, len(raw), n_prime)
-    words = RejSampUnit(TimingConfig()).run(p, words_from_bytes(raw))
+    words = RejSampUnit().run(p, words_from_bytes(raw))
     return list(bytes_from_words(words, n_prime))
 
 
@@ -245,7 +245,7 @@ def test_output_is_uniform_unless_zero_filled(q, tau, n_prime):
 def test_rejsamp_unit_matches_golden_on_every_toy_stream():
     # tau = 6 fills less than one 16-byte group and one memory word
     p = _toy(3, 6, 2)
-    unit = RejSampUnit(TimingConfig())
+    unit = RejSampUnit()
     rows, _ = unit.schedule(p)
     assert [r[2:4] for r in rows if r[2] != "done"] == [("read", 0),
                                                         ("write", 0)]
