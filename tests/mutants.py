@@ -18,6 +18,8 @@ kills nothing shows a gap in the table.  These stay regardless:
     counts), or a trace or artifact digest;
   - test_oracles_import_nothing_from_the_package, test_bench_tracing.py
     and oracles.py.
+A pin may move, though: a test that pins a value may leave once a test
+that stays asserts the same value on the same code path.
 """
 
 import os
@@ -66,6 +68,10 @@ MUTANTS = [
     ("kat-iv-wraps-mod-2-15", "kat.py", "% (1 << 8 *", "% (1 << -1 + 8 *"),
     ("kat-column-0-based", "kat.py", "tok.start() + 1", "tok.start()"),
     ("kat-duplicate-field-accepted", "kat.py", "if name in fields:", "if False:"),
+    ("kat-unknown-field-accepted", "kat.py", '- {"key", "iv", "n", "level", "out"}',
+     "- set(fields)"),
+    ("kat-signed-decimal", "kat.py", "value.isascii() and value.isdigit()",
+     'value.lstrip("+").isdigit()'),
     ("adp-in-ns", "fom.py", "getattr(m, size) * cpd_s", "getattr(m, size) * m.cpd_ns"),
     ("tech-ratio-inverted", "fom.py", "= scale_to_nm / m.tech_nm",
      "= m.tech_nm / scale_to_nm"),
@@ -75,6 +81,10 @@ MUTANTS = [
     ("cpd-zero-accepted", "fom.py", '"cpd_ns": "positive"', '"cpd_ns": "non-negative"'),
     ("unknown-metric-field-accepted", "fom.py",
      "- {f.name for f in fields(PlatformMetrics)}", "- set(entry)"),
+    ("platform-name-not-checked", "fom.py", "if not isinstance(self.name, str):",
+     "if False:"),
+    ("unknown-doc-field-accepted", "fom.py",
+     '- {"platforms", "scale_to_nm", "lut_area_um2"}', "- set(doc)"),
     ("exit-4-reported-as-2", "cli.py", "return EXIT_CAPACITY", "return EXIT_USAGE"),
     ("exit-3-reported-as-2", "cli.py", "return EXIT_UNSUPPORTED_LEVEL",
      "return EXIT_USAGE"),
@@ -84,6 +94,8 @@ MUTANTS = [
     ("empty-kat-file-verified", "cli.py", "if not records:", "if False:"),
     ("unreadable-file-traceback", "cli.py", "(HwSimError, ValueError, OSError)",
      "(HwSimError, ValueError)"),
+    ("nested-metrics-traceback", "cli.py", "except RecursionError:",
+     "except MemoryError:"),
     ("drain-read-a-cycle-late", "hwsim/core.py", '(cycle + w, "host"',
      '(cycle + w + (w == p.out_addrs - 1), "host"'),
     ("refill-words-reversed", "hwsim/core.py", "k in refill]", "k in refill[::-1]]"),
@@ -91,9 +103,17 @@ MUTANTS = [
      "_block_count(p) + p.tau + 1"),
     ("key-checked-after-schedule", "hwsim/core.py", "aesprg.check_key(seed)", "pass"),
     ("drain-address-unchecked", "hwsim/core.py", "raddr != 0:", "raddr < 0:"),
+    ("load-seed-wen-unchecked", "hwsim/core.py",
+     "if load0.wen != 1 or load1.wen != 1:", "if False:"),
+    ("seed-words-not-consecutive", "hwsim/core.py",
+     "if load1.waddr != load0.waddr + 1:", "if False:"),
+    ("mixed-levels-accepted", "hwsim/core.py", "if len(levels) > 1:",
+     "if len(levels) > 2:"),
     ("program-word-of-8-digits", "hwsim/isa.py", "stripped) > 7", "stripped) > 8"),
     ("waddr-field-shifted", "hwsim/isa.py", "waddr << 12", "waddr << 13"),
     ("reserved-level-indexed", "hwsim/isa.py", "sec_level >= len(", "sec_level > len("),
+    ("program-word-not-hex", "hwsim/isa.py", "if not set(stripped) <= _HEX_DIGITS:",
+     "if False:"),
     ("write-visible-in-its-cycle", "hwsim/memory.py", "] < cycle", "] <= cycle"),
     ("two-writes-in-a-cycle", "hwsim/memory.py", "cycle <= self._write_cycle",
      "cycle < self._write_cycle"),

@@ -46,7 +46,6 @@ _SBOX = bytes.fromhex(
     "ba78252e1ca6b4c6e8dd741f4bbd8b8a703eb5664803f60e613557b986c11d9e"
     "e1f8981169d98e949b1e87e9ce5528df8ca1890dbfe6426841992d0fb054bb16"
 )
-_INV_SBOX = bytes(256)
 _INV_SBOX = bytearray(256)
 for _i, _s in enumerate(_SBOX):
     _INV_SBOX[_s] = _i
@@ -205,8 +204,8 @@ def format_program(words):
 # of ProgramResult.trace_rows(), replayed against the dual-port memory's
 # rules and the oracles above.  The wrapper writes the keystream from word
 # 0, the rejsamp unit reads it back, and the host drains the output from
-# word 0.  The shape checks hold for every timing configuration: the only
-# cycle cost they name is a 16-byte group's fixed 3 + 16 cycles.
+# word 0.  The only cycle cost the shape checks name is a 16-byte group's
+# fixed 3 + 16 cycles.
 
 
 def _unpacked(accesses):

@@ -25,13 +25,6 @@ def test_all_zero_known_answer():
     assert aesprg.encrypt_block_expanded(w, bytes(16)) == ZEROS_CT
 
 
-def test_encrypt_deterministic():
-    blk = bytes(range(16, 32))
-    w = aesprg.expand_key(KEY)
-    assert aesprg.encrypt_block_expanded(w, blk) == \
-        aesprg.encrypt_block_expanded(aesprg.expand_key(KEY), blk)
-
-
 def test_final_round_key_frozen():
     # last round key of the FIPS key schedule: words w[40..43]
     w = aesprg.expand_key(KEY)
@@ -83,19 +76,6 @@ def test_ctr_blocks_check_the_last_index():
     with pytest.raises(ValueError, match="48-bit"):
         next(aesprg.ctr_blocks(iv, (1 << 48) + 1))
     assert next(aesprg.ctr_blocks(iv, 1 << 48)) == bytes(8) + iv + bytes(6)
-
-
-@pytest.mark.parametrize("iv", [b"\x01", b"\x00\x01\x02"], ids=["iv1", "iv3"])
-def test_keystream_rejects_bad_nonce_and_iv(iv):
-    with pytest.raises(ValueError, match="iv"):
-        aesprg.keystream(KEY, iv, 32)
-
-
-def test_single_block_keystream_is_one_encryption():
-    iv = b"\x00\x01"
-    want = aesprg.encrypt_block_expanded(aesprg.expand_key(KEY),
-                                         bytes(8) + iv + bytes(6))
-    assert aesprg.keystream(KEY, iv, 16) == want
 
 
 def test_block_consumption_count(monkeypatch):

@@ -8,8 +8,6 @@ from rejsamp import cli, kat
 from rejsamp.hwsim.isa import (Instruction, Opcode, assemble, default_program,
                                encode)
 from rejsamp.params import SecurityLevel
-from rejsamp.sampler import rej_samp_prg
-from rejsamp.params import builtin_params
 from oracles import format_program
 
 SEED_HEX = "000102030405060708090a0b0c0d0e0f"
@@ -41,16 +39,6 @@ def test_sample_element_counts(level, count, capsys):
                    "--iv", "0001") == 0
     out = capsys.readouterr().out
     assert f"elements: {count}" in out
-
-
-def test_sample_artifacts_deterministic(tmp_path):
-    a, b = tmp_path / "a.bin", tmp_path / "b.bin"
-    for path in (a, b):
-        assert run_cli("sample", "--level", "1", "--seed", SEED_HEX,
-                       "--iv", "0001", "--out", str(path)) == 0
-    assert a.read_bytes() == b.read_bytes()
-    vec = rej_samp_prg(SEED, b"\x00\x01", builtin_params(SecurityLevel.SL1))
-    assert a.read_bytes() == vec.to_packed_bytes()
 
 
 # sha256 of each SL1 artifact for SEED_HEX, iv 0001: the formats stay fixed
@@ -131,33 +119,23 @@ def test_simulate_report_line_pinned(freq, line, capsys):
     assert capsys.readouterr().out == line
 
 
-def test_simulate_trace_pinned(tmp_path, capsys):
-    # any drift in the simulated schedule or the access log changes the CSV
-    trace = tmp_path / "trace.csv"
-    assert run_cli("simulate", "--level", "1", "--seed", SEED_HEX,
-                   "--iv", "1234", "--trace", str(trace)) == 0
-    assert hashlib.sha256(trace.read_bytes()).hexdigest() == \
-        "601ea6a549877ff789c744770b2dc75c07c7d313650888902f6a30a084700e72"
-
-
 @pytest.mark.parametrize("args,digest", [
+    (("--level", "1"),
+     "601ea6a549877ff789c744770b2dc75c07c7d313650888902f6a30a084700e72"),
     (("--level", "3"),
      "b9d54a6109d58cc77bdcbad573a5262c2f8258c2f0b5f8fb3eafe0764ab460e4"),
     (("--level", "5", "--mem-depth", "1378"),
      "d361ca1ebeefe4099a188758f70f7760641c531d489151508097be2e54e66fdc"),
-], ids=["SL3", "SL5"])
-def test_simulate_trace_pinned_at_sl3_and_sl5(args, digest, tmp_path, capsys):
-    trace = tmp_path / "trace.csv"
-    assert run_cli("simulate", *args, "--seed", SEED_HEX, "--iv", "1234",
-                   "--trace", str(trace)) == 0
-    assert hashlib.sha256(trace.read_bytes()).hexdigest() == digest
-
-
-def test_simulate_split_program_trace_pinned(tmp_path, capsys):
-    # separate RUN_PRG and RUN_REJSAMP runs at SL3 with the seed at words 3-4
+    (("--program", "{split}"),
+     "a5f969ad22980254b6476609a4d83553856af59bc981ecbbd9615e7e55a06128"),
+], ids=["SL1", "SL3", "SL5", "SL3-split"])
+def test_simulate_trace_pinned(args, digest, tmp_path, capsys):
+    # any drift in the simulated schedule or the access log changes the CSV;
+    # the split program runs RUN_PRG and RUN_REJSAMP apart at SL3, with the
+    # seed at words 3-4
     L, op = SecurityLevel.SL3, Opcode
-    prog = tmp_path / "prog.hex"
-    prog.write_text(format_program([
+    split = tmp_path / "prog.hex"
+    split.write_text(format_program([
         assemble(op.LOAD_SEED, L, waddr=3, wen=1),
         assemble(op.LOAD_SEED, L, waddr=4, wen=1),
         assemble(op.NOP, L),
@@ -166,10 +144,10 @@ def test_simulate_split_program_trace_pinned(tmp_path, capsys):
         assemble(op.READ_RESULT, L, raddr=0),
     ]))
     trace = tmp_path / "trace.csv"
-    assert run_cli("simulate", "--program", str(prog), "--seed", SEED_HEX,
-                   "--iv", "1234", "--trace", str(trace)) == 0
-    assert hashlib.sha256(trace.read_bytes()).hexdigest() == \
-        "a5f969ad22980254b6476609a4d83553856af59bc981ecbbd9615e7e55a06128"
+    assert run_cli("simulate", *[a.format(split=split) for a in args],
+                   "--seed", SEED_HEX, "--iv", "1234",
+                   "--trace", str(trace)) == 0
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == digest
 
 
 def test_simulate_sl5_capacity_exit(capsys):
@@ -185,11 +163,6 @@ def test_simulate_nonpositive_mem_depth_exit2(depth, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: memory depth must be positive\n"
-
-
-def test_simulate_sl5_with_mem_depth(capsys):
-    assert run_cli("simulate", "--level", "5", "--seed", SEED_HEX,
-                   "--iv", "0001", "--mem-depth", "1378") == 0
 
 
 def test_simulate_custom_program_file(tmp_path, capsys):

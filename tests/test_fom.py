@@ -179,8 +179,3 @@ def test_metrics_from_dict_schema():
     with pytest.raises(ValueError, match="missing"):
         metrics_from_dict({"kind": "ASIC", "area_um2": 1.0, "power_mw": 0.1,
                            "tech_nm": 65})
-
-
-def test_reference_inputs_reproduce_table():
-    rep = fom.report_from_doc(fom.REFERENCE_INPUTS)
-    assert len(rep["rows"]) == 3 and len(rep["warnings"]) == 1

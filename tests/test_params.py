@@ -49,16 +49,6 @@ def test_at_most_one_partial_word(level):
     assert 0 <= p.out_addrs * 8 - p.n_prime < 8
 
 
-def test_mask_width_for_q127():
-    p = builtin_params(SecurityLevel.SL1)
-    assert all((b & p.q) <= 127 for b in range(256))
-
-
-def test_required_depth_is_keystream_region():
-    assert builtin_params(SecurityLevel.SL5).tau_addrs == 1378
-    assert builtin_params(SecurityLevel.SL3).tau_addrs == 766
-
-
 def test_is_mersenne():
     assert is_mersenne(127) and is_mersenne(7) and is_mersenne(1)
     assert not is_mersenne(126) and not is_mersenne(128) and not is_mersenne(0)

@@ -1,5 +1,4 @@
 import itertools
-import random
 from collections import Counter
 
 import pytest
@@ -86,19 +85,6 @@ def test_matches_naive_transcription(data):
         assert _unit_sampled(raw, n_prime, q) == want
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_positional_stability(data):
-    # positions already below q are never touched by replacement
-    tau = data.draw(st.integers(min_value=1, max_value=48))
-    n_prime = data.draw(st.integers(min_value=1, max_value=tau))
-    raw = data.draw(st.binary(min_size=tau, max_size=tau))
-    out = rej_samp(raw, tau, n_prime, 127)
-    for j in range(n_prime):
-        if raw[j] & 127 != 127:
-            assert out.elems[j] == raw[j] & 127
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_zero_fill_exactly_when_rejects_exceed_spares(data):
@@ -108,25 +94,6 @@ def test_zero_fill_exactly_when_rejects_exceed_spares(data):
     raw = data.draw(dense_in_rejects(tau))
     s = rejection_stats(raw, tau, n_prime, 127)
     assert (s.zero_filled > 0) == (s.masked_to_q > tau - n_prime)
-
-
-def test_output_range_random():
-    rng = random.Random(3)
-    for _ in range(2000):
-        tau = rng.randint(1, 64)
-        n_prime = rng.randint(1, tau)
-        out = rej_samp(rng.randbytes(tau), tau, n_prime, 127)
-        assert len(out) == n_prime
-        assert all(0 <= v < 127 for v in out.elems)
-
-
-def test_prg_sl1_shape_and_determinism():
-    p = builtin_params(SecurityLevel.SL1)
-    a = rej_samp_prg(SEED, b"\x00\x01", p)
-    b = rej_samp_prg(SEED, b"\x00\x01", p)
-    assert len(a) == 2808
-    assert a.elems == b.elems
-    assert all(v < 127 for v in a.elems)
 
 
 def test_prg_is_keystream_plus_rej_samp():
@@ -181,17 +148,6 @@ def test_packing_matches_chunk_oracle(data):
     assert bytes_from_words(words, len(data)) == data
     with pytest.raises(ValueError, match="hold"):
         bytes_from_words(words, 8 * len(words) + 1)
-
-
-def test_field_vector_packed_words_msb_first():
-    fv = FieldVector(bytes((1, 2, 3, 4, 5, 6, 7, 8, 9)), 127)
-    words = words_from_bytes(fv.to_packed_bytes())
-    assert words[0] == 0x0102030405060708
-    assert words[1] == 0x0900000000000000
-
-
-def test_field_vector_csv():
-    assert FieldVector(bytes((5, 0, 126)), 127).to_csv() == "5\n0\n126\n"
 
 
 def test_rejection_stats_input_validation():
