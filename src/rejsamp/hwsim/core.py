@@ -26,11 +26,11 @@ simulation (the idea behind Verilator) sound: the schedule depends on the
 program alone, so MemoryModel checks it once per key of a small cache,
 (level, seed address, memory depth).  Each unit has a `schedule` (its
 rows without data and the cycles they span) and a `run` (its datapath:
-input words in, output words out).  A cache miss plays the rows through
+input bytes in, output bytes out).  A cache miss plays the rows through
 MemoryModel with symbolic data: the k-th write stores k, and each read
-returns the k of the write it sees, or 0.  A run then only checks its
-inputs, computes its words and gathers each read's word by its k.
-test_schedule_ignores_seed checks the condition.
+returns the k of the write it sees; the pass checks the memory map below.
+A run then only checks its inputs and computes its keystream and sampled
+bytes.  test_schedule_ignores_seed checks the condition.
 
 Program: two LOAD_SEED, then RUN_FULL or RUN_PRG, RUN_REJSAMP, then
 READ_RESULT with raddr 0, with NOPs anywhere (they cost nothing).  Every
@@ -43,27 +43,29 @@ Memory map (in place): seed words land at the two consecutive LOAD_SEED
 addresses (words 0-1 in the default program) and are captured into B1
 before the keystream [0, ceil(tau/8)) overwrites them; the packed output
 [0, ceil(n'/8)) then overwrites the consumed stream head, and the host
-drains it from word 0.  The largest region ever live is the keystream, so
-the required depth is exactly ceil(tau/8).  run_program alone knows this
-map: it checks the depth on every run, and the units assume the schedule
-(the wrapper writes every keystream word before the sampler reads one).
+drains it from word 0.  So the reads, in cycle order, return the writes
+in the order they were made, each once.  The largest region ever live is
+the keystream, so the required depth is exactly ceil(tau/8).  run_program
+checks the depth on every run, and `_compiled` the map once per key.
 
 Trace: `_compiled` is the one place that builds trace rows.  Its pass
-records (cycle, unit, event, addr, k) per row: k is the word a write
-stores or a read returns, None for the wrapper's issue row per block and
-the sampler's done row at its last write.  `ProgramResult.trace_rows()`
-puts the run's words in place of the k when it is called.
+records (cycle, unit, event, addr, k) per row: k is the write a row
+stores or returns, None for the wrapper's issue row per block and the
+sampler's done row at its last write.  `ProgramResult.trace_rows()`, the
+one place that builds words, puts the k-th 64-bit word of the run's seed,
+keystream and output in place of each k when it is called.
 """
 
 import functools
 import itertools
+import struct
 from dataclasses import dataclass, field
 
 from .. import aesprg
-from ..packing import words_from_bytes, bytes_from_words
-from ..params import ParameterSet, SecurityLevel, builtin_params
+from ..params import (BYTES_PER_WORD, ParameterSet, SecurityLevel,
+                      builtin_params)
 from ..sampler import FieldVector, _sample
-from .errors import CapacityError, ProgramError
+from .errors import CapacityError, ProgramError, SimulationFault
 from .isa import Instruction, Opcode, decode
 from .memory import DEFAULT_DEPTH, MemoryModel
 
@@ -131,9 +133,9 @@ class AesCtrWrapper:
                  for a in range(p.tau_addrs)]
         return rows, issue0 + blocks * per_block - start_cycle
 
-    def run(self, seed: bytes, iv: bytes, p: ParameterSet) -> list[int]:
-        """The keystream words, in the order the schedule writes them."""
-        return words_from_bytes(aesprg.keystream(seed, iv, p.tau))
+    def run(self, seed: bytes, iv: bytes, p: ParameterSet) -> bytes:
+        """The tau keystream bytes of the seed staged in B1."""
+        return aesprg.keystream(seed, iv, p.tau)
 
 
 class RejSampUnit:
@@ -141,10 +143,9 @@ class RejSampUnit:
 
     Schedule, per 16-byte group: two refill reads, one validate cycle
     (mask and compare against q) and one collect cycle per byte.
-    Datapath: `sampler`'s rule on the stream read back (sampler._sample,
-    which the golden rej_samp runs too), the output packed into words.
-    It reads the keystream the wrapper wrote earlier in run_program's
-    schedule.
+    Datapath: `sampler`'s rule (sampler._sample, which the golden rej_samp
+    runs too) on the keystream the refill reads, n' bytes out, which the
+    schedule writes as packed words from word 0.
     """
 
     def schedule(self, p: ParameterSet,
@@ -165,24 +166,21 @@ class RejSampUnit:
         rows.append((write0 + p.out_addrs - 1, "rejsamp", "done", None))
         return rows, write0 + p.out_addrs - start_cycle
 
-    def run(self, p: ParameterSet, words: list[int]) -> list[int]:
-        """Sample the keystream words the refill reads return into the
-        packed output words, in the order the schedule writes them."""
-        return words_from_bytes(_sample(bytes_from_words(words, p.tau),
-                                        p.n_prime, p.q))
+    def run(self, p: ParameterSet, stream: bytes) -> bytes:
+        """The n' bytes sampled from the tau-byte keystream."""
+        return _sample(stream, p.n_prime, p.q)
 
 
 @functools.lru_cache(maxsize=_SCHEDULES)
 def _compiled(level: SecurityLevel, seed_addr: int, depth: int) -> tuple:
     """Build the one schedule of a run and play it through a memory of
-    depth words with symbolic data, raising the memory's faults.
+    depth words with symbolic data, raising the memory's faults, and a
+    SimulationFault where a read breaks the in-place memory map.
 
-    Returns the rows (cycle, unit, event, addr, k) in cycle order, the
-    cycle report, and the k that each B1 staging read, refill read and
-    host drain read returns.  k indexes the run's words, 0 for a word
-    never written: the k-th write stores the k-th word the run computes
-    (the seed, the keystream, then the output), as each unit writes its
-    words in cycle order.
+    Returns the rows (cycle, unit, event, addr, k) in cycle order and the
+    cycle report.  k numbers the words the run writes: the k-th is the
+    k-th word of the seed, the keystream, then the output, as each unit
+    writes its words in cycle order.
     """
     p = builtin_params(level)
     wrapper_rows, wrapper_cycles = AesCtrWrapper().schedule(p, 2)
@@ -197,8 +195,11 @@ def _compiled(level: SecurityLevel, seed_addr: int, depth: int) -> tuple:
     # each unit's writes take its words' k in turn: 2 seed words from 1
     ks = {"ctrl": itertools.count(1), "wrapper": itertools.count(3),
           "rejsamp": itertools.count(3 + p.tau_addrs)}
+    # the map: B1 stages k 1-2, the refill reads the keystream's k and the
+    # host drains the output's, so the reads return k 1, 2, 3, ... in turn
+    mapped = itertools.count(1)
     mem = MemoryModel(depth)
-    trace, reads = [], {"wrapper": [], "rejsamp": [], "host": []}
+    trace = []
     # rows sort by (cycle, unit, event): no two rows share all three
     for cycle, unit, event, addr in sorted(rows):
         k = None  # an issue or done row carries no word
@@ -207,11 +208,12 @@ def _compiled(level: SecurityLevel, seed_addr: int, depth: int) -> tuple:
             mem.write(addr, k, cycle=cycle)
         elif event == "read":
             k = mem.read(addr, cycle=cycle)
-            reads[unit].append(k)
+            if k != (want := next(mapped)):
+                raise SimulationFault(
+                    f"{unit} read of word {addr} in cycle {cycle} returns "
+                    f"write {k}; the memory map gives write {want}")
         trace.append((cycle, unit, event, addr, k))
-    return (tuple(trace), CycleReport(wrapper_cycles, rejsamp_cycles),
-            tuple(reads["wrapper"]), tuple(reads["rejsamp"]),
-            tuple(reads["host"]))
+    return tuple(trace), CycleReport(wrapper_cycles, rejsamp_cycles)
 
 
 @dataclass(frozen=True)
@@ -220,13 +222,16 @@ class ProgramResult:
     vector: FieldVector
     params: ParameterSet
     _rows: tuple = field(repr=False, compare=False)  # _compiled's rows
-    _words: list = field(repr=False, compare=False)  # 0, then each k's word
+    _loaded: bytes = field(repr=False, compare=False)  # seed, keystream
 
     def trace_rows(self) -> list[tuple]:
         """The run's (cycle, unit, event, addr, data) rows in cycle order,
-        as a new list on each call."""
-        words = self._words
-        return [(cycle, unit, event, addr, None if k is None else words[k])
+        as a new list on each call: data is the k-th 64-bit word of the
+        seed, the zero-padded keystream and the packed output."""
+        data = self._loaded + bytes(-len(self._loaded) % BYTES_PER_WORD)
+        data += self.vector.to_packed_bytes()
+        words = struct.unpack(f">{len(data) // BYTES_PER_WORD}Q", data)
+        return [(cycle, unit, event, addr, None if k is None else words[k - 1])
                 for cycle, unit, event, addr, k in self._rows]
 
 
@@ -285,13 +290,8 @@ def run_program(words: list[int], seed: bytes, iv: bytes,
             f"the keystream region but the memory holds {mem_depth}; rerun "
             f"with depth >= {p.tau_addrs}")
     aesprg.check_key(seed)  # before the faults of the schedule
-    rows, report, staging, refill, drain = _compiled(level, seed_addr,
-                                                     mem_depth)
-    run_words = [0, *words_from_bytes(seed)]  # LOAD_SEED
-    staged = bytes_from_words([run_words[k] for k in staging],
-                              aesprg.KEY_BYTES)
-    run_words += AesCtrWrapper().run(staged, iv, p)
-    run_words += RejSampUnit().run(p, [run_words[k] for k in refill])
-    out = bytes_from_words([run_words[k] for k in drain], p.n_prime)
+    rows, report = _compiled(level, seed_addr, mem_depth)
+    stream = AesCtrWrapper().run(seed, iv, p)
+    out = RejSampUnit().run(p, stream)
     return ProgramResult(report=report, vector=FieldVector(out, p.q),
-                         params=p, _rows=rows, _words=run_words)
+                         params=p, _rows=rows, _loaded=seed + stream)

@@ -27,4 +27,4 @@ class CapacityError(HwSimError, RuntimeError):
 
 
 class SimulationFault(HwSimError, RuntimeError):
-    """Memory access that breaks the one-access-per-port-per-cycle rule."""
+    """Memory access that breaks a port rule or the in-place memory map."""

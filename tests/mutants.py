@@ -52,9 +52,6 @@ MUTANTS = [
     ("q-255-rejects-nothing", "sampler.py", "if q > 0xFF:", "if q >= 0xFF:"),
     ("vector-admits-q", "sampler.py", "(self.modulus, 0)", "(self.modulus + 1, 0)"),
     ("stats-ignore-tail-rejects", "sampler.py", "n_prime - tail_rejects)", "n_prime)"),
-    ("bytes-from-words-little-endian", "packing.py", 'struct.pack(f">',
-     'struct.pack(f"<'),
-    ("words-hold-a-byte-more", "packing.py", "n_bytes > held:", "n_bytes > held + 1:"),
     ("tau-addrs-rounds-down", "params.py", "-(-self.tau // BYTES_PER_WORD)",
      "self.tau // BYTES_PER_WORD"),
     ("zero-is-mersenne", "params.py", "q >= 1 and", "q >= 0 and"),
@@ -98,7 +95,10 @@ MUTANTS = [
      "except MemoryError:"),
     ("drain-read-a-cycle-late", "hwsim/core.py", '(cycle + w, "host"',
      '(cycle + w + (w == p.out_addrs - 1), "host"'),
-    ("refill-words-reversed", "hwsim/core.py", "k in refill]", "k in refill[::-1]]"),
+    ("refill-reads-swap-word-pairs", "hwsim/core.py", '"rejsamp", "read", a)',
+     '"rejsamp", "read", a ^ 1)'),
+    ("trace-words-little-endian", "hwsim/core.py", 'struct.unpack(f">',
+     'struct.unpack(f"<'),
     ("sampler-writes-a-cycle-late", "hwsim/core.py", "_block_count(p) + p.tau",
      "_block_count(p) + p.tau + 1"),
     ("key-checked-after-schedule", "hwsim/core.py", "aesprg.check_key(seed)", "pass"),

@@ -10,8 +10,6 @@ import math
 import random
 import time
 
-import pytest
-
 from rejsamp import aesprg, fom
 from rejsamp.hwsim.core import run_program
 from rejsamp.hwsim.isa import default_program

@@ -13,7 +13,7 @@ import pytest
 
 import mutants
 import rejsamp
-from rejsamp import aesprg, cli, fom, hwsim, kat, packing, params, sampler
+from rejsamp import aesprg, cli, fom, hwsim, kat, params, sampler
 from rejsamp.hwsim import core, errors, isa, memory
 
 PACKAGE_DIR = Path(rejsamp.__file__).parent
@@ -117,9 +117,9 @@ def test_public_surface_is_pinned():
     assert _aliases(rejsamp) == []
     # bench/workloads.py reads these two off the simulator package
     assert _aliases(hwsim) == ["default_program", "run_program"]
-    # a run carries no log: trace_rows() joins its schedule's rows and words
+    # a run carries no log: trace_rows() joins its schedule's rows and bytes
     assert [f.name for f in dataclasses.fields(core.ProgramResult)] == [
-        "report", "vector", "params", "_rows", "_words"]
+        "report", "vector", "params", "_rows", "_loaded"]
     # the memory only checks and stores: no unit, no log row
     assert list(inspect.signature(memory.MemoryModel.read).parameters) == [
         "self", "addr", "cycle"]
@@ -138,7 +138,6 @@ def test_public_surface_is_pinned():
     assert _defined(params) == [
         "BYTES_PER_WORD", "LEVEL_NUMBERS", "ParameterSet", "SecurityLevel",
         "builtin_params", "is_mersenne", "level_from_number"]
-    assert _defined(packing) == ["bytes_from_words", "words_from_bytes"]
     assert _defined(kat) == [
         "KatError", "KatRecord", "generate_kat", "parse_kat", "verify_kat"]
     assert _defined(sampler) == [

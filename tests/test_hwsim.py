@@ -12,12 +12,10 @@ from rejsamp.hwsim.errors import (AddressError, CapacityError,
 from rejsamp.hwsim.isa import (Instruction, Opcode, assemble, decode,
                                default_program, encode, parse_program)
 from rejsamp.hwsim.memory import MemoryModel
-from rejsamp.packing import bytes_from_words, words_from_bytes
 from rejsamp.params import SecurityLevel, builtin_params
 from rejsamp.sampler import rej_samp, rej_samp_prg, rejection_stats
-from oracles import (format_program, keystream_oracle, rej_samp_naive,
-                     rejsamp_cycles_oracle, replay_trace,
-                     wrapper_cycles_oracle)
+from oracles import (format_program, rej_samp_naive, rejsamp_cycles_oracle,
+                     replay_trace, wrapper_cycles_oracle)
 
 SEED = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
 IV = b"\x00\x01"
@@ -218,26 +216,26 @@ def test_port_rule_faults(accesses, message):
 # AES-CTR wrapper
 
 
-def _wrapper(p=SL1, seed=SEED, iv=IV):
-    """The wrapper's schedule rows, the cycles they span and its keystream
-    words."""
+def _wrapper():
+    """The wrapper's SL1 schedule rows, the cycles they span and its
+    keystream bytes."""
     unit = AesCtrWrapper()
-    rows, cycles = unit.schedule(p)
-    return rows, cycles, unit.run(seed, iv, p)
+    rows, cycles = unit.schedule(SL1)
+    return rows, cycles, unit.run(SEED, IV, SL1)
 
 
-def _sampled_bytes(words, p=SL1):
-    """The n' bytes the rejsamp unit samples from the keystream words."""
-    out = RejSampUnit().run(p, words)
-    assert len(out) == p.out_addrs
-    return bytes_from_words(out, p.n_prime)
+def _sampled_bytes(stream, p=SL1):
+    """The n' bytes the rejsamp unit samples from the keystream."""
+    out = RejSampUnit().run(p, stream)
+    assert len(out) == p.n_prime
+    return out
 
 
 def test_wrapper_cycles_and_writes():
-    rows, cycles, words = _wrapper()
+    rows, cycles, stream = _wrapper()
     assert cycles == 4632
     writes = [r for r in rows if r[2] == "write"]
-    assert len(writes) == len(words) == 365
+    assert len(writes) == -(-len(stream) // 8) == 365
     assert sorted(r[3] for r in writes) == list(range(365))
 
 
@@ -260,26 +258,14 @@ def test_pipeline_latency_from_log():
 
 
 def test_rejsamp_unit_cycles_and_oracle():
-    _, _, words = _wrapper()
-    raw = bytes_from_words(words, SL1.tau)
+    _, _, raw = _wrapper()
     rows, cycles = RejSampUnit().schedule(SL1)
     assert cycles == 3893
     out_writes = [r for r in rows if r[1:3] == ("rejsamp", "write")]
     assert len(out_writes) == 351
-    out = _sampled_bytes(words)
+    out = _sampled_bytes(raw)
     assert list(out) == rej_samp_naive(raw, SL1.tau, SL1.n_prime, SL1.q)
     assert out == rej_samp(raw, SL1.tau, SL1.n_prime, SL1.q).elems
-
-
-@pytest.mark.parametrize("case", range(10))
-def test_rejsamp_unit_matches_golden_random_seeds(case):
-    rng = random.Random(1000 + case)
-    seed, iv = rng.randbytes(16), rng.randbytes(2)
-    _, _, words = _wrapper(seed=seed, iv=iv)
-    out = _sampled_bytes(words)
-    raw = keystream_oracle(seed, iv, SL1.tau)
-    assert list(out) == rej_samp_naive(raw, SL1.tau, SL1.n_prime, SL1.q)
-    assert out == rej_samp_prg(seed, iv, SL1).elems
 
 
 @pytest.mark.parametrize("density", [0, 0.05, 0.3, 0.9, 1.0])
@@ -293,7 +279,7 @@ def test_rejsamp_unit_matches_golden_adversarial(level, density):
     for _ in range(8):
         raw = bytes(rng.choice((0x7F, 0xFF)) if rng.random() < density
                     else rng.randrange(256) for _ in range(p.tau))
-        out = _sampled_bytes(words_from_bytes(raw), p)
+        out = _sampled_bytes(raw, p)
         assert list(out) == rej_samp_naive(raw, p.tau, p.n_prime, p.q)
         assert out == rej_samp(raw, p.tau, p.n_prime, p.q).elems
         # the spare tail runs dry (zero-fill) whenever q-bytes are dense
@@ -567,6 +553,36 @@ def test_interleaved_keys_keep_their_own_schedules():
         replay_trace(rows, SEED, IV, p.tau, p.n_prime, p.q)
         with pytest.raises(AddressError):  # the far seed needs depth 1002
             run_program(far, SEED, IV, mem_depth=1001)
+
+
+@pytest.mark.parametrize("unit,event,addr,message", [
+    # the refill reads write 104 early; word 0 keeps seed write 1
+    (RejSampUnit, "read", 100, "rejsamp read of word 101 in cycle 5661 "
+     "returns write 104; the memory map gives write 103"),
+    (AesCtrWrapper, "write", 0, "rejsamp read of word 0 in cycle 4711 "
+     "returns write 1; the memory map gives write 3"),
+], ids=["refill-read-moved", "keystream-write-moved"])
+def test_compiled_refuses_a_schedule_that_breaks_the_memory_map(
+        monkeypatch, unit, event, addr, message):
+    schedule = unit.schedule  # its row for word addr goes to word addr ^ 1
+
+    def moved(self, p, start_cycle=0):
+        rows, cycles = schedule(self, p, start_cycle)
+        return [r[:3] + (addr ^ 1,) if r[2:] == (event, addr) else r
+                for r in rows], cycles
+
+    prog = default_program(SecurityLevel.SL1)
+    _compiled.cache_clear()
+    monkeypatch.setattr(unit, "schedule", moved)
+    try:
+        with pytest.raises(SimulationFault) as fault:
+            run_program(prog, SEED, IV)
+    finally:
+        monkeypatch.undo()
+        _compiled.cache_clear()
+    assert str(fault.value) == message
+    res = run_program(prog, SEED, IV)
+    replay_trace(res.trace_rows(), SEED, IV, SL1.tau, SL1.n_prime, SL1.q)
 
 
 def test_trace_rows_hands_out_a_new_list():

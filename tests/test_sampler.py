@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from rejsamp import aesprg
 from rejsamp.hwsim.core import RejSampUnit
-from rejsamp.packing import bytes_from_words, words_from_bytes
 from rejsamp.params import ParameterSet, SecurityLevel, builtin_params
 from rejsamp.sampler import (FieldVector, rej_samp, rej_samp_prg,
                              rejection_stats)
@@ -28,9 +27,7 @@ def dense_in_rejects(draw, size, q=127):
 
 def _unit_sampled(raw, n_prime, q):
     """The n' values the sampler unit makes of raw, read back as a list."""
-    p = _toy(q, len(raw), n_prime)
-    words = RejSampUnit().run(p, words_from_bytes(raw))
-    return list(bytes_from_words(words, n_prime))
+    return list(RejSampUnit().run(_toy(q, len(raw), n_prime), raw))
 
 
 def test_mask_rejects_non_mersenne():
@@ -140,16 +137,6 @@ def test_mersenne_q_above_a_byte_rejects_nothing():
     assert (s.masked_to_q, s.replaced, s.zero_filled) == (0, 0, 0)
 
 
-@given(data=st.binary(max_size=64))
-def test_packing_matches_chunk_oracle(data):
-    words = words_from_bytes(data)
-    assert words == [int.from_bytes(data[i:i + 8].ljust(8, b"\0"), "big")
-                     for i in range(0, len(data), 8)]
-    assert bytes_from_words(words, len(data)) == data
-    with pytest.raises(ValueError, match="hold"):
-        bytes_from_words(words, 8 * len(words) + 1)
-
-
 def test_rejection_stats_input_validation():
     # the same checks, with the same messages, as rej_samp
     with pytest.raises(ValueError, match="expected tau"):
@@ -207,6 +194,6 @@ def test_rejsamp_unit_matches_golden_on_every_toy_stream():
                                                         ("write", 0)]
     for stream in itertools.product(range(p.q + 1), repeat=p.tau):
         raw = bytes(stream)
-        out = bytes_from_words(unit.run(p, words_from_bytes(raw)), p.n_prime)
+        out = unit.run(p, raw)
         assert out == rej_samp(raw, p.tau, p.n_prime, p.q).elems
         assert list(out) == rej_samp_naive(raw, p.tau, p.n_prime, p.q)
