@@ -3,23 +3,27 @@
 The cipher is functional only and has no notion of cycles. It encrypts
 every block of one CTR run in a single call, byte-sliced across the
 blocks (Kasper & Schwabe, "Faster and Timing-Attack Resistant AES-GCM",
-CHES 2009): lane j is an int holding state byte j of every block. Each
-table lookup is one bytes.translate over a whole lane, the one-lookup-
-per-lane idea of Hamburg ("Accelerating AES with Vector Permute
-Instructions", CHES 2009). SubBytes translates a lane through the S-box
-and through 2*S(x), which MixColumns needs; ShiftRows is the choice of
-lanes each output column reads; AddRoundKey XORs a key byte broadcast
-across the lane. keystream, which the hwsim wrapper also calls, runs
-expand_key once and encrypt_block_expanded once over all of a run's
-counter blocks.
-No hardcoded lookup tables: the S-box, its doubled copy and the round
+CHES 2009): lane j holds state byte j of every block. Each table lookup
+is one bytes.translate over a whole lane, the one-lookup-per-lane idea of
+Hamburg ("Accelerating AES with Vector Permute Instructions", CHES 2009).
+The lanes stay bytes between rounds, and AddRoundKey is folded into the
+next lookup: one of 256 keyed S-boxes, S(x ^ k) for each key byte k,
+takes lane j through the previous round's key byte j and SubBytes at
+once. ShiftRows is the choice of lanes each output column reads, and
+MixColumns runs on the lanes as ints, doubling each byte with xtime's
+shift and conditional 0x1B reduction in every block at once. So a lane
+makes one translate, one from_bytes and one to_bytes per round; the
+final round translates through the keyed S-box, then through the table
+of x ^ k that adds the last round key. keystream, which the hwsim wrapper
+also calls, runs expand_key once and encrypt_block_expanded once over all
+of a run's counter blocks.
+No hardcoded lookup tables: the S-box, the keyed tables and the round
 constants are derived from the field arithmetic at import.
 
 Counter block layout (16 bytes), fixed as in the coprocessor, which can
 load only the seed: 8 zero bytes, the 2-byte iv, then the 6-byte
 big-endian running block index. ctr_blocks is the one place that builds it.
 """
-
 import struct
 from collections.abc import Iterator
 
@@ -54,13 +58,20 @@ def _build_tables():
     rcon = [1]
     for _ in range(9):
         rcon.append(xtime[rcon[-1]])
-    # the S-box and its doubled image 2*S(x): the two lookups of a round
-    return bytes(sbox), bytes(xtime[s] for s in sbox), rcon
+    # x ^ k for every key byte k: the identity XOR k broadcast to each byte
+    ident = int.from_bytes(bytes(range(256)), "little")
+    ones = int.from_bytes(b"\x01" * 256, "little")
+    add_key = tuple((ident ^ k * ones).to_bytes(256, "little")
+                    for k in range(256))
+    sbox = bytes(sbox)
+    return sbox, add_key, tuple(t.translate(sbox) for t in add_key), rcon
 
 
-_SBOX, _SBOX2, _RCON = _build_tables()
+# _KEYED_SBOX[k][x] == _SBOX[x ^ k]: AddRoundKey folded into SubBytes
+_SBOX, _ADD_KEY, _KEYED_SBOX, _RCON = _build_tables()
 # ShiftRows: byte j (row j % 4) reads that row of column (j // 4 + j % 4) % 4
 _SHIFT_ROWS = tuple((j + 4 * (j % 4)) % 16 for j in range(16))
+_COLUMNS = tuple(_SHIFT_ROWS[c:c + 4] for c in range(0, 16, 4))
 
 
 def expand_key(key: bytes) -> list[int]:
@@ -81,37 +92,43 @@ def expand_key(key: bytes) -> list[int]:
 
 def encrypt_block_expanded(w: list[int], data: bytes) -> bytes:
     """AES-128 encryption of every 16-byte block of data with a
-    precomputed key schedule, all blocks at once."""
+    precomputed key schedule, all blocks at once. The data length is
+    checked first, then the schedule."""
     n, rest = divmod(len(data), _BLOCK_BYTES)
     if not n or rest:
         raise ValueError(f"data must be a positive multiple of {_BLOCK_BYTES} "
                          f"bytes, got {len(data)}")
-    ones = int.from_bytes(b"\x01" * n, "little")  # broadcasts a key byte
-    rk = _SCHEDULE.pack(*w)  # round r's key bytes are rk[16r:16r + 16]
+    try:
+        rk = _SCHEDULE.pack(*w)  # round r's key bytes are rk[16r:16r + 16]
+    except struct.error:
+        raise ValueError("key schedule must be 44 32-bit words, as "
+                         "expand_key returns") from None
+    ones = int.from_bytes(b"\x01" * n, "little")
+    low7 = 0x7F * ones
     # lane j: state byte j (row j % 4, column j // 4) of every block
-    s = [int.from_bytes(data[j::_BLOCK_BYTES], "little") ^ rk[j] * ones
-         for j in range(_BLOCK_BYTES)]
+    lanes = [data[j::_BLOCK_BYTES] for j in range(_BLOCK_BYTES)]
     for r in range(1, 10):
-        lanes = [x.to_bytes(n, "little") for x in s]
-        a = [int.from_bytes(lane.translate(_SBOX), "little") for lane in lanes]
-        a2 = [int.from_bytes(lane.translate(_SBOX2), "little")
-              for lane in lanes]
-        s = []
-        for c in range(0, _BLOCK_BYTES, 4):
-            # MixColumns of the shifted column: a_r ^ t ^ 2a_r ^ 2a_(r+1)
-            j0, j1, j2, j3 = _SHIFT_ROWS[c:c + 4]
-            t = a[j0] ^ a[j1] ^ a[j2] ^ a[j3]
-            d0, d1, d2, d3 = a2[j0], a2[j1], a2[j2], a2[j3]
-            k = _BLOCK_BYTES * r + c
-            s += (a[j0] ^ t ^ d0 ^ d1 ^ rk[k] * ones,
-                  a[j1] ^ t ^ d1 ^ d2 ^ rk[k + 1] * ones,
-                  a[j2] ^ t ^ d2 ^ d3 ^ rk[k + 2] * ones,
-                  a[j3] ^ t ^ d3 ^ d0 ^ rk[k + 3] * ones)
+        # AddRoundKey of round r - 1, then SubBytes: one keyed S-box a lane
+        keys = rk[_BLOCK_BYTES * (r - 1):_BLOCK_BYTES * r]
+        a = [int.from_bytes(lane.translate(_KEYED_SBOX[k]), "little")
+             for lane, k in zip(lanes, keys)]
+        lanes = []
+        for j0, j1, j2, j3 in _COLUMNS:
+            # MixColumns of the shifted column: a_r ^ t ^ xtime(a_r ^ a_(r+1)),
+            # xtime doubling every byte of u with no carry between bytes
+            a0, a1, a2, a3 = a[j0], a[j1], a[j2], a[j3]
+            t = a0 ^ a1 ^ a2 ^ a3
+            u0, u1, u2, u3 = a0 ^ a1, a1 ^ a2, a2 ^ a3, a3 ^ a0
+            lanes += (x.to_bytes(n, "little") for x in (
+                a0 ^ t ^ (u0 & low7) << 1 ^ (u0 >> 7 & ones) * 0x1B,
+                a1 ^ t ^ (u1 & low7) << 1 ^ (u1 >> 7 & ones) * 0x1B,
+                a2 ^ t ^ (u2 & low7) << 1 ^ (u2 >> 7 & ones) * 0x1B,
+                a3 ^ t ^ (u3 & low7) << 1 ^ (u3 >> 7 & ones) * 0x1B))
     out = bytearray(len(data))
-    for j in range(_BLOCK_BYTES):  # final round: no MixColumns
-        lane = s[_SHIFT_ROWS[j]].to_bytes(n, "little").translate(_SBOX)
-        lane = int.from_bytes(lane, "little") ^ rk[10 * _BLOCK_BYTES + j] * ones
-        out[j::_BLOCK_BYTES] = lane.to_bytes(n, "little")
+    for j, i in enumerate(_SHIFT_ROWS):  # final round: no MixColumns
+        out[j::_BLOCK_BYTES] = lanes[i].translate(
+            _KEYED_SBOX[rk[9 * _BLOCK_BYTES + i]]).translate(
+            _ADD_KEY[rk[10 * _BLOCK_BYTES + j]])
     return bytes(out)
 
 

@@ -1,4 +1,5 @@
-"""Mutation analysis of the tier-1 suite: `python tests/mutants.py`.
+"""Mutation analysis of the tier-1 suite:
+`python tests/mutants.py [--first-kill]`.
 
 Each mutant in MUTANTS replaces an exact piece of one file under
 src/rejsamp.  The script applies it in a fresh temporary copy of src/,
@@ -8,6 +9,12 @@ pytest process at a time, and reports the mutant as killed (with the
 failing test ids), equivalent (declared in EQUIVALENT) or survived.  The
 exit status is 1 if a mutant survived, and 2 if the unmutated copy, run
 first, fails.  README ("Install and test") says more.
+
+--first-kill gives the same score and exit status sooner, but no kill
+sets: each run stops at its first failing test (pytest -x), with the
+mutated module's own test file first and then every other test file.
+The full kill sets, which the default mode prints, are what a test's
+removal has to be judged on.
 
 A test may leave the suite only if every mutant it kills is still killed,
 and each of its asserts is made, by a named test that stays; one that
@@ -22,6 +29,7 @@ A pin may move, though: a test that pins a value may leave once a test
 that stays asserts the same value on the same code path.
 """
 
+import argparse
 import os
 import shutil
 import subprocess
@@ -46,6 +54,17 @@ MUTANTS = [
     ("keystream-one-block-more", "aesprg.py", "// _BLOCK_BYTES))",
      "// _BLOCK_BYTES) + 1)"),
     ("cipher-takes-no-blocks", "aesprg.py", "if not n or rest:", "if rest:"),
+    ("xtime-reduces-by-0x1a", "aesprg.py", "(u0 >> 7 & ones) * 0x1B",
+     "(u0 >> 7 & ones) * 0x1A"),
+    ("xtime-keeps-bit-7", "aesprg.py", "low7 = 0x7F * ones", "low7 = 0xFF * ones"),
+    ("keyed-sbox-ignores-key", "aesprg.py", "(ident ^ k * ones)", "(ident)"),
+    ("round-reads-its-own-key", "aesprg.py",
+     "rk[_BLOCK_BYTES * (r - 1):_BLOCK_BYTES * r]",
+     "rk[_BLOCK_BYTES * r:_BLOCK_BYTES * (r + 1)]"),
+    ("final-round-key-dropped", "aesprg.py", "_ADD_KEY[rk[10 * _BLOCK_BYTES + j]]",
+     "_ADD_KEY[0]"),
+    ("bad-schedule-struct-error", "aesprg.py", "except struct.error:",
+     "except KeyError:"),
     ("zero-fill-with-1", "sampler.py", "len(spares) else 0", "len(spares) else 1"),
     ("spares-in-reverse", "sampler.py", 'bytes([q]), b"")', 'bytes([q]), b"")[::-1]'),
     ("mask-with-q-minus-1", "sampler.py", "b & q for", "b & (q - 1) for"),
@@ -125,9 +144,23 @@ MUTANTS = [
 EQUIVALENT = {}
 
 
-def failed_tests(mutant=None) -> set[str]:
-    """The tier-1 test ids that fail in a fresh copy with mutant applied;
-    a run that fails naming no test gives one pseudo-id."""
+def first_kill_args(file=None) -> list[str]:
+    """pytest's arguments for a run that stops at its first failure, the
+    mutated file's own test file first (test_hwsim.py for hwsim/*).  Each
+    test file is named: pytest merges a file into a directory argument
+    that holds it and runs the directory in its own order."""
+    names = sorted(path.name for path in (ROOT / "tests").glob("test_*.py"))
+    if file:
+        own = f"test_{Path(file).parts[0].removesuffix('.py')}.py"
+        names.remove(own)
+        names.insert(0, own)
+    return ["-x"] + [f"tests/{name}" for name in names]
+
+
+def failed_tests(mutant=None, first_kill=False) -> set[str]:
+    """The tier-1 test ids that fail in a fresh copy with mutant applied,
+    or only the first of them; a run that fails naming no test gives one
+    pseudo-id."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         for part in ("src", "tests"):
@@ -144,7 +177,8 @@ def failed_tests(mutant=None) -> set[str]:
             assert text.count(old) == 1, f"{name}: old text not found once"
             path.write_text(text.replace(old, new))
         xml = tmp / "junit.xml"
-        code = subprocess.run(TIER1 + [f"--junitxml={xml}"], cwd=tmp,
+        extra = first_kill_args(mutant and mutant[1]) if first_kill else []
+        code = subprocess.run(TIER1 + extra + [f"--junitxml={xml}"], cwd=tmp,
                               env=dict(os.environ, PYTHONPATH="src"),
                               stdout=subprocess.DEVNULL,
                               stderr=subprocess.DEVNULL).returncode
@@ -156,7 +190,11 @@ def failed_tests(mutant=None) -> set[str]:
 
 
 def main() -> int:
-    broken = failed_tests()
+    ap = argparse.ArgumentParser(description="mutation analysis of tier-1")
+    ap.add_argument("--first-kill", action="store_true",
+                    help="score only: stop each mutant at its first kill")
+    first_kill = ap.parse_args().first_kill
+    broken = failed_tests(first_kill=first_kill)
     if broken:
         print("the unmutated copy fails:", *sorted(broken), sep="\n    ")
         return 2
@@ -166,7 +204,7 @@ def main() -> int:
         if name in EQUIVALENT:
             print(f"equivalent {name} ({file}): {EQUIVALENT[name]}")
             continue
-        killers = failed_tests(mutant)
+        killers = failed_tests(mutant, first_kill)
         if not killers:
             survived.append(name)
         print(f"{'killed' if killers else 'survived'} {name} ({file})",

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from rejsamp import aesprg
 from rejsamp.params import SecurityLevel, builtin_params
+from oracles import _SBOX as oracle_SBOX
 from oracles import aes128_encrypt_oracle, keystream_oracle
 
 KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
@@ -47,6 +48,19 @@ def test_bad_lengths_rejected():
             aesprg.keystream(KEY[:-1], iv, n_bytes)
     with pytest.raises(ValueError, match="empty keystream request"):
         aesprg.keystream(KEY, b"\x00", 0)
+    # a schedule that is not 44 32-bit words; the data length is checked
+    # first, then the schedule
+    for w in ([1, 2], [1 << 32] * 44):
+        with pytest.raises(ValueError, match="key schedule must be 44 32-bit words"):
+            aesprg.encrypt_block_expanded(w, PT)
+        with pytest.raises(ValueError, match="multiple of 16"):
+            aesprg.encrypt_block_expanded(w, PT[:-1])
+
+
+def test_keyed_sboxes_match_oracle_exhaustively():
+    # every (k, x): the table of key byte k maps x to S(x ^ k)
+    assert [list(t) for t in aesprg._KEYED_SBOX] == \
+        [[oracle_SBOX[x ^ k] for x in range(256)] for k in range(256)]
 
 
 def test_against_openssl():
@@ -129,6 +143,9 @@ def _cycled(blocks):
 @example(key=KEY, data=_cycled(256))
 @example(key=KEY, data=_cycled(257))
 @example(key=KEY, data=_cycled(689))
+# plaintext with bit 7 set in every byte of every lane
+@example(key=KEY, data=b"\x80" * 16 * 3)
+@example(key=KEY, data=b"\xff" * 16 * 3)
 def test_batched_cipher_matches_oracle_per_block(key, data):
     w = aesprg.expand_key(key)
     blocks = [data[i:i + 16] for i in range(0, len(data), 16)]
