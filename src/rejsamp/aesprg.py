@@ -24,6 +24,7 @@ Counter block layout (16 bytes), fixed as in the coprocessor, which can
 load only the seed: 8 zero bytes, the 2-byte iv, then the 6-byte
 big-endian running block index. ctr_blocks is the one place that builds it.
 """
+
 import struct
 from collections.abc import Iterator
 
@@ -105,8 +106,9 @@ def encrypt_block_expanded(w: list[int], data: bytes) -> bytes:
                          "expand_key returns") from None
     ones = int.from_bytes(b"\x01" * n, "little")
     low7 = 0x7F * ones
+    to = int.to_bytes
     # lane j: state byte j (row j % 4, column j // 4) of every block
-    lanes = [data[j::_BLOCK_BYTES] for j in range(_BLOCK_BYTES)]
+    lanes = [bytes(data[j::_BLOCK_BYTES]) for j in range(_BLOCK_BYTES)]
     for r in range(1, 10):
         # AddRoundKey of round r - 1, then SubBytes: one keyed S-box a lane
         keys = rk[_BLOCK_BYTES * (r - 1):_BLOCK_BYTES * r]
@@ -119,11 +121,11 @@ def encrypt_block_expanded(w: list[int], data: bytes) -> bytes:
             a0, a1, a2, a3 = a[j0], a[j1], a[j2], a[j3]
             t = a0 ^ a1 ^ a2 ^ a3
             u0, u1, u2, u3 = a0 ^ a1, a1 ^ a2, a2 ^ a3, a3 ^ a0
-            lanes += (x.to_bytes(n, "little") for x in (
-                a0 ^ t ^ (u0 & low7) << 1 ^ (u0 >> 7 & ones) * 0x1B,
-                a1 ^ t ^ (u1 & low7) << 1 ^ (u1 >> 7 & ones) * 0x1B,
-                a2 ^ t ^ (u2 & low7) << 1 ^ (u2 >> 7 & ones) * 0x1B,
-                a3 ^ t ^ (u3 & low7) << 1 ^ (u3 >> 7 & ones) * 0x1B))
+            lanes += (
+                to(a0 ^ t ^ (u0 & low7) << 1 ^ (u0 >> 7 & ones) * 0x1B, n, "little"),
+                to(a1 ^ t ^ (u1 & low7) << 1 ^ (u1 >> 7 & ones) * 0x1B, n, "little"),
+                to(a2 ^ t ^ (u2 & low7) << 1 ^ (u2 >> 7 & ones) * 0x1B, n, "little"),
+                to(a3 ^ t ^ (u3 & low7) << 1 ^ (u3 >> 7 & ones) * 0x1B, n, "little"))
     out = bytearray(len(data))
     for j, i in enumerate(_SHIFT_ROWS):  # final round: no MixColumns
         out[j::_BLOCK_BYTES] = lanes[i].translate(

@@ -19,6 +19,8 @@ ZEROS_CT = bytes.fromhex("66e94bd4ef8a2c3b884cfa59ca342b2e")
 
 def test_fips_known_answer():
     assert aesprg.encrypt_block_expanded(aesprg.expand_key(KEY), PT) == CT
+    # any bytes-like data
+    assert aesprg.encrypt_block_expanded(aesprg.expand_key(KEY), memoryview(PT)) == CT
 
 
 def test_all_zero_known_answer():
