@@ -155,7 +155,7 @@ def _cmd_fom(args) -> int:
                 raise ValueError("metrics file is nested too deeply") from None
     else:
         doc = fom.REFERENCE_INPUTS
-    report = fom.report_from_doc(doc)
+    report = fom.fom_report(doc)
     for warning in report["warnings"]:
         print(f"warning: {warning}", file=sys.stderr)
     _emit(fom.report_to_csv(report) if args.format == "csv"

@@ -3,28 +3,24 @@ and cycle-count-to-latency conversion.
 
 All hardware measurements (LUTs, silicon area, critical path delay, power,
 operating frequency) are inputs supplied from synthesis reports; nothing
-here claims to derive them. fom_report computes every product from them
-and checks its own report-level inputs; report_from_doc only parses a
-metrics document into those inputs. Each report row carries its units.
+here claims to derive them. fom_report is the one entry point: it checks a
+metrics document and computes every product from the figures in it. Each
+report row carries its units.
 """
 
 import math
-from dataclasses import MISSING, dataclass, fields
-from enum import Enum
 
 UM2_S = "um^2*s"
 LUT_S = "LUT*s"
 MW_S = "mW*s"
 
-
-class PlatformKind(Enum):
-    ASIC = "ASIC"
-    FPGA = "FPGA"
-
-
 # each kind's one size field and the unit of its area-delay product
-_SIZE = {PlatformKind.ASIC: ("area_um2", UM2_S),
-         PlatformKind.FPGA: ("luts", LUT_S)}
+_SIZE = {"ASIC": ("area_um2", UM2_S), "FPGA": ("luts", LUT_S)}
+
+# a platform entry's fields, in the order _platform checks the numeric
+# ones; null in an optional one other than name means the field is absent
+_REQUIRED = ("cpd_ns", "power_mw", "tech_nm")
+_FIELDS = ("kind", *_REQUIRED, "area_um2", "luts", "name", "power_listed_w")
 
 # each numeric field's rule: _check requires a finite number, not a bool,
 # that meets it
@@ -50,51 +46,40 @@ def _check(field: str, value) -> None:
                          f"{value!r}")
 
 
-@dataclass(frozen=True)
-class PlatformMetrics:
-    """One platform's measured figures.
+def _platform(entry) -> dict:
+    """One platform entry of a metrics document, checked, with every field
+    of _FIELDS present: name "" and an absent optional field None.
 
-    kind must be a PlatformKind and name a string. Exactly one of
-    area_um2 (ASIC) / luts (FPGA) must be present, matching kind, and
-    every numeric field given meets its rule in _RULES.
-    power_listed_w records a power figure whose source quoted watts;
-    when it disagrees with power_mw by a factor of 1000 the report carries
-    a unit-discrepancy warning instead of guessing the intent.
+    kind is "ASIC" or "FPGA" and name a string. Exactly one of area_um2
+    (ASIC) / luts (FPGA) is given, matching kind, and every numeric field
+    given meets its rule in _RULES. power_listed_w records a power figure
+    whose source quoted watts; when it disagrees with power_mw by a factor
+    of 1000 the report carries a unit-discrepancy warning instead of
+    guessing the intent.
     """
-    kind: PlatformKind
-    cpd_ns: float
-    power_mw: float
-    tech_nm: float
-    area_um2: float | None = None
-    luts: int | None = None
-    name: str = ""
-    power_listed_w: float | None = None
-
-    def __post_init__(self):
-        if not isinstance(self.kind, PlatformKind):
-            raise ValueError(f"kind must be a PlatformKind, got {self.kind!r}")
-        if not isinstance(self.name, str):
-            raise ValueError(f"platform name must be a string, got "
-                             f"{self.name!r}")
-        size = _SIZE[self.kind][0]
-        given = [f for f, _ in _SIZE.values() if getattr(self, f) is not None]
-        if given != [size]:
-            raise ValueError(f"{self.kind.value} metrics need {size} and no "
-                             f"other size field, got {given}")
-        for f in fields(self):
-            value = getattr(self, f.name)
-            optional_and_absent = value is None and f.default is None
-            if f.name in _RULES and not optional_and_absent:
-                _check(f.name, value)
-
-    def unit_warning(self) -> str | None:
-        if self.power_listed_w is None:
-            return None
-        if math.isclose(self.power_listed_w * 1000.0, self.power_mw):
-            return None
-        return (f"{self.name or self.kind.value}: source lists power as "
-                f"{self.power_listed_w} W but the figures are computed with "
-                f"{self.power_mw} mW; the source units are inconsistent")
+    if not isinstance(entry, dict):
+        raise ValueError(f"platform entry must be an object: {entry!r}")
+    kind = entry.get("kind")
+    if not (isinstance(kind, str) and kind in _SIZE):
+        raise ValueError(f"platform entry needs kind ASIC or FPGA: {entry!r}")
+    extra = set(entry) - set(_FIELDS)
+    if extra:
+        raise ValueError(f"unknown metric field(s) {sorted(extra)}")
+    missing = [f for f in _REQUIRED if f not in entry]
+    if missing:
+        raise ValueError(f"platform entry missing field(s) {missing}")
+    m = {**dict.fromkeys(_FIELDS), "name": "", **entry}
+    if not isinstance(m["name"], str):
+        raise ValueError(f"platform name must be a string, got {m['name']!r}")
+    size = _SIZE[kind][0]
+    given = [f for f, _ in _SIZE.values() if m[f] is not None]
+    if given != [size]:
+        raise ValueError(f"{kind} metrics need {size} and no other size "
+                         f"field, got {given}")
+    for f in _FIELDS:
+        if f in _RULES and (f in _REQUIRED or m[f] is not None):
+            _check(f, m[f])
+    return m
 
 
 def latency(cycles: int, freq_hz: float) -> float:
@@ -112,7 +97,7 @@ def latency(cycles: int, freq_hz: float) -> float:
 
 # Measured inputs for the modeled accelerator: post-place-and-route on an
 # Artix-7 (28 nm fabric) and logic synthesis on 65 nm CMOS. The FPGA total
-# power is quoted in watts by the source; see PlatformMetrics.unit_warning.
+# power is quoted in watts by the source; see _platform's power_listed_w.
 REFERENCE_INPUTS = {
     "lut_area_um2": 1.0,
     "scale_to_nm": 65,
@@ -138,93 +123,73 @@ REFERENCE_INPUTS = {
 }
 
 
-def metrics_from_dict(entry: dict) -> PlatformMetrics:
-    """The PlatformMetrics of one platform entry of a metrics document;
-    null in an optional field means the field is absent."""
-    if not isinstance(entry, dict):
-        raise ValueError(f"platform entry must be an object: {entry!r}")
-    try:
-        kind = PlatformKind(entry["kind"])
-    except (KeyError, ValueError):
-        raise ValueError(f"platform entry needs kind ASIC or FPGA: {entry!r}")
-    extra = set(entry) - {f.name for f in fields(PlatformMetrics)}
-    if extra:
-        raise ValueError(f"unknown metric field(s) {sorted(extra)}")
-    missing = [f.name for f in fields(PlatformMetrics)
-               if f.default is MISSING and f.name not in entry]
-    if missing:
-        raise ValueError(f"platform entry missing field(s) {missing}")
-    return PlatformMetrics(**dict(entry, kind=kind))
-
-
-def _row(platform: str, m: PlatformMetrics, adp: float, adp_unit: str,
-         pdp: float, provenance: str) -> dict:
+def _row(platform: str, m: dict, adp: float, adp_unit: str, pdp: float,
+         provenance: str) -> dict:
     """One report row: the platform's finite ADP (in adp_unit) and PDP."""
     for label, value in (("ADP", adp), ("PDP", pdp)):
         if not math.isfinite(value):
             raise ValueError(f"{platform}: {label} {value} is not finite")
     return {
         "platform": platform,
-        "kind": m.kind.value,
-        "cpd_ns": m.cpd_ns,
+        "kind": m["kind"],
+        "cpd_ns": m["cpd_ns"],
         "adp": adp, "adp_unit": adp_unit, "adp_3sf": f"{adp:.2e}",
         "pdp": pdp, "pdp_unit": MW_S, "pdp_3sf": f"{pdp:.2e}",
         "provenance": provenance,
     }
 
 
-def fom_report(metrics: list[PlatformMetrics], scale_to_nm: float | None = None,
-               lut_area_um2: float = 1.0) -> dict:
-    """A comparison-table-shaped report: one row per platform plus a
-    tech-scaled row per FPGA entry when a target node is given.
+def fom_report(doc) -> dict:
+    """The comparison-table-shaped report of a metrics document: one row
+    per platform plus a tech-scaled row per FPGA entry when a target node
+    is given.
 
-    With CPD in seconds, a row's ADP is its size field (area_um2 in
-    um^2*s, luts in LUT*s) x CPD and its PDP is power_mw x CPD in mW*s.
-    The tech-scaled row's ADP, in um^2*s, is
-    luts x lut_area_um2 x CPD x ratio x ratio with ratio = scale_to_nm /
-    tech_nm. lut_area_um2 is the assumed silicon area of one LUT at the
-    FPGA's own node; there is no physical default, so 1.0 is only a
-    normalization. scale_to_nm (when given) and lut_area_um2 must be
-    finite positive numbers.
+    doc is an object with a "platforms" list of entries (see _platform)
+    and the optional scale_to_nm (null means absent) and lut_area_um2
+    (default 1.0), which must be finite positive numbers. With CPD in
+    seconds, a row's ADP is its size field (area_um2 in um^2*s, luts in
+    LUT*s) x CPD and its PDP is power_mw x CPD in mW*s. The tech-scaled
+    row's ADP, in um^2*s, is luts x lut_area_um2 x CPD x ratio x ratio
+    with ratio = scale_to_nm / tech_nm. lut_area_um2 is the assumed
+    silicon area of one LUT at the FPGA's own node; there is no physical
+    default, so 1.0 is only a normalization.
     """
-    if scale_to_nm is not None:
-        _check("scale_to_nm", scale_to_nm)
-    _check("lut_area_um2", lut_area_um2)
-    rows = []
-    warnings = []
-    for m in metrics:
-        size, adp_unit = _SIZE[m.kind]
-        cpd_s = m.cpd_ns * 1e-9
-        pdp = m.power_mw * cpd_s
-        rows.append(_row(m.name or m.kind.value, m, getattr(m, size) * cpd_s,
-                         adp_unit, pdp, "inputs measured; products derived"))
-        w = m.unit_warning()
-        if w:
-            warnings.append(w)
-        if m.kind is PlatformKind.FPGA and scale_to_nm is not None:
-            # squared by multiplying: an overflow gives inf, not an error
-            ratio = scale_to_nm / m.tech_nm
-            rows.append(_row(
-                f"{m.name or 'FPGA'} (tech-scaled to {scale_to_nm:g} nm)", m,
-                m.luts * lut_area_um2 * cpd_s * ratio * ratio, UM2_S, pdp,
-                f"scaled with (to/from)^2 assuming {lut_area_um2:g} um^2 per "
-                f"LUT at {m.tech_nm:g} nm"))
-    return {"rows": rows, "warnings": warnings}
-
-
-def report_from_doc(doc) -> dict:
-    """The report for a metrics document: an object with a "platforms"
-    list of entries for metrics_from_dict and the optional scale_to_nm and
-    lut_area_um2 (default 1.0), which fom_report checks."""
     if not isinstance(doc, dict) or not isinstance(doc.get("platforms"), list):
         raise ValueError('metrics file must be an object with a "platforms" '
                          'list')
     extra = set(doc) - {"platforms", "scale_to_nm", "lut_area_um2"}
     if extra:
         raise ValueError(f"unknown metrics file field(s) {sorted(extra)}")
-    metrics = [metrics_from_dict(e) for e in doc["platforms"]]
-    return fom_report(metrics, scale_to_nm=doc.get("scale_to_nm"),
-                      lut_area_um2=doc.get("lut_area_um2", 1.0))
+    platforms = [_platform(e) for e in doc["platforms"]]
+    scale_to_nm = doc.get("scale_to_nm")
+    lut_area_um2 = doc.get("lut_area_um2", 1.0)
+    if scale_to_nm is not None:
+        _check("scale_to_nm", scale_to_nm)
+    _check("lut_area_um2", lut_area_um2)
+    rows = []
+    warnings = []
+    for m in platforms:
+        size, adp_unit = _SIZE[m["kind"]]
+        name = m["name"] or m["kind"]
+        cpd_s = m["cpd_ns"] * 1e-9
+        pdp = m["power_mw"] * cpd_s
+        rows.append(_row(name, m, m[size] * cpd_s, adp_unit, pdp,
+                         "inputs measured; products derived"))
+        listed = m["power_listed_w"]
+        if listed is not None and not math.isclose(listed * 1000.0,
+                                                   m["power_mw"]):
+            warnings.append(f"{name}: source lists power as {listed} W but "
+                            f"the figures are computed with {m['power_mw']} "
+                            f"mW; the source units are inconsistent")
+        if m["kind"] == "FPGA" and scale_to_nm is not None:
+            # squared by multiplying: an overflow gives inf, not an error
+            ratio = scale_to_nm / m["tech_nm"]
+            rows.append(_row(
+                f"{name} (tech-scaled to {scale_to_nm:g} nm)", m,
+                m["luts"] * lut_area_um2 * cpd_s * ratio * ratio, UM2_S, pdp,
+                f"scaled with (to/from)^2 assuming {lut_area_um2:g} um^2 per "
+                f"LUT at {m['tech_nm']:g} nm"))
+    return {"rows": rows, "warnings": warnings}
 
 
 def _csv_field(text: str) -> str:

@@ -5,7 +5,8 @@ Each mutant in MUTANTS replaces an exact piece of one file under
 src/rejsamp.  The script applies it in a fresh temporary copy of src/,
 tests/, pyproject.toml, bench/tracing.py and bench/workloads.py (which
 test_bench_tracing.py loads), runs the tier-1 command there once, one
-pytest process at a time, and reports the mutant as killed (with the
+pytest process at a time and with Hypothesis's shrink phase off (only
+which tests fail is read), and reports the mutant as killed (with the
 failing test ids), equivalent (declared in EQUIVALENT) or survived.  The
 exit status is 1 if a mutant survived, and 2 if the unmutated copy, run
 first, fails.  README ("Install and test") says more.
@@ -14,7 +15,8 @@ first, fails.  README ("Install and test") says more.
 sets: each run stops at its first failing test (pytest -x), with the
 mutated module's own test file first and then every other test file.
 The full kill sets, which the default mode prints, are what a test's
-removal has to be judged on.
+removal has to be judged on; that mode ends with the tests that kill no
+mutant, out of every test id of the unmutated run.
 
 A test may leave the suite only if every mutant it kills is still killed,
 and each of its asserts is made, by a named test that stays; one that
@@ -39,11 +41,17 @@ import xml.etree.ElementTree as ElementTree
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-# the tier-1 command, less the guard that checks this table against the
-# unmutated source (a mutated copy always fails it)
+# the tier-1 command with no shrinking, less the guard that checks this
+# table against the unmutated source (a mutated copy always fails it)
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
-         "-p", "no:cacheprovider", "--hypothesis-seed=0", "--deselect",
+         "-p", "no:cacheprovider", "--hypothesis-seed=0",
+         "--hypothesis-profile=mutants", "--deselect",
          "tests/test_dependencies.py::test_every_mutant_applies_once"]
+# written into each copy, so that --hypothesis-profile can name the profile
+CONFTEST = """from hypothesis import Phase, settings
+
+settings.register_profile("mutants", phases=set(Phase) - {Phase.shrink})
+"""
 
 # (name, file under src/rejsamp, exact old text, new text)
 MUTANTS = [
@@ -88,19 +96,39 @@ MUTANTS = [
      "- set(fields)"),
     ("kat-signed-decimal", "kat.py", "value.isascii() and value.isdigit()",
      'value.lstrip("+").isdigit()'),
-    ("adp-in-ns", "fom.py", "getattr(m, size) * cpd_s", "getattr(m, size) * m.cpd_ns"),
-    ("tech-ratio-inverted", "fom.py", "= scale_to_nm / m.tech_nm",
-     "= m.tech_nm / scale_to_nm"),
+    ("adp-in-ns", "fom.py", "m[size] * cpd_s", 'm[size] * m["cpd_ns"]'),
+    ("pdp-drops-cpd", "fom.py", '= m["power_mw"] * cpd_s', '= m["power_mw"] * 1e-9'),
+    ("tech-ratio-inverted", "fom.py", '= scale_to_nm / m["tech_nm"]',
+     '= m["tech_nm"] / scale_to_nm'),
+    ("row-ignores-name", "fom.py", 'name = m["name"] or m["kind"]', 'name = m["kind"]'),
     ("csv-cr-unquoted", "fom.py", r"""',"\r\n'""", r"""',"\n'"""),
-    ("warning-ignores-watts", "fom.py", "power_listed_w * 1000.0,", "power_listed_w,"),
+    ("csv-never-quotes", "fom.py", r"""if any(c in text for c in ',"\r\n'):""",
+     "if False:"),
+    ("csv-quotes-undoubled", "fom.py", """text.replace('"', '""')""", "text"),
+    ("warning-ignores-watts", "fom.py", "listed * 1000.0,", "listed,"),
     ("fractional-luts-accepted", "fom.py", "x > 0 and float(x).is_integer()", "x > 0"),
     ("cpd-zero-accepted", "fom.py", '"cpd_ns": "positive"', '"cpd_ns": "non-negative"'),
-    ("unknown-metric-field-accepted", "fom.py",
-     "- {f.name for f in fields(PlatformMetrics)}", "- set(entry)"),
-    ("platform-name-not-checked", "fom.py", "if not isinstance(self.name, str):",
+    ("bools-accepted", "fom.py", "not isinstance(value, bool) and ", ""),
+    ("int-past-float-traceback", "fom.py", "except (TypeError, OverflowError):",
+     "except TypeError:"),
+    ("non-number-traceback", "fom.py", "except (TypeError, OverflowError):",
+     "except OverflowError:"),
+    ("optional-fields-unchecked", "fom.py", "(f in _REQUIRED or m[f] is not None)",
+     "f in _REQUIRED"),
+    ("entry-type-unchecked", "fom.py", "if not isinstance(entry, dict):", "if False:"),
+    ("kind-type-unchecked", "fom.py", "isinstance(kind, str) and kind in", "kind in"),
+    ("unknown-metric-field-accepted", "fom.py", "- set(_FIELDS)", "- set(entry)"),
+    ("platform-name-not-checked", "fom.py", 'if not isinstance(m["name"], str):',
      "if False:"),
+    ("both-size-fields-accepted", "fom.py", "given != [size]", "size not in given"),
+    ("empty-platforms-refused", "fom.py", 'not isinstance(doc.get("platforms"), list)',
+     'not doc.get("platforms")'),
     ("unknown-doc-field-accepted", "fom.py",
      '- {"platforms", "scale_to_nm", "lut_area_um2"}', "- set(doc)"),
+    ("scale-unchecked", "fom.py", '_check("scale_to_nm", scale_to_nm)', "pass"),
+    ("lut-area-unchecked", "fom.py", '_check("lut_area_um2", lut_area_um2)', "pass"),
+    ("row-finiteness-unchecked", "fom.py", "if not math.isfinite(value):", "if False:"),
+    ("infinite-freq-accepted", "fom.py", "0 < freq_hz < math.inf", "0 < freq_hz"),
     ("exit-4-reported-as-2", "cli.py", "return EXIT_CAPACITY", "return EXIT_USAGE"),
     ("exit-3-reported-as-2", "cli.py", "return EXIT_UNSUPPORTED_LEVEL",
      "return EXIT_USAGE"),
@@ -157,16 +185,17 @@ def first_kill_args(file=None) -> list[str]:
     return ["-x"] + [f"tests/{name}" for name in names]
 
 
-def failed_tests(mutant=None, first_kill=False) -> set[str]:
-    """The tier-1 test ids that fail in a fresh copy with mutant applied,
-    or only the first of them; a run that fails naming no test gives one
-    pseudo-id."""
+def tier1(mutant=None, first_kill=False) -> tuple[set[str], set[str]]:
+    """The ids of the tier-1 tests run in a fresh copy with mutant
+    applied, and of those that fail (or only the first); a run that fails
+    naming no test gives one pseudo-id."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, tmp / part,
                             ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", tmp)
+        (tmp / "conftest.py").write_text(CONFTEST)
         (tmp / "bench").mkdir()
         for name in ("tracing.py", "workloads.py"):
             shutil.copy(ROOT / "bench" / name, tmp / "bench")
@@ -182,11 +211,11 @@ def failed_tests(mutant=None, first_kill=False) -> set[str]:
                               env=dict(os.environ, PYTHONPATH="src"),
                               stdout=subprocess.DEVNULL,
                               stderr=subprocess.DEVNULL).returncode
-        failed = {f"{case.get('classname')}::{case.get('name')}"
-                  for case in ElementTree.parse(xml).iter("testcase")
-                  if case.find("failure") is not None
-                  or case.find("error") is not None} if xml.exists() else set()
-    return failed or ({f"(pytest exit {code})"} if code else set())
+        cases = ElementTree.parse(xml).findall(".//testcase") if xml.exists() else []
+    ran = {f"{case.get('classname')}::{case.get('name')}": case for case in cases}
+    failed = {name for name, case in ran.items()
+              if {"failure", "error"} & {child.tag for child in case}}
+    return set(ran), failed or ({f"(pytest exit {code})"} if code else set())
 
 
 def main() -> int:
@@ -194,17 +223,19 @@ def main() -> int:
     ap.add_argument("--first-kill", action="store_true",
                     help="score only: stop each mutant at its first kill")
     first_kill = ap.parse_args().first_kill
-    broken = failed_tests(first_kill=first_kill)
+    ran, broken = tier1(first_kill=first_kill)
     if broken:
         print("the unmutated copy fails:", *sorted(broken), sep="\n    ")
         return 2
     survived = []
+    idle = set(ran)  # the tests that have killed no mutant yet
     for mutant in MUTANTS:
         name, file = mutant[:2]
         if name in EQUIVALENT:
             print(f"equivalent {name} ({file}): {EQUIVALENT[name]}")
             continue
-        killers = failed_tests(mutant, first_kill)
+        killers = tier1(mutant, first_kill)[1]
+        idle -= killers
         if not killers:
             survived.append(name)
         print(f"{'killed' if killers else 'survived'} {name} ({file})",
@@ -213,6 +244,9 @@ def main() -> int:
     print(f"mutation score {scored - len(survived)}/{scored}; "
           f"{len(EQUIVALENT)} declared equivalent; survived: "
           f"{', '.join(survived) or 'none'}")
+    if not first_kill:
+        print(f"tests that kill no mutant: {len(idle)} of {len(ran)}",
+              *sorted(idle), sep="\n    ")
     return 1 if survived else 0
 
 

@@ -120,7 +120,7 @@ def test_c07_latency_arithmetic():
 
 
 def test_c08_fom_table_reproduction():
-    rep = fom.report_from_doc(fom.REFERENCE_INPUTS)
+    rep = fom.fom_report(fom.REFERENCE_INPUTS)
     cells = {(r["platform"], r["adp_unit"]): (r["adp_3sf"], r["pdp_3sf"])
              for r in rep["rows"]}
     assert cells[("ASIC (65 nm)", fom.UM2_S)] == ("8.23e-04", "2.28e-10")
@@ -149,12 +149,11 @@ def test_c10_hardware_measurements_are_inputs_only():
     # synthesis measurements: they enter as fom inputs, are echoed with
     # measured provenance, and nothing in the package computes them
     doc = fom.REFERENCE_INPUTS
-    metrics = [fom.metrics_from_dict(e) for e in doc["platforms"]]
-    rep = fom.report_from_doc(doc)
+    rep = fom.fom_report(doc)
     direct = [r for r in rep["rows"] if "tech-scaled" not in r["platform"]]
-    for row, m in zip(direct, metrics, strict=True):
+    for row, entry in zip(direct, doc["platforms"], strict=True):
         assert "measured" in row["provenance"]
-        assert row["cpd_ns"] == m.cpd_ns  # echoed, not derived
+        assert row["cpd_ns"] == entry["cpd_ns"]  # echoed, not derived
     public = [n for n in dir(fom) if not n.startswith("_")]
     assert not any("synthesize" in n or "estimate_area" in n for n in public)
     _report(10, "resource/power figures are fom inputs, never reproduced")

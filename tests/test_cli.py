@@ -372,6 +372,7 @@ ASIC = {"kind": "ASIC", "cpd_ns": 1.0, "power_mw": 1.0, "tech_nm": 65}
     {"platforms": [dict(FPGA, power_mw=None)]},
     {"platforms": [dict(ASIC, area_um2=1.0, tech_nm=None)]},
     {"platforms": [dict(FPGA, luts=10**400)]},
+    {"platforms": [dict(FPGA, kind=["FPGA"])]},
 ], ids=["entry-not-an-object", "non-numeric-field", "non-numeric-scale",
         "platforms-not-a-list", "list-name", "number-name",
         "unknown-top-level-field", "negative-lut-area", "null-lut-area",
@@ -379,7 +380,7 @@ ASIC = {"kind": "ASIC", "cpd_ns": 1.0, "power_mw": 1.0, "tech_nm": 65}
         "negative-listed-power", "asic-only-negative-scale",
         "empty-platforms-zero-scale", "scaled-area-overflow",
         "asic-adp-overflow", "null-cpd", "null-power", "null-tech",
-        "int-past-float-luts"])
+        "int-past-float-luts", "kind-not-a-string"])
 def test_fom_malformed_entry_exit2(doc, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))

@@ -5,8 +5,7 @@ import math
 import pytest
 
 from rejsamp import fom
-from rejsamp.fom import (PlatformKind, PlatformMetrics, fom_report, latency,
-                         metrics_from_dict)
+from rejsamp.fom import fom_report, latency
 
 
 def round_sig(x: float, sig: int = 3) -> float:
@@ -15,16 +14,20 @@ def round_sig(x: float, sig: int = 3) -> float:
     return round(x, -int(math.floor(math.log10(abs(x)))) + sig - 1)
 
 
-ASIC = PlatformMetrics(kind=PlatformKind.ASIC, area_um2=464866.0, cpd_ns=1.77,
-                       power_mw=0.129, tech_nm=65, name="ASIC (65 nm)")
-FPGA = PlatformMetrics(kind=PlatformKind.FPGA, luts=5108, cpd_ns=4.50,
-                       power_mw=1.2, tech_nm=28, name="FPGA (Artix-7)",
-                       power_listed_w=1.2)
+ASIC = dict(kind="ASIC", area_um2=464866.0, cpd_ns=1.77, power_mw=0.129,
+            tech_nm=65, name="ASIC (65 nm)")
+FPGA = dict(kind="FPGA", luts=5108, cpd_ns=4.50, power_mw=1.2, tech_nm=28,
+            name="FPGA (Artix-7)", power_listed_w=1.2)
 
 
-def row(m: PlatformMetrics, **kw) -> dict:
-    """The measured (first) report row of platform m alone."""
-    return fom_report([m], **kw)["rows"][0]
+def report(*platforms, **top) -> dict:
+    """The report of a metrics document of platforms and top-level fields."""
+    return fom_report({"platforms": list(platforms), **top})
+
+
+def row(m: dict) -> dict:
+    """The measured (first) report row of platform entry m alone."""
+    return report(m)["rows"][0]
 
 
 def test_adp_reference_values():
@@ -38,16 +41,13 @@ def test_pdp_reference_values():
     assert (row(ASIC)["pdp_unit"], round_sig(row(ASIC)["pdp"])) == \
         (fom.MW_S, 2.28e-10)
     assert round_sig(row(FPGA)["pdp"]) == 5.40e-9
-    zero = PlatformMetrics(kind=PlatformKind.ASIC, area_um2=1.0, cpd_ns=2.0,
-                           power_mw=0.0, tech_nm=65)
+    zero = dict(ASIC, power_mw=0.0)
     assert row(zero)["pdp"] == 0.0
 
 
 @pytest.mark.parametrize("factor", [0.5, 2.0, 10.0])
 def test_products_linear_in_cpd(factor):
-    scaled = PlatformMetrics(kind=PlatformKind.ASIC, area_um2=ASIC.area_um2,
-                             cpd_ns=ASIC.cpd_ns * factor,
-                             power_mw=ASIC.power_mw, tech_nm=ASIC.tech_nm)
+    scaled = dict(ASIC, cpd_ns=ASIC["cpd_ns"] * factor)
     assert row(scaled)["adp"] == pytest.approx(row(ASIC)["adp"] * factor)
     assert row(scaled)["pdp"] == pytest.approx(row(ASIC)["pdp"] * factor)
 
@@ -55,9 +55,8 @@ def test_products_linear_in_cpd(factor):
 def scaled_row(tech_nm: float, to_nm: float) -> dict:
     """The tech-scaled row of a 1-LUT, 1 s FPGA at tech_nm, so its ADP is
     the area scaling factor alone."""
-    one = PlatformMetrics(kind=PlatformKind.FPGA, luts=1, cpd_ns=1e9,
-                          power_mw=1.0, tech_nm=tech_nm)
-    return fom_report([one], scale_to_nm=to_nm)["rows"][1]
+    one = dict(kind="FPGA", luts=1, cpd_ns=1e9, power_mw=1.0, tech_nm=tech_nm)
+    return report(one, scale_to_nm=to_nm)["rows"][1]
 
 
 def test_scale_area():
@@ -70,7 +69,7 @@ def test_scale_area():
 
 
 def test_scaled_fpga_adp_reference_row():
-    rows = fom_report([ASIC, FPGA], scale_to_nm=65, lut_area_um2=1.0)["rows"]
+    rows = report(ASIC, FPGA, scale_to_nm=65, lut_area_um2=1.0)["rows"]
     assert [r["platform"] for r in rows] == [
         "ASIC (65 nm)", "FPGA (Artix-7)",
         "FPGA (Artix-7) (tech-scaled to 65 nm)"]
@@ -79,19 +78,18 @@ def test_scaled_fpga_adp_reference_row():
     assert round_sig(s["adp"]) == 1.24e-4
     assert s["adp"] == pytest.approx(rows[1]["adp"] * (65 / 28) ** 2)
     # no scaled row for an ASIC, or without a target node
-    assert len(fom_report([ASIC], scale_to_nm=65)["rows"]) == 1
-    assert len(fom_report([FPGA])["rows"]) == 1
+    assert len(report(ASIC, scale_to_nm=65)["rows"]) == 1
+    assert len(report(FPGA)["rows"]) == 1
 
 
 @pytest.mark.parametrize("field,value", [
     ("lut_area_um2", -1.0), ("lut_area_um2", True),
     ("lut_area_um2", float("nan")), ("scale_to_nm", 0)])
 def test_report_checks_its_own_inputs(field, value):
-    # a library caller meets the same rules as a metrics document, even
-    # when no row would use the value
-    for metrics in ([FPGA], [ASIC], []):
+    # checked even when no row would use the value
+    for platforms in ([FPGA], [ASIC], []):
         with pytest.raises(ValueError, match=field):
-            fom_report(metrics, **{"scale_to_nm": 65, field: value})
+            report(*platforms, **{"scale_to_nm": 65, field: value})
 
 
 @pytest.mark.parametrize("cycles,freq,quoted", [
@@ -115,38 +113,27 @@ def test_latency_validation():
 
 
 def test_metrics_validation():
-    with pytest.raises(ValueError, match="area_um2"):
-        PlatformMetrics(kind=PlatformKind.ASIC, luts=100, cpd_ns=1.0,
-                        power_mw=1.0, tech_nm=65)
-    with pytest.raises(ValueError, match="luts"):
-        PlatformMetrics(kind=PlatformKind.FPGA, area_um2=1.0, cpd_ns=1.0,
-                        power_mw=1.0, tech_nm=28)
-    with pytest.raises(ValueError, match="cpd"):
-        PlatformMetrics(kind=PlatformKind.ASIC, area_um2=1.0, cpd_ns=0,
-                        power_mw=1.0, tech_nm=65)
-    # direct construction meets the same rules as a metrics document
-    fields = dict(kind=PlatformKind.FPGA, luts=10, cpd_ns=1.0, power_mw=1.0,
-                  tech_nm=28)
-    for field, value in [("tech_nm", float("inf")), ("power_mw", True),
-                         ("luts", True), ("cpd_ns", "x")]:
-        with pytest.raises(ValueError, match=field):
-            PlatformMetrics(**dict(fields, **{field: value}))
-    with pytest.raises(ValueError, match="platform name must be a string"):
-        PlatformMetrics(**fields, name=["a", 1])
-    with pytest.raises(ValueError, match="kind must be a PlatformKind"):
-        PlatformMetrics(**dict(fields, kind="FPGA"))
+    fields = dict(kind="FPGA", luts=10, cpd_ns=1.0, power_mw=1.0, tech_nm=28)
+    for match, entry in [("area_um2", dict(fields, kind="ASIC", luts=100)),
+                         ("luts", dict(fields, luts=None, area_um2=1.0)),
+                         ("cpd", dict(fields, cpd_ns=0)),
+                         ("no other size field", dict(fields, area_um2=1.0)),
+                         ("tech_nm", dict(fields, tech_nm=float("inf"))),
+                         ("power_mw", dict(fields, power_mw=True)),
+                         ("luts", dict(fields, luts=True)),
+                         ("cpd_ns", dict(fields, cpd_ns="x"))]:
+        with pytest.raises(ValueError, match=match):
+            row(entry)
 
 
 def test_unit_warning_only_on_disagreement():
-    assert FPGA.unit_warning() is not None
-    consistent = PlatformMetrics(kind=PlatformKind.FPGA, luts=10, cpd_ns=1.0,
-                                 power_mw=1200.0, tech_nm=28,
-                                 power_listed_w=1.2)
-    assert consistent.unit_warning() is None
+    assert len(report(FPGA)["warnings"]) == 1
+    consistent = dict(FPGA, power_mw=1200.0)
+    assert report(consistent)["warnings"] == []
 
 
 def test_report_rows_and_warnings():
-    rep = fom_report([ASIC, FPGA], scale_to_nm=65, lut_area_um2=1.0)
+    rep = report(ASIC, FPGA, scale_to_nm=65, lut_area_um2=1.0)
     assert [r["adp_3sf"] for r in rep["rows"]] == \
         ["8.23e-04", "2.30e-05", "1.24e-04"]
     assert [r["pdp_3sf"] for r in rep["rows"]] == \
@@ -155,27 +142,24 @@ def test_report_rows_and_warnings():
 
 
 def test_empty_report():
-    rep = fom_report([])
+    rep = report()
     assert rep == {"rows": [], "warnings": []}
     assert fom.report_to_csv(rep).count("\n") == 1  # header only
 
 
 @pytest.mark.parametrize("name", ["a,b", 'say "hi"', "two\nlines", "cr\rx"])
 def test_csv_quotes_the_platform_name(name):
-    m = PlatformMetrics(kind=PlatformKind.ASIC, area_um2=1.0, cpd_ns=1.0,
-                        power_mw=1.0, tech_nm=65, name=name)
-    text = fom.report_to_csv(fom_report([m]))
+    text = fom.report_to_csv(report(dict(ASIC, name=name)))
     rows = list(csv.reader(io.StringIO(text, newline="")))
     assert len(rows) == 2 and len(rows[1]) == 7
     assert rows[1][0] == name
 
 
-def test_metrics_from_dict_schema():
+def test_platform_entry_schema():
     with pytest.raises(ValueError, match="kind"):
-        metrics_from_dict({"cpd_ns": 1.0})
+        row({"cpd_ns": 1.0})
     with pytest.raises(ValueError, match="unknown"):
-        metrics_from_dict({"kind": "ASIC", "area_um2": 1.0, "cpd_ns": 1.0,
-                           "power_mw": 0.1, "tech_nm": 65, "bogus": 1})
+        row({"kind": "ASIC", "area_um2": 1.0, "cpd_ns": 1.0, "power_mw": 0.1,
+             "tech_nm": 65, "bogus": 1})
     with pytest.raises(ValueError, match="missing"):
-        metrics_from_dict({"kind": "ASIC", "area_um2": 1.0, "power_mw": 0.1,
-                           "tech_nm": 65})
+        row({"kind": "ASIC", "area_um2": 1.0, "power_mw": 0.1, "tech_nm": 65})
