@@ -4,7 +4,7 @@ Subcommands: sample, simulate, kat generate|verify, fom, params.
 
 Exit codes are a stable contract: 0 success, 2 usage, malformed input or
 a file that cannot be read or written, 3 unsupported security level,
-4 memory capacity, 5 self-check or KAT mismatch. Every command is
+4 memory capacity, 5 KAT mismatch. Every command is
 deterministic given its full flag set; the seed is always an explicit
 argument.
 
@@ -24,7 +24,7 @@ from .hwsim.errors import CapacityError, HwSimError, UnsupportedLevelError
 from .hwsim.isa import default_program, parse_program
 from .hwsim.memory import DEFAULT_DEPTH
 from .params import LEVEL_NUMBERS, builtin_params, level_from_number
-from .sampler import FieldVector, rej_samp, rej_samp_prg, rejection_stats
+from .sampler import FieldVector, rej_samp, rejection_stats
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -118,14 +118,6 @@ def _cmd_simulate(args) -> int:
         _write_vector(result.vector, args.out, args.format)
     # files first: a report on stdout must mean every output was written
     sys.stdout.write(json.dumps(report) + "\n")
-    if not args.no_self_check:
-        golden = rej_samp_prg(args.seed, args.iv, result.params)
-        if result.vector != golden:
-            print("self-check FAILED: simulator output differs from the "
-                  "golden model", file=sys.stderr)
-            return EXIT_MISMATCH
-        print("self-check: simulator output matches the golden model",
-              file=sys.stderr)
     return EXIT_OK
 
 
@@ -173,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
                "big-endian: the file holds the elements in order, "
                "zero-padded to a multiple of 8 bytes. Exit codes: 0 ok, "
                "2 usage/malformed input/unusable file, 3 unsupported "
-               "level, 4 memory capacity, 5 self-check or KAT mismatch.")
+               "level, 4 memory capacity, 5 KAT mismatch.")
     sub = ap.add_subparsers(dest="command", required=True)
 
     pp = sub.add_parser("params", help="emit parameter sets as JSON")
@@ -205,8 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--trace", metavar="PATH", help="write a CSV access trace")
     pm.add_argument("--out", metavar="PATH")
     pm.add_argument("--format", choices=["bin", "csv", "json"], default="bin")
-    pm.add_argument("--no-self-check", action="store_true",
-                    help="skip the golden-model comparison")
     pm.set_defaults(func=_cmd_simulate)
 
     pk = sub.add_parser("kat", help="known-answer-test files")

@@ -184,9 +184,13 @@ def fom_report(doc) -> dict:
         if m["kind"] == "FPGA" and scale_to_nm is not None:
             # squared by multiplying: an overflow gives inf, not an error
             ratio = scale_to_nm / m["tech_nm"]
+            try:  # an exact int product, which may pass the float range
+                area = float(m["luts"] * lut_area_um2)
+            except OverflowError:
+                area = math.inf
             rows.append(_row(
                 f"{name} (tech-scaled to {scale_to_nm:g} nm)", m,
-                m["luts"] * lut_area_um2 * cpd_s * ratio * ratio, UM2_S, pdp,
+                area * cpd_s * ratio * ratio, UM2_S, pdp,
                 f"scaled with (to/from)^2 assuming {lut_area_um2:g} um^2 per "
                 f"LUT at {m['tech_nm']:g} nm"))
     return {"rows": rows, "warnings": warnings}

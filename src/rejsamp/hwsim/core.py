@@ -113,9 +113,8 @@ class AesCtrWrapper:
     Schedule, per block: issue into the core, then _AES_LATENCY cycles
     later drain its cipher output (B2) as two 64-bit words on consecutive
     cycles.  Datapath: the golden keystream (aesprg.keystream) of the run,
-    tau bytes packed into words, the final one zero-padded.  It fills
-    words [0, ceil(tau/8)), which run_program has checked the memory
-    holds.
+    tau bytes, which the schedule writes to words [0, ceil(tau/8)); only
+    ProgramResult.trace_rows() packs them into words.
     """
 
     def schedule(self, p: ParameterSet,
@@ -220,7 +219,6 @@ def _compiled(level: SecurityLevel, seed_addr: int, depth: int) -> tuple:
 class ProgramResult:
     report: CycleReport
     vector: FieldVector
-    params: ParameterSet
     _rows: tuple = field(repr=False, compare=False)  # _compiled's rows
     _loaded: bytes = field(repr=False, compare=False)  # seed, keystream
 
@@ -279,8 +277,8 @@ def run_program(words: list[int], seed: bytes, iv: bytes,
                 mem_depth: int = DEFAULT_DEPTH) -> ProgramResult:
     """Decode and check a program of instruction words, then run the one
     schedule every accepted program has (see the module docstring).
-    Returns the cycle report, the sampled vector and the parameter set the
-    program ran; trace_rows() gives its trace."""
+    Returns the cycle report and the sampled vector; trace_rows() gives
+    its trace."""
     level, seed_addr = _validate_program([decode(w) for w in words])
     p = builtin_params(level)
     if mem_depth < p.tau_addrs:
@@ -294,4 +292,4 @@ def run_program(words: list[int], seed: bytes, iv: bytes,
     stream = AesCtrWrapper().run(seed, iv, p)
     out = RejSampUnit().run(p, stream)
     return ProgramResult(report=report, vector=FieldVector(out, p.q),
-                         params=p, _rows=rows, _loaded=seed + stream)
+                         _rows=rows, _loaded=seed + stream)

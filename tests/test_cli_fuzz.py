@@ -84,7 +84,8 @@ json_value = st.recursive(
     | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=6)
 metric = st.one_of(st.floats(min_value=1e-3, max_value=1e6),
                    st.integers(1, 10**6),
-                   st.sampled_from([1e308, 1e200, 1e-308]), json_leaf)
+                   st.sampled_from([1e308, 1e200, 1e-308, 10**300, 10**400]),
+                   json_leaf)
 platform = st.fixed_dictionaries(
     {"kind": st.sampled_from(["ASIC", "FPGA", "FPGA", "ASIC", "GPU"]),
      "cpd_ns": metric, "power_mw": metric, "tech_nm": metric},
@@ -151,8 +152,7 @@ invocation = st.one_of(
               ("--format", st.sampled_from(["bin", "csv", "json", "x"])),
               ("--mem-depth", st.one_of(
                   st.sampled_from(["1024", "1378", "365", "364", "x"]),
-                  st.integers(-5, 10**30).map(str))),
-              ("--no-self-check", st.none())],
+                  st.integers(-5, 10**30).map(str)))],
              program_text),
     _command(st.just(["sample"]),
              [("--level", level_tok), ("--seed", seed_tok), ("--iv", iv_tok)],

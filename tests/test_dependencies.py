@@ -119,7 +119,7 @@ def test_public_surface_is_pinned():
     assert _aliases(hwsim) == ["default_program", "run_program"]
     # a run carries no log: trace_rows() joins its schedule's rows and bytes
     assert [f.name for f in dataclasses.fields(core.ProgramResult)] == [
-        "report", "vector", "params", "_rows", "_loaded"]
+        "report", "vector", "_rows", "_loaded"]
     # the memory only checks and stores: no unit, no log row
     assert list(inspect.signature(memory.MemoryModel.read).parameters) == [
         "self", "addr", "cycle"]

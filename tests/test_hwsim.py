@@ -119,26 +119,6 @@ def test_dual_port_same_cycle_write_and_read():
     assert mem.read(5, cycle=3) == 9  # the same-cycle write took port A
 
 
-def test_write_write_conflict_faults():
-    mem = MemoryModel(16)
-    mem.write(5, 1, cycle=7)
-    for addr in (5, 6):  # port A takes one write per cycle, whatever the address
-        with pytest.raises(SimulationFault, match="port A"):
-            mem.write(addr, 2, cycle=7)
-    mem.write(6, 2, cycle=8)
-    assert peek_range(mem, 5, 2) == [1, 2]
-
-
-def test_write_behind_a_read_faults():
-    mem = MemoryModel(16)
-    mem.write(5, 1, cycle=3)
-    assert mem.read(5, cycle=8) == 1  # commits the cycle-3 write
-    with pytest.raises(SimulationFault, match="after cycle 8 was read"):
-        mem.write(5, 2, cycle=7)
-    mem.write(5, 2, cycle=8)  # the read's own cycle is still open
-    assert mem.read(5, cycle=9) == 2
-
-
 def test_commit_follows_cycle_order():
     mem = MemoryModel(16)
     mem.write(5, 1, cycle=4)
@@ -296,7 +276,6 @@ def test_run_program_reference_cycles():
     r = res.report
     assert (r.total_cycles, r.wrapper_cycles, r.rejsamp_cycles) == (8525, 4632, 3893)
     assert res.vector.elems == rej_samp_prg(SEED, IV, SL1).elems
-    assert res.params == builtin_params(SecurityLevel.SL1)
 
 
 @pytest.mark.parametrize("level", [SecurityLevel.SL1, SecurityLevel.SL3])
@@ -359,7 +338,6 @@ def test_sl5_capacity_and_enlarged_run():
     res = run_program(prog, SEED, IV, mem_depth=1378)
     p5 = builtin_params(SecurityLevel.SL5)
     assert res.vector.elems == rej_samp_prg(SEED, IV, p5).elems
-    assert res.params == p5
 
 
 def _prog(*ops):
@@ -536,13 +514,13 @@ def test_interleaved_keys_keep_their_own_schedules():
     far = [assemble(Opcode.LOAD_SEED, L, waddr=1000, wen=1),
            assemble(Opcode.LOAD_SEED, L, waddr=1001, wen=1),
            *default_program(L)[2:]]
-    runs = [(default_program(L), 1024),
-            (default_program(L), 5000),
-            (far, 1024),
-            (default_program(SecurityLevel.SL3), 1024)]
-    for words, depth in runs + runs[::-1]:
+    runs = [(L, default_program(L), 1024),
+            (L, default_program(L), 5000),
+            (L, far, 1024),
+            (SecurityLevel.SL3, default_program(SecurityLevel.SL3), 1024)]
+    for level, words, depth in runs + runs[::-1]:
         res = run_program(words, SEED, IV, mem_depth=depth)
-        p = res.params
+        p = builtin_params(level)
         assert res.report.wrapper_cycles == wrapper_cycles_oracle(p.tau)
         assert res.report.rejsamp_cycles == rejsamp_cycles_oracle(
             p.tau, p.n_prime)
