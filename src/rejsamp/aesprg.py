@@ -22,19 +22,22 @@ constants are derived from the field arithmetic at import.
 
 Counter block layout (16 bytes), fixed as in the coprocessor, which can
 load only the seed: 8 zero bytes, the 2-byte iv, then the 6-byte
-big-endian running block index. ctr_blocks is the one place that builds it.
+big-endian running block index. ctr_blocks is the one place that builds
+it. It checks the iv and the last index at the call, then writes a run's
+blocks one byte position at a time: the zero prefix is the fill of a new
+bytearray, each iv byte is one strided write, and each index byte is a
+lane of runs of equal bytes, so its Python-level work is O(count / 256).
 """
 
 import struct
-from collections.abc import Iterator
 
 KEY_BYTES = 16
 IV_BYTES = 2
 _BLOCK_BYTES = 16
 
-_ZERO_PREFIX = bytes(8)
 _BLOCK_INDEX_BYTES = 6
 _MAX_BLOCKS = 1 << (8 * _BLOCK_INDEX_BYTES)
+_BYTE_VALUES = bytes(range(256))
 _WORDS = struct.Struct(">4I")
 _SCHEDULE = struct.Struct(">44I")
 
@@ -139,16 +142,29 @@ def check_key(key: bytes) -> None:
         raise ValueError(f"key must be {KEY_BYTES} bytes, got {len(key)}")
 
 
-def ctr_blocks(iv: bytes, count: int) -> Iterator[bytes]:
-    """Counter blocks 0..count-1 for iv; the iv and the last index are
-    checked once, before the first block."""
+def ctr_blocks(iv: bytes, count: int) -> bytes:
+    """Counter blocks 0..count-1 for iv, concatenated. The iv and the last
+    index are checked here, before anything is allocated. The blocks are
+    built one byte position at a time: the zero prefix is the fill, each
+    iv byte is one lane, and index byte k (from the low end) of block i is
+    i // 256**k % 256, a lane of runs of 256**k equal bytes."""
     if len(iv) != IV_BYTES:
         raise ValueError(f"iv must be {IV_BYTES} bytes, got {len(iv)}")
     if count > _MAX_BLOCKS:
         raise ValueError("block index exceeds the 48-bit counter range")
-    prefix = _ZERO_PREFIX + iv
-    for index in range(count):
-        yield prefix + index.to_bytes(_BLOCK_INDEX_BYTES, "big")
+    blocks = bytearray(_BLOCK_BYTES * count)
+    blocks[8::_BLOCK_BYTES] = iv[:1] * count
+    blocks[9::_BLOCK_BYTES] = iv[1:] * count
+    lane = _BYTE_VALUES * (count // 256 + 1)  # the low byte counts and wraps
+    for k in range(_BLOCK_INDEX_BYTES):
+        run = 256 ** k
+        if run >= count:  # this lane and every higher one stay zero
+            break
+        if k:
+            lane = b"".join(bytes((v & 255,)) * run
+                            for v in range(-(-count // run)))
+        blocks[_BLOCK_BYTES - 1 - k::_BLOCK_BYTES] = lane[:count]
+    return bytes(blocks)
 
 
 def keystream(key: bytes, iv: bytes, n_bytes: int) -> bytes:
@@ -160,5 +176,5 @@ def keystream(key: bytes, iv: bytes, n_bytes: int) -> bytes:
     round_keys = expand_key(key)  # checks the key
     if n_bytes <= 0:
         raise ValueError("empty keystream request")
-    counters = b"".join(ctr_blocks(iv, -(-n_bytes // _BLOCK_BYTES)))
+    counters = ctr_blocks(iv, -(-n_bytes // _BLOCK_BYTES))
     return encrypt_block_expanded(round_keys, counters)[:n_bytes]

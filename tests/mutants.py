@@ -56,8 +56,14 @@ settings.register_profile("mutants", phases=set(Phase) - {Phase.shrink})
 # (name, file under src/rejsamp, exact old text, new text)
 MUTANTS = [
     ("shift-rows-inverted", "aesprg.py", "(j + 4 * (j % 4))", "(j - 4 * (j % 4))"),
-    ("block-index-little-endian", "aesprg.py", '_INDEX_BYTES, "big")',
-     '_INDEX_BYTES, "little")'),
+    ("block-index-little-endian", "aesprg.py",
+     "blocks[_BLOCK_BYTES - 1 - k::", "blocks[_BLOCK_BYTES - _BLOCK_INDEX_BYTES + k::"),
+    ("iv-bytes-swapped", "aesprg.py",
+     "= iv[:1] * count\n    blocks[9::_BLOCK_BYTES] = iv[1:]",
+     "= iv[1:] * count\n    blocks[9::_BLOCK_BYTES] = iv[:1]"),
+    ("index-runs-one-short", "aesprg.py", "run = 256 ** k", "run = 256 ** k - 1"),
+    ("index-low-byte-wraps-at-255", "aesprg.py", "_BYTE_VALUES * (count",
+     "_BYTE_VALUES[:255] * (count"),
     ("counter-limit-off-by-one", "aesprg.py", "count > _MAX", "count >= _MAX"),
     ("keystream-one-block-more", "aesprg.py", "// _BLOCK_BYTES))",
      "// _BLOCK_BYTES) + 1)"),

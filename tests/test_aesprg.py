@@ -78,20 +78,27 @@ def test_against_openssl():
             enc.update(b) + enc.finalize()
 
 
-@pytest.mark.parametrize("n", [0, 1, 256, 257])
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 65535, 65536, 65537])
 def test_ctr_blocks_match_ctr_block(n):
     # 8 zero bytes, the iv, the 6-byte big-endian index; 257 blocks carry
-    # the index from byte 15 into byte 14
+    # the index from byte 15 into byte 14, and 65537 into byte 13
     iv = b"\xab\xcd"
-    assert list(aesprg.ctr_blocks(iv, n)) == \
-        [bytes(8) + iv + i.to_bytes(6, "big") for i in range(n)]
+    assert aesprg.ctr_blocks(iv, n) == \
+        b"".join(bytes(8) + iv + i.to_bytes(6, "big") for i in range(n))
 
 
-def test_ctr_blocks_check_the_last_index():
+def test_ctr_blocks_check_the_last_index(monkeypatch):
     iv = b"\x00\x01"
+    # checked at the call, before 2**48 blocks could be allocated
+    with pytest.raises(ValueError, match="iv must be 2 bytes"):
+        aesprg.ctr_blocks(b"\x00", 1)
     with pytest.raises(ValueError, match="48-bit"):
-        next(aesprg.ctr_blocks(iv, (1 << 48) + 1))
-    assert next(aesprg.ctr_blocks(iv, 1 << 48)) == bytes(8) + iv + bytes(6)
+        aesprg.ctr_blocks(iv, (1 << 48) + 1)
+    # the limit itself is accepted, one past it is not
+    monkeypatch.setattr(aesprg, "_MAX_BLOCKS", 3)
+    assert aesprg.ctr_blocks(iv, 3)[-16:] == bytes(8) + iv + (2).to_bytes(6, "big")
+    with pytest.raises(ValueError, match="48-bit"):
+        aesprg.ctr_blocks(iv, 4)
 
 
 def test_block_consumption_count(monkeypatch):

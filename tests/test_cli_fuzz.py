@@ -13,7 +13,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from rejsamp import cli, kat
@@ -104,13 +104,17 @@ metrics_text = st.one_of(
 
 
 # a metrics document valid in every field but one, which holds an edge
-# value: the other fuzzed documents almost never get this close to valid
+# value: the other fuzzed documents almost never get this close to valid.
+# The size field and lut_area_um2 may be huge ints: the exact product of
+# luts and lut_area_um2 then passes the float range, and a tech-scaled
+# row has to refuse it
 positive = st.one_of(st.floats(min_value=1e-3, max_value=1e6),
                      st.integers(1, 10**6))
+huge = st.just(10**200)
 well_formed_platform = st.sampled_from(["area_um2", "luts"]).flatmap(
     lambda size: st.fixed_dictionaries(
         {"kind": st.just("ASIC" if size == "area_um2" else "FPGA"),
-         size: st.integers(1, 10**6), "cpd_ns": positive,
+         size: st.integers(1, 10**6) | huge, "cpd_ns": positive,
          "power_mw": positive | st.just(0), "tech_nm": positive},
         optional={"power_listed_w": positive, "name": st.text(max_size=4)}))
 edge_value = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
@@ -122,7 +126,7 @@ edge_value = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
 def one_bad_field(draw):
     doc = {"platforms": draw(st.lists(well_formed_platform, min_size=1,
                                       max_size=3)),
-           "scale_to_nm": draw(positive), "lut_area_um2": draw(positive)}
+           "scale_to_nm": draw(positive), "lut_area_um2": draw(positive | huge)}
     target = draw(st.sampled_from(doc["platforms"] + [doc]))
     field = draw(st.sampled_from(sorted(
         set(target) - {"kind", "name", "platforms"})))
@@ -212,6 +216,9 @@ def test_cli_exit_codes_and_strict_json(case):
 
 @settings(max_examples=120, deadline=None)
 @given(one_bad_field(), st.sampled_from(["json", "csv"]))
+@example({"platforms": [{"kind": "FPGA", "luts": 10**200, "cpd_ns": 1,
+                         "power_mw": 1, "tech_nm": 28}],
+          "scale_to_nm": 65, "lut_area_um2": 10**200}, "json")
 def test_fom_one_bad_field_exit_codes(doc, fmt):
     code, out, err = _run(["fom", "{file}", "--format", fmt], json.dumps(doc))
     assert code in (0, 2), err
