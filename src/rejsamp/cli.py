@@ -18,13 +18,11 @@ import json
 import re
 import sys
 
-from . import aesprg, fom, kat
-from .hwsim.core import run_program
-from .hwsim.errors import CapacityError, HwSimError, UnsupportedLevelError
-from .hwsim.isa import default_program, parse_program
-from .hwsim.memory import DEFAULT_DEPTH
+# only what every command needs: each _cmd_* imports the layers it runs,
+# so that a process loads no layer its command does not use
+from . import fom
+from .aesprg import IV_BYTES, KEY_BYTES
 from .params import LEVEL_NUMBERS, builtin_params, level_from_number
-from .sampler import FieldVector, rej_samp, rejection_stats
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -46,8 +44,8 @@ def _hex_arg(name: str, n_bytes: int):
     return parse
 
 
-_seed_arg = _hex_arg("seed", aesprg.KEY_BYTES)
-_iv_arg = _hex_arg("iv", aesprg.IV_BYTES)
+_seed_arg = _hex_arg("seed", KEY_BYTES)
+_iv_arg = _hex_arg("iv", IV_BYTES)
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -59,7 +57,8 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _write_vector(vec: FieldVector, path: str, fmt: str):
+def _write_vector(vec, path: str, fmt: str):
+    """Write a sampler.FieldVector to path in fmt."""
     if fmt == "bin":
         with open(path, "wb") as f:
             f.write(vec.to_packed_bytes())
@@ -81,6 +80,8 @@ def _cmd_params(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    from . import aesprg
+    from .sampler import rej_samp, rejection_stats
     p = builtin_params(level_from_number(args.level))
     raw = aesprg.keystream(args.seed, args.iv, p.tau)
     vec = rej_samp(raw, p.tau, p.n_prime, p.q)
@@ -98,12 +99,28 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.program is not None:
-        with open(args.program) as f:
-            words = parse_program(f.read())
-    else:
-        words = default_program(level_from_number(args.level))
-    result = run_program(words, args.seed, args.iv, mem_depth=args.mem_depth)
+    from .hwsim.core import run_program
+    from .hwsim.errors import CapacityError, HwSimError, UnsupportedLevelError
+    from .hwsim.isa import default_program, parse_program
+    from .hwsim.memory import DEFAULT_DEPTH
+    depth = args.mem_depth if args.mem_depth is not None else DEFAULT_DEPTH
+    try:
+        if args.program is not None:
+            with open(args.program) as f:
+                words = parse_program(f.read())
+        else:
+            words = default_program(level_from_number(args.level))
+        result = run_program(words, args.seed, args.iv, mem_depth=depth)
+    # the subclasses first: every simulator error is a HwSimError
+    except UnsupportedLevelError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_UNSUPPORTED_LEVEL
+    except CapacityError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_CAPACITY
+    except HwSimError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     report = result.report.to_json_dict()
     report["freq_hz"] = args.freq
     report["latency_us"] = fom.latency(report["total_cycles"], args.freq) * 1e6
@@ -122,6 +139,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_kat(args) -> int:
+    from . import kat
     if args.kat_mode == "generate":
         _emit(kat.generate_kat(args.seed, args.iv, args.level,
                                count=args.count), args.out)
@@ -176,9 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("sample", help="run the golden sampler")
     ps.add_argument("--level", type=int, choices=LEVEL_NUMBERS, required=True)
     ps.add_argument("--seed", type=_seed_arg, required=True,
-                    help=f"{2 * aesprg.KEY_BYTES} hex digits")
+                    help=f"{2 * KEY_BYTES} hex digits")
     ps.add_argument("--iv", type=_iv_arg, required=True,
-                    help=f"{2 * aesprg.IV_BYTES} hex digits")
+                    help=f"{2 * IV_BYTES} hex digits")
     ps.add_argument("--out", metavar="PATH")
     ps.add_argument("--format", choices=["bin", "csv", "json"], default="bin")
     ps.set_defaults(func=_cmd_sample)
@@ -193,7 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--iv", type=_iv_arg, required=True)
     pm.add_argument("--freq", type=float, default=222e6,
                     help="clock frequency in Hz (default 222e6)")
-    pm.add_argument("--mem-depth", type=int, default=DEFAULT_DEPTH)
+    # no default here: _cmd_simulate takes memory.DEFAULT_DEPTH for None
+    pm.add_argument("--mem-depth", type=int)
     pm.add_argument("--trace", metavar="PATH", help="write a CSV access trace")
     pm.add_argument("--out", metavar="PATH")
     pm.add_argument("--format", choices=["bin", "csv", "json"], default="bin")
@@ -227,14 +246,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UnsupportedLevelError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_UNSUPPORTED_LEVEL
-    except CapacityError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CAPACITY
     # kat.KatError and json.JSONDecodeError are ValueErrors too
-    except (HwSimError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -59,7 +59,7 @@ keystream and output in place of each k when it is called.
 import functools
 import itertools
 import struct
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .. import aesprg
 from ..params import (BYTES_PER_WORD, ParameterSet, SecurityLevel,
@@ -79,8 +79,7 @@ _WRAPPER_SETUP = 57  # the seed is staged in its first 2 cycles
 _REJSAMP_SETUP = 77
 
 
-@dataclass(frozen=True)
-class CycleReport:
+class CycleReport(NamedTuple):
     """Per-unit cycle counts; the total is derived, never stored.
 
     Totals cover the two functional units only; seed staging and result
@@ -215,12 +214,17 @@ def _compiled(level: SecurityLevel, seed_addr: int, depth: int) -> tuple:
     return tuple(trace), CycleReport(wrapper_cycles, rejsamp_cycles)
 
 
-@dataclass(frozen=True)
 class ProgramResult:
-    report: CycleReport
-    vector: FieldVector
-    _rows: tuple = field(repr=False, compare=False)  # _compiled's rows
-    _loaded: bytes = field(repr=False, compare=False)  # seed, keystream
+    """A run's cycle report and sampled vector; trace_rows() gives its
+    trace."""
+    __slots__ = ("report", "vector", "_rows", "_loaded")
+
+    def __init__(self, report: CycleReport, vector: FieldVector,
+                 rows: tuple, loaded: bytes):
+        self.report = report
+        self.vector = vector
+        self._rows = rows  # _compiled's rows
+        self._loaded = loaded  # seed, keystream
 
     def trace_rows(self) -> list[tuple]:
         """The run's (cycle, unit, event, addr, data) rows in cycle order,
@@ -291,5 +295,4 @@ def run_program(words: list[int], seed: bytes, iv: bytes,
     rows, report = _compiled(level, seed_addr, mem_depth)
     stream = AesCtrWrapper().run(seed, iv, p)
     out = RejSampUnit().run(p, stream)
-    return ProgramResult(report=report, vector=FieldVector(out, p.q),
-                         _rows=rows, _loaded=seed + stream)
+    return ProgramResult(report, FieldVector(out, p.q), rows, seed + stream)

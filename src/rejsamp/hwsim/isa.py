@@ -19,8 +19,8 @@ digits (the 26 bits zero-extended to 28); blank lines and '#' comments are
 ignored.
 """
 
-from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 from ..params import SecurityLevel
 from .errors import InvalidInstructionError, UnsupportedLevelError
@@ -41,15 +41,21 @@ class Opcode(IntEnum):
     READ_RESULT = 5
 
 
-@dataclass(frozen=True)
-class Instruction:
+class _InstructionFields(NamedTuple):
     sec_level: int  # raw 2-bit field; 3 is reserved
     raddr: int
     waddr: int
     wen: int
     op: Opcode
 
-    def __post_init__(self):
+
+class Instruction(_InstructionFields):
+    """One decoded instruction word; each field is checked against its
+    width."""
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0 <= self.sec_level < 4:
             raise InvalidInstructionError("sec_level field is 2 bits")
         if not 0 <= self.raddr < (1 << _ADDR_BITS):
@@ -58,6 +64,7 @@ class Instruction:
             raise InvalidInstructionError("waddr field is 10 bits")
         if self.wen not in (0, 1):
             raise InvalidInstructionError("wen field is 1 bit")
+        return self
 
     def security_level(self) -> SecurityLevel:
         if self.sec_level >= len(_LEVELS):

@@ -14,7 +14,7 @@ pair need, and recomputes each of those records from a prefix of it.
 """
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import aesprg
 from .params import (_LEVEL_CHOICES, ParameterSet, builtin_params,
@@ -31,8 +31,7 @@ class KatError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class KatRecord:
+class KatRecord(NamedTuple):
     lineno: int
     key: bytes
     iv: bytes

@@ -7,8 +7,8 @@ is derived when read: n_prime = l*V*M, v = l*V, m = l*M and the
 sets are built once, at import.
 """
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 # Bytes packed into one 64-bit memory word.
 BYTES_PER_WORD = 8
@@ -29,14 +29,7 @@ _LEVEL_CHOICES = (", ".join(map(str, LEVEL_NUMBERS[:-1]))  # for messages
                   + f" or {LEVEL_NUMBERS[-1]}")
 
 
-@dataclass(frozen=True)
-class ParameterSet:
-    """Parameter set for one security level.
-
-    q is a Mersenne prime so that reduction of a byte into [0, q] is a
-    bitwise AND; tau >= n_prime so the rejection sampler has spare bytes
-    to draw replacements from.
-    """
+class _ParameterFields(NamedTuple):
     sec_level: SecurityLevel
     q: int            # prime modulus (127 for all built-in levels)
     l: int            # extension degree
@@ -45,11 +38,23 @@ class ParameterSet:
     tau: int          # pseudorandom stream length in bytes
     lambda_bits: int  # security level; tau keeps P[zero-fill] < 2^-lambda
 
-    def __post_init__(self):
+
+class ParameterSet(_ParameterFields):
+    """Parameter set for one security level.
+
+    q is a Mersenne prime so that reduction of a byte into [0, q] is a
+    bitwise AND; tau >= n_prime so the rejection sampler has spare bytes
+    to draw replacements from.
+    """
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not is_mersenne(self.q):
             raise ValueError(f"q={self.q} is not a Mersenne prime of form 2^k-1")
         if self.tau < self.n_prime:
             raise ValueError("tau must be >= n_prime (no spare bytes otherwise)")
+        return self
 
     @property
     def n_prime(self) -> int:

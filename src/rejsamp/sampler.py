@@ -12,7 +12,7 @@ tests/oracles.py::rej_samp_naive.
 """
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import aesprg
 from .params import BYTES_PER_WORD, ParameterSet, is_mersenne
@@ -20,16 +20,17 @@ from .params import BYTES_PER_WORD, ParameterSet, is_mersenne
 _BYTES = bytes(range(256))
 
 
-@dataclass(frozen=True)
 class FieldVector:
     """Validated vector over F_q: one byte per element, each in
     [0, modulus). Every artifact writes these bytes: bin pads them to whole
     64-bit words, a KAT out= field hexes them, and csv and json give each
-    byte's decimal value."""
-    elems: bytes
-    modulus: int
+    byte's decimal value. Two vectors are equal when their elements and
+    moduli are."""
+    __slots__ = ("elems", "modulus")
 
-    def __post_init__(self):
+    def __init__(self, elems: bytes, modulus: int):
+        self.elems = elems
+        self.modulus = modulus
         if not isinstance(self.elems, bytes):
             raise TypeError(f"elems must be bytes, got "
                             f"{type(self.elems).__name__}")
@@ -37,6 +38,11 @@ class FieldVector:
         bad = len(self.elems.translate(None, _BYTES[:max(self.modulus, 0)]))
         if bad:
             raise ValueError(f"{bad} element(s) outside [0, {self.modulus})")
+
+    def __eq__(self, other):
+        if not isinstance(other, FieldVector):
+            return NotImplemented
+        return self.elems == other.elems and self.modulus == other.modulus
 
     def __len__(self):
         return len(self.elems)
@@ -106,8 +112,7 @@ def rej_samp_prg(seed: bytes, iv: bytes, p: ParameterSet) -> FieldVector:
     return rej_samp(raw, p.tau, p.n_prime, p.q)
 
 
-@dataclass(frozen=True)
-class RejectionStats:
+class RejectionStats(NamedTuple):
     """Bookkeeping for one sampling run, for reporting only."""
     tau: int
     masked_to_q: int      # bytes that masked to q anywhere in the stream

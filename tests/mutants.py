@@ -85,6 +85,9 @@ MUTANTS = [
     ("q-255-rejects-nothing", "sampler.py", "if q > 0xFF:", "if q >= 0xFF:"),
     ("vector-admits-q", "sampler.py", "(self.modulus, 0)", "(self.modulus + 1, 0)"),
     ("stats-ignore-tail-rejects", "sampler.py", "n_prime - tail_rejects)", "n_prime)"),
+    ("parameter-set-unchecked", "params.py",
+     "self = super().__new__(cls, *args, **kwargs)",
+     "return super().__new__(cls, *args, **kwargs)"),
     ("tau-addrs-rounds-down", "params.py", "-(-self.tau // BYTES_PER_WORD)",
      "self.tau // BYTES_PER_WORD"),
     ("zero-is-mersenne", "params.py", "q >= 1 and", "q >= 0 and"),
@@ -142,8 +145,14 @@ MUTANTS = [
     ("hex-arg-takes-spaces", "cli.py", 'r"[0-9a-fA-F]*"', 'r"[0-9a-fA-F ]*"'),
     ("trace-data-unpadded", "cli.py", "{data:016x}", "{data:x}"),
     ("empty-kat-file-verified", "cli.py", "if not records:", "if False:"),
-    ("unreadable-file-traceback", "cli.py", "(HwSimError, ValueError, OSError)",
-     "(HwSimError, ValueError)"),
+    ("unreadable-file-traceback", "cli.py", "except (ValueError, OSError) as e:",
+     "except ValueError as e:"),
+    ("capacity-caught-as-hwsim-error", "cli.py", "    except CapacityError as e:",
+     "    except HwSimError as e:\n        print(f\"error: {e}\", file=sys.stderr)\n"
+     "        return EXIT_USAGE\n    except CapacityError as e:"),
+    ("mem-depth-flag-ignored", "cli.py",
+     "args.mem_depth if args.mem_depth is not None else DEFAULT_DEPTH",
+     "DEFAULT_DEPTH"),
     ("nested-metrics-traceback", "cli.py", "except RecursionError:",
      "except MemoryError:"),
     ("drain-read-a-cycle-late", "hwsim/core.py", '(cycle + w, "host"',
@@ -162,6 +171,9 @@ MUTANTS = [
      "if load1.waddr != load0.waddr + 1:", "if False:"),
     ("mixed-levels-accepted", "hwsim/core.py", "if len(levels) > 1:",
      "if len(levels) > 2:"),
+    ("instruction-unchecked", "hwsim/isa.py",
+     "self = super().__new__(cls, *args, **kwargs)",
+     "return super().__new__(cls, *args, **kwargs)"),
     ("program-word-of-8-digits", "hwsim/isa.py", "stripped) > 7", "stripped) > 8"),
     ("waddr-field-shifted", "hwsim/isa.py", "waddr << 12", "waddr << 13"),
     ("reserved-level-indexed", "hwsim/isa.py", "sec_level >= len(", "sec_level > len("),

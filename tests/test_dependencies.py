@@ -2,7 +2,6 @@
 its public surface grows only by a deliberate edit of the lists below."""
 
 import ast
-import dataclasses
 import inspect
 import os
 import subprocess
@@ -70,6 +69,37 @@ def _loaded_by(module):
                           capture_output=True, text=True).stdout.split()
 
 
+def _loaded_by_command(*argv):
+    """The rejsamp modules, and dataclasses if loaded, after `rejsamp
+    *argv` runs in a fresh interpreter; the command must exit 0."""
+    code = ("import sys; from rejsamp import cli; code = cli.main(sys.argv[1:]); "
+            "print(code, *sorted(m for m in sys.modules if m.split('.')[0] "
+            "in ('rejsamp', 'dataclasses')), file=sys.stderr)")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    stderr = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                            check=True, capture_output=True, text=True).stderr
+    code, *loaded = stderr.splitlines()[-1].split()
+    assert code == "0"
+    return loaded
+
+
+def test_each_command_loads_only_its_layers(tmp_path):
+    # one rejsamp process per command: start-up is most of a command's time
+    assert _loaded_by_command("fom") == [
+        "rejsamp", "rejsamp.aesprg", "rejsamp.cli", "rejsamp.fom",
+        "rejsamp.params"]
+    path = tmp_path / "one.kat"
+    path.write_text(kat.generate_kat(bytes(16), bytes(2), 1))
+    verify = _loaded_by_command("kat", "verify", str(path))
+    assert "rejsamp.kat" in verify
+    assert not [m for m in verify if m.startswith("rejsamp.hwsim")]
+    simulate = _loaded_by_command("simulate", "--level", "1", "--seed",
+                                  "00" * 16, "--iv", "0000")
+    assert "rejsamp.hwsim.core" in simulate
+    assert "rejsamp.kat" not in simulate
+    assert "dataclasses" not in verify + simulate
+
+
 @pytest.mark.parametrize("module", ["rejsamp.fom", "rejsamp.params"])
 def test_importing_a_layer_loads_only_that_layer(module):
     assert _loaded_by(module) == ["rejsamp", module]
@@ -118,7 +148,7 @@ def test_public_surface_is_pinned():
     # bench/workloads.py reads these two off the simulator package
     assert _aliases(hwsim) == ["default_program", "run_program"]
     # a run carries no log: trace_rows() joins its schedule's rows and bytes
-    assert [f.name for f in dataclasses.fields(core.ProgramResult)] == [
+    assert list(core.ProgramResult.__slots__) == [
         "report", "vector", "_rows", "_loaded"]
     # the memory only checks and stores: no unit, no log row
     assert list(inspect.signature(memory.MemoryModel.read).parameters) == [
@@ -126,7 +156,7 @@ def test_public_surface_is_pinned():
     assert list(inspect.signature(memory.MemoryModel.write).parameters) == [
         "self", "addr", "word", "cycle"]
     # a parameter set stores only the paper's inputs; the rest is derived
-    assert [f.name for f in dataclasses.fields(params.ParameterSet)] == [
+    assert list(params.ParameterSet._fields) == [
         "sec_level", "q", "l", "V", "M", "tau", "lambda_bits"]
     assert _defined(aesprg) == [
         "IV_BYTES", "KEY_BYTES", "check_key", "ctr_blocks",

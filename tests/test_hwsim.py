@@ -59,6 +59,16 @@ def test_roundtrip_property(sl, raddr, waddr, wen, op):
     assert decode(encode(ins)) == ins
 
 
+@pytest.mark.parametrize("field,value,width", [
+    ("sec_level", 4, "2 bits"), ("raddr", 1024, "10 bits"),
+    ("waddr", -1, "10 bits"), ("wen", 2, "1 bit")])
+def test_instruction_fields_checked_against_their_widths(field, value, width):
+    fields = dict(sec_level=0, raddr=0, waddr=0, wen=0, op=Opcode.NOP)
+    with pytest.raises(InvalidInstructionError,
+                       match=f"{field} field is {width}"):
+        Instruction(**{**fields, field: value})
+
+
 @pytest.mark.parametrize("opval", [6, 7])
 def test_unknown_opcode_rejected(opval):
     with pytest.raises(InvalidInstructionError, match="opcode"):
