@@ -20,8 +20,7 @@ import sys
 
 # only what every command needs: each _cmd_* imports the layers it runs,
 # so that a process loads no layer its command does not use
-from . import fom
-from .aesprg import IV_BYTES, KEY_BYTES
+from . import aesprg, fom
 from .params import LEVEL_NUMBERS, builtin_params, level_from_number
 
 EXIT_OK = 0
@@ -44,8 +43,8 @@ def _hex_arg(name: str, n_bytes: int):
     return parse
 
 
-_seed_arg = _hex_arg("seed", KEY_BYTES)
-_iv_arg = _hex_arg("iv", IV_BYTES)
+_seed_arg = _hex_arg("seed", aesprg.KEY_BYTES)
+_iv_arg = _hex_arg("iv", aesprg.IV_BYTES)
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -80,7 +79,6 @@ def _cmd_params(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    from . import aesprg
     from .sampler import rej_samp, rejection_stats
     p = builtin_params(level_from_number(args.level))
     raw = aesprg.keystream(args.seed, args.iv, p.tau)
@@ -194,9 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("sample", help="run the golden sampler")
     ps.add_argument("--level", type=int, choices=LEVEL_NUMBERS, required=True)
     ps.add_argument("--seed", type=_seed_arg, required=True,
-                    help=f"{2 * KEY_BYTES} hex digits")
+                    help=f"{2 * aesprg.KEY_BYTES} hex digits")
     ps.add_argument("--iv", type=_iv_arg, required=True,
-                    help=f"{2 * IV_BYTES} hex digits")
+                    help=f"{2 * aesprg.IV_BYTES} hex digits")
     ps.add_argument("--out", metavar="PATH")
     ps.add_argument("--format", choices=["bin", "csv", "json"], default="bin")
     ps.set_defaults(func=_cmd_sample)

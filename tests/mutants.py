@@ -145,10 +145,12 @@ MUTANTS = [
     ("hex-arg-takes-spaces", "cli.py", 'r"[0-9a-fA-F]*"', 'r"[0-9a-fA-F ]*"'),
     ("trace-data-unpadded", "cli.py", "{data:016x}", "{data:x}"),
     ("empty-kat-file-verified", "cli.py", "if not records:", "if False:"),
-    ("unreadable-file-traceback", "cli.py", "except (ValueError, OSError) as e:",
-     "except ValueError as e:"),
-    ("capacity-caught-as-hwsim-error", "cli.py", "    except CapacityError as e:",
-     "    except HwSimError as e:\n        print(f\"error: {e}\", file=sys.stderr)\n"
+    ("unreadable-file-traceback", "cli.py",
+     "except (ValueError, OSError) as e:", "except ValueError as e:"),
+    ("capacity-caught-as-hwsim-error", "cli.py",
+     "    except CapacityError as e:",
+     "    except HwSimError as e:\n"
+     "        print(f\"error: {e}\", file=sys.stderr)\n"
      "        return EXIT_USAGE\n    except CapacityError as e:"),
     ("mem-depth-flag-ignored", "cli.py",
      "args.mem_depth if args.mem_depth is not None else DEFAULT_DEPTH",

@@ -59,25 +59,28 @@ def test_mutation_harness_imports_only_the_stdlib():
     assert set(_imported(Path(mutants.__file__))) <= sys.stdlib_module_names
 
 
+def _fresh(code, *argv):
+    """Run code with argv in a fresh interpreter, so that no other test's
+    imports are counted."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          check=True, capture_output=True, text=True)
+
+
 def _loaded_by(module):
-    """The rejsamp modules that importing module loads, in a fresh
-    interpreter, so that no other test's imports are counted."""
+    """The rejsamp modules that importing module loads."""
     code = (f"import sys, {module}; print(*sorted(m for m in sys.modules "
             f"if m.split('.')[0] == 'rejsamp'))")
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
-    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True).stdout.split()
+    return _fresh(code).stdout.split()
 
 
 def _loaded_by_command(*argv):
     """The rejsamp modules, and dataclasses if loaded, after `rejsamp
-    *argv` runs in a fresh interpreter; the command must exit 0."""
-    code = ("import sys; from rejsamp import cli; code = cli.main(sys.argv[1:]); "
-            "print(code, *sorted(m for m in sys.modules if m.split('.')[0] "
-            "in ('rejsamp', 'dataclasses')), file=sys.stderr)")
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
-    stderr = subprocess.run([sys.executable, "-c", code, *argv], env=env,
-                            check=True, capture_output=True, text=True).stderr
+    *argv` runs; the command must exit 0."""
+    stderr = _fresh("import sys; from rejsamp import cli; "
+                    "code = cli.main(sys.argv[1:]); print(code, *sorted(m for "
+                    "m in sys.modules if m.split('.')[0] in ('rejsamp', "
+                    "'dataclasses')), file=sys.stderr)", *argv).stderr
     code, *loaded = stderr.splitlines()[-1].split()
     assert code == "0"
     return loaded
