@@ -56,17 +56,19 @@ settings.register_profile("mutants", phases=set(Phase) - {Phase.shrink})
 # (name, file under src/rejsamp, exact old text, new text)
 MUTANTS = [
     ("shift-rows-inverted", "aesprg.py", "(j + 4 * (j % 4))", "(j - 4 * (j % 4))"),
-    ("block-index-little-endian", "aesprg.py",
-     "blocks[_BLOCK_BYTES - 1 - k::", "blocks[_BLOCK_BYTES - _BLOCK_INDEX_BYTES + k::"),
-    ("iv-bytes-swapped", "aesprg.py",
-     "= iv[:1] * count\n    blocks[9::_BLOCK_BYTES] = iv[1:]",
-     "= iv[1:] * count\n    blocks[9::_BLOCK_BYTES] = iv[:1]"),
-    ("index-runs-one-short", "aesprg.py", "run = 256 ** k", "run = 256 ** k - 1"),
-    ("index-low-byte-wraps-at-255", "aesprg.py", "_BYTE_VALUES * (count",
-     "_BYTE_VALUES[:255] * (count"),
-    ("counter-limit-off-by-one", "aesprg.py", "count > _MAX", "count >= _MAX"),
-    ("keystream-one-block-more", "aesprg.py", "// _BLOCK_BYTES))",
-     "// _BLOCK_BYTES) + 1)"),
+    ("iv-bytes-swapped", "aesprg.py", "bytes(8) + iv + (s", "bytes(8) + iv[::-1] + (s"),
+    ("span-number-dropped", "aesprg.py", '(s * _SPAN).to_bytes(6, "big")', "bytes(6)"),
+    ("round-1-coefficient-wrong", "aesprg.py", "(3 - j // 4 - j) % 4",
+     "(3 - j // 4 + j) % 4"),
+    ("round-2-hi-rows-reversed", "aesprg.py", "bytes(4) + bytes(h) +",
+     "bytes(4) + bytes(h[::-1]) +"),
+    ("round-2-lo-from-wrong-lane", "aesprg.py", "+ -c % 4 for c", "+ c % 4 for c"),
+    ("round-1-lo-hi-not-zeroed", "aesprg.py", 'a[:14] + b"\\0\\0"', "a"),
+    ("lo-table-one-short", "aesprg.py", "[:min(m, 256)]", "[:min(m, 255)]"),
+    ("state-mix-wraps-two-rows", "aesprg.py", "_WRAP * 0x01010100", "_WRAP * 0x01010000"),
+    ("counter-limit-off-by-one", "aesprg.py", "n > _MAX", "n >= _MAX"),
+    ("keystream-one-block-more", "aesprg.py", "n = -(-n_bytes // _BLOCK_BYTES)",
+     "n = -(-n_bytes // _BLOCK_BYTES) + 1"),
     ("cipher-takes-no-blocks", "aesprg.py", "if not n or rest:", "if rest:"),
     ("xtime-reduces-by-0x1a", "aesprg.py", "(u0 >> 7 & ones) * 0x1B",
      "(u0 >> 7 & ones) * 0x1A"),

@@ -78,45 +78,84 @@ def test_against_openssl():
             enc.update(b) + enc.finalize()
 
 
-@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 65535, 65536, 65537])
+def _counter_blocks(iv, n):
+    """Counter blocks 0..n-1: 8 zero bytes, the iv, the 6-byte big-endian
+    block index."""
+    return b"".join(bytes(8) + iv + i.to_bytes(6, "big") for i in range(n))
+
+
+# 257 blocks carry the index from byte 15 into byte 14, 513 carry it twice,
+# and 65537 carry it into byte 13, the next span of 65536 blocks
+@pytest.mark.parametrize("n", [0, 1, 2, 255, 256, 257, 383, 511, 512, 513, 689,
+                               65535, 65536, 65537])
 def test_ctr_blocks_match_ctr_block(n):
-    # 8 zero bytes, the iv, the 6-byte big-endian index; 257 blocks carry
-    # the index from byte 15 into byte 14, and 65537 into byte 13
+    # the keystream is the cipher over the counter blocks, built here
     iv = b"\xab\xcd"
-    assert aesprg.ctr_blocks(iv, n) == \
-        b"".join(bytes(8) + iv + i.to_bytes(6, "big") for i in range(n))
+    w = aesprg.expand_key(KEY)
+    if not n:  # no counter blocks: refused by both
+        with pytest.raises(ValueError, match="empty keystream request"):
+            aesprg.keystream(KEY, iv, 0)
+        with pytest.raises(ValueError, match="multiple of 16"):
+            aesprg.encrypt_block_expanded(w, _counter_blocks(iv, 0))
+        return
+    assert aesprg.keystream(KEY, iv, 16 * n) == \
+        aesprg.encrypt_block_expanded(w, _counter_blocks(iv, n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(key=st.binary(min_size=16, max_size=16),
+       iv=st.binary(min_size=2, max_size=2),
+       n_bytes=st.integers(min_value=1, max_value=16 * 1024))
+def test_keystream_matches_the_cipher_over_counter_blocks(key, iv, n_bytes):
+    assert aesprg.keystream(key, iv, n_bytes) == aesprg.encrypt_block_expanded(
+        aesprg.expand_key(key), _counter_blocks(iv, -(-n_bytes // 16)))[:n_bytes]
 
 
 def test_ctr_blocks_check_the_last_index(monkeypatch):
     iv = b"\x00\x01"
-    # checked at the call, before 2**48 blocks could be allocated
+    too_many = 16 * (1 << 48) + 1  # one byte into block 2**48
+    # checked at the call, before 2**48 blocks could be allocated: the
+    # key, then the iv, then the counter range
+    with pytest.raises(ValueError, match="key must be 16 bytes"):
+        aesprg.keystream(KEY[:-1], b"\x00", too_many)
     with pytest.raises(ValueError, match="iv must be 2 bytes"):
-        aesprg.ctr_blocks(b"\x00", 1)
+        aesprg.keystream(KEY, b"\x00", too_many)
     with pytest.raises(ValueError, match="48-bit"):
-        aesprg.ctr_blocks(iv, (1 << 48) + 1)
-    # the limit itself is accepted, one past it is not
+        aesprg.keystream(KEY, iv, too_many)
+    # the limit itself is accepted, one byte past it is not
     monkeypatch.setattr(aesprg, "_MAX_BLOCKS", 3)
-    assert aesprg.ctr_blocks(iv, 3)[-16:] == bytes(8) + iv + (2).to_bytes(6, "big")
+    assert aesprg.keystream(KEY, iv, 48) == keystream_oracle(KEY, iv, 48)
     with pytest.raises(ValueError, match="48-bit"):
-        aesprg.ctr_blocks(iv, 4)
+        aesprg.keystream(KEY, iv, 49)
 
 
 def test_block_consumption_count(monkeypatch):
-    blocks = 0
-    counters = set()
-    real = aesprg.encrypt_block_expanded
+    calls = []
+    real = aesprg._rounds
 
-    def counting(rks, data):
-        nonlocal blocks
-        blocks += len(data) // 16  # one call encrypts every block of data
-        counters.update(data[i:i + 16] for i in range(0, len(data), 16))
-        return real(rks, data)
+    def counting(rk, lanes, n, first):
+        calls.append((n, first, [len(lane) for lane in lanes]))
+        return real(rk, lanes, n, first)
 
-    monkeypatch.setattr(aesprg, "encrypt_block_expanded", counting)
-    aesprg.keystream(KEY, b"\x00\x01", 2916)
-    assert blocks == 183
-    # no two counter blocks repeat within the request
-    assert len(counters) == 183
+    monkeypatch.setattr(aesprg, "_rounds", counting)
+    out = aesprg.keystream(KEY, b"\x00\x01", 2916)
+    # one pass of rounds 3-10 over 16 lanes of 183 blocks
+    assert calls == [(183, 3, [183] * 16)]
+    monkeypatch.undo()
+    # those blocks are the cipher of 183 distinct counter blocks
+    counters = _counter_blocks(b"\x00\x01", 183)
+    assert len({counters[i:i + 16] for i in range(0, len(counters), 16)}) == 183
+    assert out == aesprg.encrypt_block_expanded(aesprg.expand_key(KEY), counters)[:2916]
+
+
+def test_interleaved_keys_and_ivs_keep_no_state():
+    # each call is its own CTR run: no table of one (key, iv) reaches the next
+    rng = random.Random(7)
+    keys = [KEY, rng.randbytes(16), bytes(16)]
+    ivs = [b"\xbe\xef", b"\x00\x00", b"\xff\xff"]
+    for i, n_bytes in enumerate([333, 2916, 17, 4100, 1, 512, 2916, 4097, 16]):
+        key, iv = keys[i % 3], ivs[i // 3]
+        assert aesprg.keystream(key, iv, n_bytes) == keystream_oracle(key, iv, n_bytes)
 
 
 def test_matches_independent_ctr_oracle():

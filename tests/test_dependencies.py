@@ -162,8 +162,8 @@ def test_public_surface_is_pinned():
     assert list(params.ParameterSet._fields) == [
         "sec_level", "q", "l", "V", "M", "tau", "lambda_bits"]
     assert _defined(aesprg) == [
-        "IV_BYTES", "KEY_BYTES", "check_key", "ctr_blocks",
-        "encrypt_block_expanded", "expand_key", "keystream"]
+        "IV_BYTES", "KEY_BYTES", "check_key", "encrypt_block_expanded",
+        "expand_key", "keystream"]
     assert _defined(fom) == [
         "LUT_S", "MW_S", "REFERENCE_INPUTS", "UM2_S", "fom_report", "latency",
         "report_to_csv"]
