@@ -153,7 +153,7 @@ def test_interleaved_keys_and_ivs_keep_no_state():
     rng = random.Random(7)
     keys = [KEY, rng.randbytes(16), bytes(16)]
     ivs = [b"\xbe\xef", b"\x00\x00", b"\xff\xff"]
-    for i, n_bytes in enumerate([333, 2916, 17, 4100, 1, 512, 2916, 4097, 16]):
+    for i, n_bytes in enumerate([333, 2916, 17, 4097, 1, 512, 100, 300, 16]):
         key, iv = keys[i % 3], ivs[i // 3]
         assert aesprg.keystream(key, iv, n_bytes) == keystream_oracle(key, iv, n_bytes)
 
