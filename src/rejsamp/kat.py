@@ -6,19 +6,21 @@ Line formats (whitespace-separated key=value fields, '#' comments allowed):
     key=<32 hex> iv=<4 hex> level=<1|3|5> out=<2n' hex> sampled vector,
                                                         one byte per element
 
-The presence of n= versus level= selects the record kind. Numbers are
-ASCII decimal digits, and out must hold n (or n') bytes. Verification
+Lines end at any str.splitlines() boundary, and fields are separated by
+any run of Unicode whitespace (str.split()). A text with no whitespace but
+" " and "\n" is split on those two alone, which gives the same lines and
+fields. The presence of n= versus level= selects the record kind. Numbers
+are ASCII decimal digits, and out must hold n (or n') bytes. Verification
 recomputes every record and reports the first mismatching line. It expands
 each (key, iv) keystream once, to the longest length the records of that
 pair need, and recomputes each of those records from a prefix of it.
 """
 
-import re
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import aesprg
-from .params import (_LEVEL_CHOICES, ParameterSet, builtin_params,
-                     level_from_number)
+from .params import (_LEVEL_CHOICES, LEVEL_NUMBERS, ParameterSet,
+                     builtin_params, level_from_number)
 from .sampler import rej_samp
 
 
@@ -52,27 +54,60 @@ def _hex_field(fields: dict, cols: dict, name: str, n_bytes: int | None,
         raise KatError(line, col, f"{name} is not valid hex") from None
 
 
-def _decimal(value: str) -> int:
+def _decimal(value: str, limit: int) -> int:
+    """value's number, or limit + 1 when it has more digits than limit:
+    int() refuses more than sys.get_int_max_str_digits() digits, leading
+    zeros included."""
     # int(_, 10) alone also takes a sign, '_' and non-ASCII digits
     if not (value.isascii() and value.isdigit()):
         raise ValueError(f"{value!r} is not ASCII decimal")
-    return int(value)
+    digits = value.lstrip("0") or "0"
+    return int(digits) if len(digits) <= len(str(limit)) else limit + 1
+
+
+# ASCII whitespace to str.split() and str.splitlines() besides " " and
+# "\n"; a non-ASCII character may be whitespace too (U+0085, U+00A0, ...)
+_RARE_SPACE = "\t\r\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
+def _plain(text: str) -> bool:
+    return text.isascii() and not any(c in text for c in _RARE_SPACE)
+
+
+def _tokens(body: str, plain: bool) -> Iterator[tuple[int, str]]:
+    """(offset, token) for each whitespace-separated token of body; a
+    plain body splits on " " alone, at memchr speed."""
+    start = 0
+    if plain:
+        for tok in body.split(" "):
+            if tok:
+                yield start, tok
+            start += len(tok) + 1
+    else:
+        for tok in body.split():
+            start = body.find(tok, start)
+            yield start, tok
+            start += len(tok)
 
 
 def parse_kat(text: str) -> list[KatRecord]:
     records = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # split("\n") gives a plain text's splitlines(), and one more line,
+    # empty, after a last "\n"
+    plain = _plain(text)
+    lines = text.split("\n") if plain else text.splitlines()
+    for lineno, line in enumerate(lines, start=1):
         body = line.split("#", 1)[0]
         if not body.strip():
             continue
         fields = {}
         cols = {}
-        for tok in re.finditer(r"\S+", body):
-            col = tok.start() + 1
-            if "=" not in tok.group():
+        for start, tok in _tokens(body, plain or _plain(body)):
+            col = start + 1
+            if "=" not in tok:
                 raise KatError(lineno, col, f"expected key=value, got "
-                                            f"{tok.group()!r}")
-            name, value = tok.group().split("=", 1)
+                                            f"{tok!r}")
+            name, value = tok.split("=", 1)
             if name in fields:
                 raise KatError(lineno, col, f"duplicate field {name!r}")
             fields[name] = value
@@ -91,17 +126,17 @@ def parse_kat(text: str) -> list[KatRecord]:
         out = _hex_field(fields, cols, "out", None, lineno)
         if "n" in fields:
             try:
-                n = _decimal(fields["n"])
+                n = _decimal(fields["n"], len(out))
             except ValueError:
                 raise KatError(lineno, cols["n"], "n is not a decimal "
                                                   "integer") from None
             if n <= 0:
                 raise KatError(lineno, cols["n"], "n must be positive")
-            p, out_len, rule = None, n, f"n={n}"
+            p, out_len, rule = None, n, f"n={fields['n']}"
         else:
             try:
                 p = builtin_params(level_from_number(
-                    _decimal(fields["level"])))
+                    _decimal(fields["level"], LEVEL_NUMBERS[-1])))
             except ValueError:
                 raise KatError(lineno, cols["level"], "level must be "
                                f"{_LEVEL_CHOICES}") from None

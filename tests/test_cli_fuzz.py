@@ -73,7 +73,7 @@ kat_line = st.one_of(
               st.binary(max_size=40).map(bytes.hex)),
     st.builds(lambda line, i, c: line[:i] + c + line[i + 1:],
               st.sampled_from(VALID_KAT), st.integers(0, 200),
-              st.sampled_from("0f= x")))
+              st.sampled_from("0f= x\t\r\x0c\u3000")))
 kat_text = st.lists(kat_line, max_size=4).map("\n".join)
 
 json_leaf = st.one_of(st.none(), st.booleans(), st.integers(-10**9, 10**9),

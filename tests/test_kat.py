@@ -116,7 +116,7 @@ def test_parse_accepts_comments_and_blanks():
     assert len(kat.parse_kat(text)) == 2
 
 
-@pytest.mark.parametrize("line,err", [
+PARSE_ERRORS = [
     ("key=00 iv=0001 n=1 out=00", "key must be 32"),
     (f"key={'0' * 32} iv=001 n=1 out=00", "iv must be 4"),
     (f"key={'0' * 32} iv=0001 out=00", "exactly one of"),
@@ -136,10 +136,45 @@ def test_parse_accepts_comments_and_blanks():
     (f"key={'0' * 32} iv=0001 level=\u0663 out=00", "level must be"),
     (f"key={'0' * 32} iv=0001 level=1 out=00", "out has 1 bytes, level=1 "
                                                "needs n'=2808"),
-])
+    # past int()'s 4300 digits n is still a number, and quoted as written
+    (f"key={'0' * 32} iv=0001 n={'1' * 4301} out=00",
+     f"out has 1 bytes, n={'1' * 4301}$"),
+    (f"key={'0' * 32} iv=0001 n=0{'1' * 4299} out=00",
+     f"out has 1 bytes, n=0{'1' * 4299}$"),
+]
+
+
+@pytest.mark.parametrize("line,err", PARSE_ERRORS)
 def test_parse_errors(line, err):
     with pytest.raises(kat.KatError, match=err):
         kat.parse_kat(line + "\n")
+
+
+def test_zero_padded_n_past_the_int_digit_limit():
+    rec, = kat.parse_kat(f"key={'0' * 32} iv=0001 n={'0' * 4300}1 out=00")
+    assert rec.n == 1
+
+
+def _outcome(text):
+    try:
+        return kat.parse_kat(text)
+    except kat.KatError as e:
+        return e.line, e.col, str(e)
+
+
+KAT_TEXTS = [kat.generate_kat(SEED, b"\x00\x01", 1, count=2),
+             kat.generate_kat(SEED, b"\xff\xff", 3)] + [
+    line + "\n" for line, _ in PARSE_ERRORS]
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\x0c", "\x85"])
+def test_any_whitespace_parses_alike(end):
+    # a text of " " and "\n" alone splits on those two; any other takes
+    # str.split() and str.splitlines(): the two must agree
+    for text in KAT_TEXTS:
+        for sep in " \t\x1f\u3000\xa0":
+            assert _outcome(text.replace(" ", sep).replace("\n", end)) == \
+                _outcome(text), (sep, end)
 
 
 def test_level_record_carries_its_parameter_set():
