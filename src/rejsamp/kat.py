@@ -84,8 +84,9 @@ def _tokens(body: str, plain: bool) -> Iterator[tuple[int, str]]:
                 yield start, tok
             start += len(tok) + 1
     else:
+        # only whitespace comes before tok: its first character finds it
         for tok in body.split():
-            start = body.find(tok, start)
+            start = body.find(tok[0], start)
             yield start, tok
             start += len(tok)
 

@@ -106,6 +106,8 @@ MUTANTS = [
     ("kat-line-check-dropped", "kat.py", "plain or _plain(body)", "True"),
     ("kat-plain-column-step-off-by-one", "kat.py", "start += len(tok) + 1",
      "start += len(tok)"),
+    ("kat-column-found-from-line-start", "kat.py", "body.find(tok[0], start)",
+     "body.find(tok[0])"),
     ("kat-duplicate-field-accepted", "kat.py", "if name in fields:", "if False:"),
     ("kat-unknown-field-accepted", "kat.py", '- {"key", "iv", "n", "level", "out"}',
      "- set(fields)"),
