@@ -113,6 +113,11 @@ MUTANTS = [
      "- set(fields)"),
     ("kat-signed-decimal", "kat.py", "value.isascii() and value.isdigit()",
      'value.lstrip("+").isdigit()'),
+    ("kat-long-number-through-int", "kat.py",
+     "int(digits) if len(digits) <= len(str(limit)) else limit + 1", "int(digits)"),
+    ("kat-leading-zeros-counted", "kat.py", '= value.lstrip("0") or "0"', '= value'),
+    ("kat-n-quoted-as-read", "kat.py", "rule = None, n, f\"n={fields['n']}\"",
+     'rule = None, n, f"n={n}"'),
     ("adp-in-ns", "fom.py", "m[size] * cpd_s", 'm[size] * m["cpd_ns"]'),
     ("pdp-drops-cpd", "fom.py", '= m["power_mw"] * cpd_s', '= m["power_mw"] * 1e-9'),
     ("tech-ratio-inverted", "fom.py", '= scale_to_nm / m["tech_nm"]',
