@@ -7,16 +7,15 @@ Line formats (whitespace-separated key=value fields, '#' comments allowed):
                                                         one byte per element
 
 Lines end at any str.splitlines() boundary, and fields are separated by
-any run of Unicode whitespace (str.split()). A text with no whitespace but
-" " and "\n" is split on those two alone, which gives the same lines and
-fields. The presence of n= versus level= selects the record kind. Numbers
-are ASCII decimal digits, and out must hold n (or n') bytes. Verification
-recomputes every record and reports the first mismatching line. It expands
-each (key, iv) keystream once, to the longest length the records of that
-pair need, and recomputes each of those records from a prefix of it.
+any run of Unicode whitespace (str.split()). The presence of n= versus
+level= selects the record kind. Numbers are ASCII decimal digits, and out
+must hold n (or n') bytes. Verification recomputes every record and reports
+the first mismatching line. It expands each (key, iv) keystream once, to
+the longest length the records of that pair need, and recomputes each of
+those records from a prefix of it.
 """
 
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from . import aesprg
 from .params import (_LEVEL_CHOICES, LEVEL_NUMBERS, ParameterSet,
@@ -65,46 +64,20 @@ def _decimal(value: str, limit: int) -> int:
     return int(digits) if len(digits) <= len(str(limit)) else limit + 1
 
 
-# ASCII whitespace to str.split() and str.splitlines() besides " " and
-# "\n"; a non-ASCII character may be whitespace too (U+0085, U+00A0, ...)
-_RARE_SPACE = "\t\r\x0b\x0c\x1c\x1d\x1e\x1f"
-
-
-def _plain(text: str) -> bool:
-    return text.isascii() and not any(c in text for c in _RARE_SPACE)
-
-
-def _tokens(body: str, plain: bool) -> Iterator[tuple[int, str]]:
-    """(offset, token) for each whitespace-separated token of body; a
-    plain body splits on " " alone, at memchr speed."""
-    start = 0
-    if plain:
-        for tok in body.split(" "):
-            if tok:
-                yield start, tok
-            start += len(tok) + 1
-    else:
-        # only whitespace comes before tok: its first character finds it
-        for tok in body.split():
-            start = body.find(tok[0], start)
-            yield start, tok
-            start += len(tok)
-
-
 def parse_kat(text: str) -> list[KatRecord]:
     records = []
-    # split("\n") gives a plain text's splitlines(), and one more line,
-    # empty, after a last "\n"
-    plain = _plain(text)
-    lines = text.split("\n") if plain else text.splitlines()
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0]
         if not body.strip():
             continue
         fields = {}
         cols = {}
-        for start, tok in _tokens(body, plain or _plain(body)):
+        start = 0
+        for tok in body.split():
+            # only whitespace comes before tok: its first character finds it
+            start = body.find(tok[0], start)
             col = start + 1
+            start += len(tok)
             if "=" not in tok:
                 raise KatError(lineno, col, f"expected key=value, got "
                                             f"{tok!r}")

@@ -171,8 +171,8 @@ KAT_TEXTS = [kat.generate_kat(SEED, b"\x00\x01", 1, count=2),
 
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\x0c", "\x85"])
 def test_any_whitespace_parses_alike(end):
-    # a text of " " and "\n" alone splits on those two; any other takes
-    # str.split() and str.splitlines(): the two must agree
+    # fields split on any whitespace and lines at any line boundary, so
+    # records, or the error's line, column and message, do not change
     for text in KAT_TEXTS:
         for sep in " \t\x1f\u3000\xa0":
             assert _outcome(text.replace(" ", sep).replace("\n", end)) == \
