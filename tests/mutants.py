@@ -104,6 +104,10 @@ MUTANTS = [
     ("kat-column-0-based", "kat.py", "col = start + 1", "col = start"),
     ("kat-column-found-from-line-start", "kat.py", "body.find(tok[0], start)",
      "body.find(tok[0])"),
+    ("kat-fields-split-on-space-only", "kat.py", "in body.split():",
+     'in body.split(" "):'),
+    ("kat-lines-split-on-newline-only", "kat.py", "text.splitlines()",
+     'text.split("\\n")'),
     ("kat-duplicate-field-accepted", "kat.py", "if name in fields:", "if False:"),
     ("kat-unknown-field-accepted", "kat.py", '- {"key", "iv", "n", "level", "out"}',
      "- set(fields)"),
