@@ -191,14 +191,16 @@ def test_parse_error_carries_position():
     with pytest.raises(kat.KatError) as ei:
         kat.parse_kat(f"key={'0' * 32} iv=xyz1 n=1 out=00\n")
     assert ei.value.line == 1 and ei.value.col == 38
-    # a bad number, or an out of the wrong length, at that field's column
+    # a bad number, an out of the wrong length or a duplicate field, at
+    # that field's own column
     head = f"key={'0' * 32} iv=0001"
-    for line, field in [(f"{head} n=1_6 out={'00' * 16}", "n"),
-                        (f"{head} level=\u0663 out=00", "level"),
-                        (f"{head} level=5 out=00", "out")]:
+    for line, field in [(f"{head} n=1_6 out={'00' * 16}", "n="),
+                        (f"{head} level=\u0663 out=00", "level="),
+                        (f"{head} level=5 out=00", "out="),
+                        (f"{head} iv=0002 n=1 out=00", "iv=0002")]:
         with pytest.raises(kat.KatError) as ei:
             kat.parse_kat(line + "\n")
-        assert ei.value.col == line.index(f" {field}=") + 2
+        assert ei.value.col == line.index(f" {field}") + 2
 
 
 def test_iv_wraps_mod_2_16():
